@@ -228,7 +228,9 @@ def tail_scan(alpha: float, k: float, lambda_imp: float, a_list,
     a_arr = np.asarray(sorted(a_list), dtype=float)
     if len(a_arr) < 4:
         raise ValueError("need at least 4 impurity offsets for the fit")
-    if a_arr[-1] - a_arr[0] < 2.0 / alpha:
+    # a few ulps of slack: offsets t/alpha for t = 1..3 span 2/alpha
+    # only up to rounding
+    if a_arr[-1] - a_arr[0] < 2.0 / alpha * (1.0 - 4.0 * np.finfo(float).eps):
         raise ValueError("offsets must span at least 2/alpha")
     amps = np.array([abs(born_correction(alpha, k, lambda_imp, a, probe))
                      for a in a_arr])

@@ -9,8 +9,11 @@ The assembled operator rows read
 
     (E + Laplacian_h + (2*alpha/dx) on the x = 0 column) psi = f,
 
-so applying a row to the constant field returns E.  Solves are direct
-(sparse LU) and therefore deterministic.
+so applying a row to the constant field returns E.  ``assemble`` keeps
+the full system, pinned identity rows included; ``solve`` eliminates the
+pinned nodes and factors only the free unknowns (sparse LU with a
+minimum-degree ordering on A^T + A), so solves are direct and
+deterministic.
 
 The module also carries the two discrete transverse-mode utilities the
 reflection experiment needs.  For the scattering run the incident wave
@@ -31,7 +34,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.ndimage import binary_dilation
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.linalg import splu
 
 from .grid import DELTA_LINE, EDGE, INTERIOR, OUTER, FieldGrid, build_mask
@@ -55,9 +58,10 @@ __all__ = [
 class FdProblem:
     """Grid, physics and boundary data for one oracle solve.
 
-    ``boundary`` is a vectorized sampler (X, Y) -> complex values used on
-    the outer frame (None means homogeneous).  ``forcing`` supplies an
-    interior right-hand side for manufactured-solution runs.
+    ``boundary`` is an elementwise sampler (X, Y) -> complex values for
+    the outer frame (None means homogeneous); it is called once, with the
+    1-D coordinate arrays of the OUTER nodes only.  ``forcing`` supplies
+    an interior right-hand side for manufactured-solution runs.
     """
 
     x0: float
@@ -83,6 +87,8 @@ class FdProblem:
         # resolution guard: several nodes per wavelength / decay length
         if math.sqrt(abs(self.E)) * max(self.dx, self.dy) > 0.5:
             raise ValueError("grid too coarse for |E|: sqrt(|E|)*dx must be <= 0.5")
+        if self.alpha * max(self.dx, self.dy) > 0.5:
+            raise ValueError("grid too coarse for alpha: alpha*dx must be <= 0.5")
 
 
 @dataclass(frozen=True)
@@ -124,11 +130,12 @@ def assemble(p: FdProblem) -> SparseSystem:
     if p.forcing is not None:
         rhs[cen] = np.asarray(p.forcing(X, Y), dtype=complex)[bulk]
 
-    outer = node[mask == OUTER]
+    frame = mask == OUTER
+    outer = node[frame]
     rows.append(outer); cols.append(outer)
     vals.append(np.ones(outer.shape, dtype=complex))
     if p.boundary is not None:
-        rhs[outer] = np.asarray(p.boundary(X, Y), dtype=complex)[mask == OUTER]
+        rhs[outer] = p.boundary(X[frame], Y[frame])
 
     edge = node[mask == EDGE]
     if edge.size:
@@ -148,11 +155,38 @@ def assemble(p: FdProblem) -> SparseSystem:
 
 
 def solve(s: SparseSystem, tol: float = 1e-10) -> FieldGrid:
-    """Direct sparse solve; verifies the residual against tol * ||rhs||."""
+    """Direct sparse solve; verifies the residual against tol * ||rhs||.
+
+    Only the free unknowns (INTERIOR and DELTA_LINE nodes) are factored.
+    Pinned nodes -- the OUTER frame, and the EDGE nodes under Dirichlet
+    -- take their value from ``rhs`` and their columns move to the right
+    side.  A Neumann EDGE node follows its upper neighbour, so its column
+    is folded into that neighbour's.  Writing x = P z + x_pin, with P the
+    0/1 map from free unknowns to nodes, the reduced system
+
+        (A[free] P) z = rhs[free] - A[free] x_pin
+
+    is factored by SuperLU with the minimum-degree ordering on A^T + A.
+    The residual is checked on the full system.
+    """
     if not 1e-12 <= tol <= 1e-6:
         raise ValueError("tol must lie in [1e-12, 1e-6]")
-    A = coo_matrix((s.vals, (s.rows, s.cols)), shape=(s.n, s.n)).tocsc()
-    x = splu(A).solve(s.rhs)
+    A = coo_matrix((s.vals, (s.rows, s.cols)), shape=(s.n, s.n)).tocsr()
+    tag = s.mask.ravel()
+    free = np.flatnonzero((tag == INTERIOR) | (tag == DELTA_LINE))
+    src = np.arange(s.n)                 # node whose value each node takes
+    if s.problem.bc == "neumann":
+        src[tag == EDGE] += s.problem.nx
+    col = np.full(s.n, -1)               # column of P; -1 marks pinned
+    col[free] = np.arange(free.size)
+    col = col[src]
+    follows = col >= 0
+    rows = np.flatnonzero(follows)
+    P = csr_matrix((np.ones(rows.size), (rows, col[rows])), shape=(s.n, free.size))
+    x_pin = np.where(follows, 0.0, s.rhs[src])
+    A_free = A[free]
+    lu = splu((A_free @ P).tocsc(), permc_spec="MMD_AT_PLUS_A")
+    x = P @ lu.solve(s.rhs[free] - A_free @ x_pin) + x_pin
     scale = np.linalg.norm(s.rhs)
     res = np.linalg.norm(A @ x - s.rhs)
     if scale > 0 and res > tol * scale:
@@ -300,6 +334,11 @@ def reflected_amplitudes(alpha: float, k: float, a: float,
     """
     if not 0 < k < alpha:
         raise ValueError("the fit model needs the trapped regime 0 < k < alpha")
+    if not a > 0:
+        # the frame pinned to the incident wave then closes a cavity
+        # around the tip, and the fit returns |reflected| = |forward|
+        raise ValueError("the reflection experiment needs a > 0; for a tip "
+                         "on the axis use bound_edge.solve_scattering")
     xs, ys, phi, s = solve_guided_scatter(alpha, k, a, h)
     hx = xs[1] - xs[0]
     c = (s * phi[None, :]).sum(axis=1) * hx

@@ -26,6 +26,16 @@ def test_verify_passes_and_is_deterministic(capsys):
     assert "all checks passed" in out1
 
 
+def test_verify_passes_at_alpha_0_7(capsys):
+    # 3/alpha - 1/alpha rounds below 2/alpha here; the tail-scan span
+    # guard must still accept the offsets
+    code, out, _ = run_cli(capsys, "verify", "--alpha=0.7")
+    assert code == 0
+    lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
+    assert len(lines) == 9
+    assert all(l.startswith("PASS") for l in lines)
+
+
 def test_field_csv_round_trips_and_repeats(tmp_path, capsys):
     out1 = tmp_path / "f1.csv"
     out2 = tmp_path / "f2.csv"
@@ -108,3 +118,14 @@ def test_numerical_failure_exits_1(capsys):
                            "--dy=0.1", "--nx=31", "--ny=31")
     assert code == 1
     assert "numerical failure" in err
+
+
+def test_oracle_delta_line_resolution_exits_1(capsys):
+    # alpha*dx = 0.6 trips the delta-line guard while sqrt(|E|)*dx = 0.02
+    # passes the wavelength guard
+    code, _, err = run_cli(capsys, "oracle", "--mode=bound", "--alpha=20",
+                           "--k=19.99", "--dx=0.03", "--dy=0.03",
+                           "--nx=21", "--ny=21", "--x0=-0.3", "--y0=-0.3")
+    assert code == 1
+    assert "numerical failure" in err
+    assert "alpha*dx" in err

@@ -140,6 +140,21 @@ def test_tail_scan_preconditions():
         gp.tail_scan(1.0, 0.5, 1.0, [1.0, 1.4, 1.8, 2.2], probe)
 
 
+def test_tail_scan_span_guard_tolerates_rounding(monkeypatch):
+    # offsets t/alpha, t = 1..3, span 2/alpha only up to rounding; the
+    # guard alone is under test, so the Born amplitude is a stand-in
+    monkeypatch.setattr(gp, "born_correction",
+                        lambda alpha, k, lam, a, probe: math.exp(-2.0 * alpha * a))
+    probe = PlanePoint(0.0, -12.0)
+    for alpha in np.linspace(0.5, 2.0, 301):
+        offsets = [t / alpha for t in (1.0, 1.5, 2.0, 2.5, 3.0)]
+        res = gp.tail_scan(alpha, 0.5 * alpha, 1.0, offsets, probe)
+        assert res.slope == pytest.approx(-2.0 * alpha, rel=1e-9)
+        with pytest.raises(ValueError, match="span"):
+            gp.tail_scan(alpha, 0.5 * alpha, 1.0,
+                         [t / alpha for t in (1.0, 1.5, 2.0, 2.9)], probe)
+
+
 def test_tail_scan_csv_and_summary():
     res = gp.tail_scan(1.0, 0.5, 1.0, [1.0, 1.5, 2.0, 2.5, 3.0],
                        PlanePoint(0.0, -12.0))

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from scipy.sparse import coo_matrix
+from scipy.sparse.linalg import spsolve
 
 from edgewave import bound_edge as be
 from edgewave import oracle_fd as ofd
@@ -36,6 +37,10 @@ def test_problem_validation():
     with pytest.raises(ValueError):
         ofd.FdProblem(x0=0, y0=0, dx=0.1, dy=0.1, nx=9, ny=9, E=1.0,
                       bc="robin")
+    with pytest.raises(ValueError, match="alpha"):
+        # sqrt(|E|)*dx = 0.02 passes; alpha*dx = 0.6 does not
+        ofd.FdProblem(x0=0, y0=0, dx=0.03, dy=0.03, nx=9, ny=9,
+                      E=19.99 ** 2 - 400.0, alpha=20.0)
     # misaligned barrier tip
     p = ofd.FdProblem(x0=-1.0, y0=-1.0, dx=0.25, dy=0.25, nx=9, ny=9,
                       E=1.0, edge_a=0.13)
@@ -53,6 +58,64 @@ def test_identity_rows_return_boundary_data():
     frame = grid.mask == OUTER
     assert frame.sum() == 10           # 3x4 grid has two interior nodes
     assert np.abs((grid.values - (X + 2j * Y))[frame]).max() < 1e-12
+
+
+def test_boundary_sampled_once_on_the_frame():
+    calls = []
+
+    def sampler(X, Y):
+        calls.append(X.shape)
+        return X + 2j * Y
+
+    p = ofd.FdProblem(x0=-1.0, y0=-1.0, dx=0.25, dy=0.25, nx=9, ny=9,
+                      E=1.0, alpha=1.0, edge_a=0.0, boundary=sampler)
+    sys = ofd.assemble(p)
+    frame = sys.mask == OUTER
+    assert calls == [(int(frame.sum()),)]
+    X, Y = np.meshgrid(-1.0 + 0.25 * np.arange(9), -1.0 + 0.25 * np.arange(9))
+    assert np.array_equal(sys.rhs.reshape(9, 9)[frame], (X + 2j * Y)[frame])
+
+
+def _reduced_vs_full(p):
+    sys = ofd.assemble(p)
+    grid = ofd.solve(sys)
+    ref = spsolve(_matrix(sys).tocsc(), sys.rhs)
+    x = grid.values.ravel()
+    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+    return grid
+
+
+def test_reduced_solve_matches_full_system_dirichlet():
+    # small 6c-like grid: barrier from the tip on the delta line
+    alpha, k = 1.0, 0.5
+    f = be.make_field(alpha, k)
+    p = ofd.FdProblem(x0=-3.0, y0=-3.0, dx=0.1, dy=0.1, nx=61, ny=61,
+                      E=k * k - alpha * alpha, alpha=alpha, edge_a=0.0,
+                      boundary=lambda X, Y: be.field_values(f, X, Y))
+    grid = _reduced_vs_full(p)
+    edge = grid.mask == EDGE
+    assert edge.any()
+    assert np.all(grid.values[edge] == 0.0)
+
+
+def test_reduced_solve_matches_full_system_neumann():
+    g = sommerfeld.EdgeGeometry(a=0.0, bc="neumann")
+    p = ofd.FdProblem(x0=-3.0, y0=-3.0, dx=0.1, dy=0.1, nx=61, ny=61,
+                      E=4.0, edge_a=0.0, bc="neumann",
+                      boundary=lambda X, Y: sommerfeld.field_values(2.0, g, X, Y))
+    grid = _reduced_vs_full(p)
+    j, i = np.nonzero(grid.mask == EDGE)
+    assert j.size
+    # the mirror node takes its upper neighbour's value bit for bit
+    assert np.array_equal(grid.values[j, i], grid.values[j + 1, i])
+
+
+def test_reduced_solve_matches_full_system_without_barrier():
+    p = ofd.FdProblem(x0=-3.0, y0=-3.0, dx=0.1, dy=0.1, nx=61, ny=61,
+                      E=0.25 - 1.0, alpha=1.0,
+                      boundary=lambda X, Y: np.exp(-np.abs(X) + 0.5j * Y))
+    grid = _reduced_vs_full(p)
+    assert not (grid.mask == EDGE).any()
 
 
 def test_solver_tol_validation():
@@ -88,8 +151,8 @@ def test_manufactured_solution_second_order():
 
 
 def test_dirichlet_edge_rows_vanish():
-    # the barrier rows are homogeneous identities; sparse LU leaves
-    # only factorization noise there, far below the O(1) field scale
+    # the barrier rows are homogeneous identities, pinned out of the
+    # factored system, so the solve must leave the barrier at zero
     g = sommerfeld.EdgeGeometry(a=0.0)
     p = ofd.FdProblem(x0=-2.0, y0=-2.0, dx=0.1, dy=0.1, nx=41, ny=41,
                       E=4.0, edge_a=0.0,
@@ -233,3 +296,12 @@ def test_reflection_scan_frozen():
 def test_reflection_needs_trapped_regime():
     with pytest.raises(ValueError):
         ofd.reflected_amplitudes(1.0, 2.0, 1.0)
+
+
+def test_reflection_rejects_tip_on_or_past_the_axis():
+    # at a = 0 the pinned frame closes a cavity and the fit would report
+    # |reflected| = |forward|; the exact answer comes from the barrier
+    # integral equation instead
+    for a in (0.0, -1.0):
+        with pytest.raises(ValueError, match="bound_edge.solve_scattering"):
+            ofd.reflected_amplitudes(1.0, 0.5, a)
