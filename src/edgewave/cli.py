@@ -378,7 +378,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run(command: str, cfg: dict) -> int:
     """Dispatch a merged, validated config; returns the exit status."""
-    for key in ("alpha", "k", "dx", "dy"):
+    # alpha enters only the bound closed form, tail scans and verify
+    keys = ["k", "dx", "dy"]
+    if cfg["mode"] == "bound" or command in ("tail", "verify"):
+        keys.append("alpha")
+    for key in keys:
         if not cfg[key] > 0:
             raise SystemExit(f"usage error: {key} must be positive")
     if cfg["nx"] < 2 or cfg["ny"] < 2:
@@ -399,7 +403,7 @@ def main(argv=None) -> int:
         print(exc.code if isinstance(exc.code, str) else str(exc),
               file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
 

@@ -4,6 +4,11 @@ The grid is the common currency between the analytic field evaluators,
 the stencil-residual checks, and the finite-difference solver.  Values
 are stored row-major by y then x (``values[j, i]`` sits at
 ``(x0 + i*dx, y0 + j*dy)``), which matches the CSV ordering.
+
+:func:`read_csv` accepts only what :func:`write_csv` can have written:
+a header and rows of four numbers that repeat one x axis in every row
+at a constant y, with finite, strictly increasing and uniformly spaced
+x and y.  Anything else raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -117,32 +122,70 @@ def _fmt(v: float) -> str:
 
 
 def write_csv(grid: FieldGrid, path) -> None:
-    """Write ``x,y,re,im`` rows, row-major by y then x."""
-    xs = grid.xs()
-    ys = grid.ys()
+    """Write ``x,y,re,im`` rows, row-major by y then x.
+
+    The bytes are a fixed format: the header ``x,y,re,im``, then one
+    line per node holding all four numbers as ``"%.16e"`` (17
+    significant digits, so doubles round-trip exactly; -0.0, ``inf``,
+    ``-inf`` and ``nan`` spelled as Python formats them), each line
+    ending in ``\n``.  Each grid row is formatted by one ``%`` template
+    and written with one call, so memory stays at one row.
+    """
+    # tail.join(heads) puts each row's y and value slots after every x
+    heads = [_fmt(x) + "," for x in grid.xs()] + [""]
+    pairs = np.empty((grid.nx, 2))
     with open(path, "w") as fh:
         fh.write("x,y,re,im\n")
-        for j in range(grid.ny):
-            for i in range(grid.nx):
-                v = grid.values[j, i]
-                fh.write(
-                    f"{_fmt(xs[i])},{_fmt(ys[j])},{_fmt(v.real)},{_fmt(v.imag)}\n"
-                )
+        for y, row in zip(grid.ys(), grid.values):
+            tail = _fmt(y) + ",%.16e,%.16e\n"
+            pairs[:, 0] = row.real
+            pairs[:, 1] = row.imag
+            fh.write(tail.join(heads) % tuple(pairs.ravel().tolist()))
+
+
+def _check_axis(v: np.ndarray, name: str) -> None:
+    """Raise unless ``v`` is finite, strictly increasing and uniformly spaced.
+
+    Nodes are compared with the chord through the end nodes.  The
+    tolerance, 16 eps * max|v|, covers the rounding of ``x0 + dx*i`` in
+    the writer and of the chord (about 7 eps * max|v| at worst).
+    """
+    if not np.isfinite(v).all():
+        raise ValueError(f"CSV {name} values must be finite")
+    if v.size < 2:
+        return
+    if not (np.diff(v) > 0).all():
+        raise ValueError(f"CSV {name} values are not strictly increasing")
+    chord = v[0] + (v[-1] - v[0]) * (np.arange(v.size) / (v.size - 1))
+    if np.abs(v - chord).max() > 16 * np.finfo(float).eps * np.abs(v).max():
+        raise ValueError(f"CSV {name} values are not uniformly spaced")
 
 
 def read_csv(path) -> FieldGrid:
     """Reconstruct a FieldGrid from the CSV written by :func:`write_csv`.
 
-    The mask is not stored in the CSV; it is rebuilt as all-INTERIOR
-    with the OUTER frame, which is enough for round-trip checks.
+    Raises ``ValueError`` unless the rows describe a full uniform grid
+    in the writer's order.  The mask is not stored in the CSV; it is
+    rebuilt as all-INTERIOR with the OUTER frame, which is enough for
+    round-trip checks.
     """
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    xs = np.unique(data[:, 0])
-    ys = np.unique(data[:, 1])
-    nx, ny = len(xs), len(ys)
-    if nx * ny != data.shape[0]:
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if data.shape[0] == 0 or data.shape[1] != 4:
+        raise ValueError("CSV must hold x,y,re,im rows below its header")
+    # nx is the first run of equal y (a nan y0 gives nx = 1, caught below)
+    breaks = np.flatnonzero(data[1:, 1] != data[0, 1])
+    nx = int(breaks[0]) + 1 if breaks.size else data.shape[0]
+    ny, rest = divmod(data.shape[0], nx)
+    if rest:
         raise ValueError("CSV does not describe a full rectangular grid")
-    values = (data[:, 2] + 1j * data[:, 3]).reshape(ny, nx)
+    X = data[:, 0].reshape(ny, nx)
+    Y = data[:, 1].reshape(ny, nx)
+    xs, ys = X[0], Y[:, 0]
+    if not ((X == xs).all() and (Y == ys[:, None]).all()):
+        raise ValueError("CSV rows must repeat one x axis at constant y")
+    _check_axis(xs, "x")
+    _check_axis(ys, "y")
+    values = np.ascontiguousarray(data[:, 2:]).view(complex).reshape(ny, nx)
     dx = xs[1] - xs[0] if nx > 1 else 1.0
     dy = ys[1] - ys[0] if ny > 1 else 1.0
     mask = build_mask(xs[0], ys[0], dx, dy, nx, ny)

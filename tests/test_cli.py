@@ -129,3 +129,26 @@ def test_oracle_delta_line_resolution_exits_1(capsys):
     assert code == 1
     assert "numerical failure" in err
     assert "alpha*dx" in err
+
+
+def test_overflow_exits_1(tmp_path, capsys):
+    # erf_cx overflows far out on the bound-mode grid: a numerical
+    # failure, reported without a traceback
+    code, _, err = run_cli(capsys, "field", "--mode=bound", "--k=40",
+                           "--alpha=50", "--x0=-300", "--y0=-300",
+                           "--dx=30", "--dy=30", "--nx=21", "--ny=21",
+                           f"--out={tmp_path / 'b.csv'}")
+    assert code == 1
+    assert err.startswith("numerical failure: ")
+
+
+def test_alpha_checked_only_where_used(tmp_path, capsys):
+    grid = ["--nx=21", "--ny=21", "--dx=0.3", "--dy=0.3"]
+    zero = tmp_path / "zero.csv"
+    default = tmp_path / "default.csv"
+    assert run_cli(capsys, "field", "--alpha=0", f"--out={zero}", *grid)[0] == 0
+    assert run_cli(capsys, "field", f"--out={default}", *grid)[0] == 0
+    assert zero.read_bytes() == default.read_bytes()
+    assert run_cli(capsys, "field", "--mode=bound", "--alpha=0", *grid)[0] == 2
+    assert run_cli(capsys, "tail", "--alpha=0")[0] == 2
+    assert run_cli(capsys, "verify", "--alpha=0")[0] == 2
