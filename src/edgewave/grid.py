@@ -6,13 +6,15 @@ are stored row-major by y then x (``values[j, i]`` sits at
 ``(x0 + i*dx, y0 + j*dy)``), which matches the CSV ordering.
 
 :func:`read_csv` accepts only what :func:`write_csv` can have written:
-a header and rows of four numbers that repeat one x axis in every row
-at a constant y, with finite, strictly increasing and uniformly spaced
-x and y.  Anything else raises ``ValueError``.
+the exact header ``x,y,re,im``, then at least one row of four numbers,
+the rows repeating one x axis at a constant y, with finite, strictly
+increasing and uniformly spaced x and y.  Anything else raises
+``ValueError``.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +26,8 @@ DELTA_LINE = 2
 OUTER = 3
 
 _ALIGN_TOL = 1e-12
+
+_CSV_HEADER = "x,y,re,im"
 
 
 @dataclass(frozen=True)
@@ -135,7 +139,7 @@ def write_csv(grid: FieldGrid, path) -> None:
     heads = [_fmt(x) + "," for x in grid.xs()] + [""]
     pairs = np.empty((grid.nx, 2))
     with open(path, "w") as fh:
-        fh.write("x,y,re,im\n")
+        fh.write(_CSV_HEADER + "\n")
         for y, row in zip(grid.ys(), grid.values):
             tail = _fmt(y) + ",%.16e,%.16e\n"
             pairs[:, 0] = row.real
@@ -164,14 +168,21 @@ def _check_axis(v: np.ndarray, name: str) -> None:
 def read_csv(path) -> FieldGrid:
     """Reconstruct a FieldGrid from the CSV written by :func:`write_csv`.
 
-    Raises ``ValueError`` unless the rows describe a full uniform grid
-    in the writer's order.  The mask is not stored in the CSV; it is
+    Raises ``ValueError`` unless the first line is the header
+    ``x,y,re,im`` and the rows below it describe a full uniform grid in
+    the writer's order.  The mask is not stored in the CSV; it is
     rebuilt as all-INTERIOR with the OUTER frame, which is enough for
     round-trip checks.
     """
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[0] == 0 or data.shape[1] != 4:
-        raise ValueError("CSV must hold x,y,re,im rows below its header")
+    with open(path) as fh:
+        if fh.readline().rstrip("\n") != _CSV_HEADER:
+            raise ValueError(f"CSV must start with the header {_CSV_HEADER}")
+        first = fh.readline()
+        if not first.strip():
+            raise ValueError("CSV holds no rows below its header")
+        data = np.loadtxt(itertools.chain([first], fh), delimiter=",", ndmin=2)
+    if data.shape[1] != 4:
+        raise ValueError("CSV rows must hold four numbers: x,y,re,im")
     # nx is the first run of equal y (a nan y0 gives nx = 1, caught below)
     breaks = np.flatnonzero(data[1:, 1] != data[0, 1])
     nx = int(breaks[0]) + 1 if breaks.size else data.shape[0]

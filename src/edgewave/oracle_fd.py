@@ -10,10 +10,13 @@ The assembled operator rows read
     (E + Laplacian_h + (2*alpha/dx) on the x = 0 column) psi = f,
 
 so applying a row to the constant field returns E.  ``assemble`` keeps
-the full system, pinned identity rows included; ``solve`` eliminates the
-pinned nodes and factors only the free unknowns (sparse LU with a
-minimum-degree ordering on A^T + A), so solves are direct and
-deterministic.
+the full system, pinned identity rows included.  Every coefficient is
+real (``E``, the spacings and ``alpha`` are real), so ``assemble``
+stores them as float64.  ``solve`` eliminates the pinned nodes, factors
+only the free unknowns once in real arithmetic (sparse LU with a
+minimum-degree ordering on A^T + A) and solves the real and imaginary
+parts of the complex right-hand side as two columns, so solves are
+direct and deterministic.
 
 The module also carries the two discrete transverse-mode utilities the
 reflection experiment needs.  For the scattering run the incident wave
@@ -61,7 +64,9 @@ class FdProblem:
     ``boundary`` is an elementwise sampler (X, Y) -> complex values for
     the outer frame (None means homogeneous); it is called once, with the
     1-D coordinate arrays of the OUTER nodes only.  ``forcing`` supplies
-    an interior right-hand side for manufactured-solution runs.
+    an interior right-hand side for manufactured-solution runs.  ``E``,
+    ``alpha``, ``dx`` and ``dy`` must be real and finite: the operator is
+    assembled and factored in real arithmetic.
     """
 
     x0: float
@@ -78,6 +83,10 @@ class FdProblem:
     forcing: Callable | None = None
 
     def __post_init__(self):
+        for name in ("E", "alpha", "dx", "dy"):
+            v = getattr(self, name)
+            if np.iscomplexobj(v) or not math.isfinite(v):
+                raise ValueError(f"{name} must be real and finite, got {v!r}")
         if self.bc not in ("dirichlet", "neumann"):
             raise ValueError("bc must be 'dirichlet' or 'neumann'")
         if self.alpha < 0:
@@ -104,7 +113,10 @@ class SparseSystem:
 
 def assemble(p: FdProblem) -> SparseSystem:
     """Build the sparse rows for the discrete operator (raises if the
-    waveguide axis or the barrier is not grid-aligned)."""
+    waveguide axis or the barrier is not grid-aligned).
+
+    ``vals`` is float64; ``rhs`` is complex.
+    """
     mask = build_mask(p.x0, p.y0, p.dx, p.dy, p.nx, p.ny,
                       edge_a=p.edge_a, delta_line=p.alpha != 0.0)
     nx, ny = p.nx, p.ny
@@ -118,11 +130,11 @@ def assemble(p: FdProblem) -> SparseSystem:
     bulk = (mask == INTERIOR) | (mask == DELTA_LINE)
     cen = node[bulk]
     coef = np.full(cen.shape, p.E - 2.0 / p.dx ** 2 - 2.0 / p.dy ** 2,
-                   dtype=complex)
+                   dtype=float)
     coef[mask[bulk] == DELTA_LINE] += 2.0 * p.alpha / p.dx
     rows.append(cen); cols.append(cen); vals.append(coef)
-    wx = np.full(cen.shape, 1.0 / p.dx ** 2, dtype=complex)
-    wy = np.full(cen.shape, 1.0 / p.dy ** 2, dtype=complex)
+    wx = np.full(cen.shape, 1.0 / p.dx ** 2, dtype=float)
+    wy = np.full(cen.shape, 1.0 / p.dy ** 2, dtype=float)
     rows.append(cen); cols.append(cen - 1); vals.append(wx)
     rows.append(cen); cols.append(cen + 1); vals.append(wx)
     rows.append(cen); cols.append(cen - nx); vals.append(wy)
@@ -133,19 +145,19 @@ def assemble(p: FdProblem) -> SparseSystem:
     frame = mask == OUTER
     outer = node[frame]
     rows.append(outer); cols.append(outer)
-    vals.append(np.ones(outer.shape, dtype=complex))
+    vals.append(np.ones(outer.shape))
     if p.boundary is not None:
         rhs[outer] = p.boundary(X[frame], Y[frame])
 
     edge = node[mask == EDGE]
     if edge.size:
         rows.append(edge); cols.append(edge)
-        vals.append(np.ones(edge.shape, dtype=complex))
+        vals.append(np.ones(edge.shape))
         if p.bc == "neumann":
             # one-sided mirror toward the upper face; a single-valued grid
             # cannot carry independent data on the two faces of the cut
             rows.append(edge); cols.append(edge + nx)
-            vals.append(np.full(edge.shape, -1.0, dtype=complex))
+            vals.append(np.full(edge.shape, -1.0))
 
     return SparseSystem(
         n=n_nodes,
@@ -164,13 +176,18 @@ def solve(s: SparseSystem, tol: float = 1e-10) -> FieldGrid:
     is folded into that neighbour's.  Writing x = P z + x_pin, with P the
     0/1 map from free unknowns to nodes, the reduced system
 
-        (A[free] P) z = rhs[free] - A[free] x_pin
+        (A[free] P) z = b,   b = rhs[free] - A[free] x_pin
 
-    is factored by SuperLU with the minimum-degree ordering on A^T + A.
-    The residual is checked on the full system.
+    is factored once by SuperLU in real arithmetic, with the
+    minimum-degree ordering on A^T + A, and [Re b, Im b] is solved as
+    two right-hand sides.  The residual is checked on the full complex
+    system.  Raises ``ValueError`` if ``rhs`` is not finite and
+    ``RuntimeError`` if the residual is not finite or exceeds the gate.
     """
     if not 1e-12 <= tol <= 1e-6:
         raise ValueError("tol must lie in [1e-12, 1e-6]")
+    if not np.isfinite(s.rhs).all():
+        raise ValueError("rhs holds non-finite values (boundary or forcing data)")
     A = coo_matrix((s.vals, (s.rows, s.cols)), shape=(s.n, s.n)).tocsr()
     tag = s.mask.ravel()
     free = np.flatnonzero((tag == INTERIOR) | (tag == DELTA_LINE))
@@ -186,9 +203,13 @@ def solve(s: SparseSystem, tol: float = 1e-10) -> FieldGrid:
     x_pin = np.where(follows, 0.0, s.rhs[src])
     A_free = A[free]
     lu = splu((A_free @ P).tocsc(), permc_spec="MMD_AT_PLUS_A")
-    x = P @ lu.solve(s.rhs[free] - A_free @ x_pin) + x_pin
+    b = s.rhs[free] - A_free @ x_pin
+    z = lu.solve(np.column_stack((b.real, b.imag)))
+    x = P @ (z[:, 0] + 1j * z[:, 1]) + x_pin
     scale = np.linalg.norm(s.rhs)
     res = np.linalg.norm(A @ x - s.rhs)
+    if not np.isfinite(res):
+        raise RuntimeError(f"solver residual is {res}")
     if scale > 0 and res > tol * scale:
         raise RuntimeError(f"solver residual {res:.3e} exceeds {tol:.1e} * ||rhs||")
     p = s.problem

@@ -22,6 +22,7 @@ decays and everything is elementary.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -193,23 +194,24 @@ def _adaptive_segment(f, a: complex, b: complex, tol: float):
     The target is tol relative to the magnitude of the running total
     (with an absolute floor of tol itself), since the integrand can
     reach huge magnitudes on strongly complex segments where a fixed
-    absolute tolerance would sit below machine precision.
+    absolute tolerance would sit below machine precision.  The panels
+    sit in a heap keyed on (-err, -serial): the largest error is split
+    first, and of equal errors the panel made last.
     """
     val, err = _gk_panel(f, a, b)
-    panels = [(err, a, b, val)]
+    panels = [(-err, 0, a, b, val)]
     total = val
     total_err = err
     n = 0
     while total_err > tol * max(1.0, abs(total)) and n < _MAX_SUBDIVISIONS:
-        panels.sort(key=lambda p: p[0])
-        err0, a0, b0, v0 = panels.pop()
+        neg_err0, _, a0, b0, v0 = heapq.heappop(panels)
         m = 0.5 * (a0 + b0)
         v1, e1 = _gk_panel(f, a0, m)
         v2, e2 = _gk_panel(f, m, b0)
         total += v1 + v2 - v0
-        total_err += e1 + e2 - err0
-        panels.append((e1, a0, m, v1))
-        panels.append((e2, m, b0, v2))
+        total_err += e1 + e2 + neg_err0
+        heapq.heappush(panels, (-e1, -2 * n - 1, a0, m, v1))
+        heapq.heappush(panels, (-e2, -2 * n - 2, m, b0, v2))
         n += 1
     if total_err > tol * max(1.0, abs(total)):
         raise RuntimeError(

@@ -1,5 +1,7 @@
 """Grid container, node classification and the CSV exchange format."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -116,7 +118,6 @@ def _write_rows(path, xs, ys):
     path.write_text(_reference_csv(xs, ys, values))
 
 
-@pytest.mark.filterwarnings("ignore:loadtxt")
 def test_read_csv_rejects_malformed_files(tmp_path):
     path = tmp_path / "bad.csv"
     xs = 1e6 + 1e-3 * np.arange(101)
@@ -155,6 +156,20 @@ def test_read_csv_rejects_malformed_files(tmp_path):
             gr.read_csv(path)
     _write_rows(path, xs, ys)
     assert gr.read_csv(path).nx == 101
+
+
+def test_read_csv_requires_header_and_rows(tmp_path):
+    path = tmp_path / "bad.csv"
+    row = "0.0,0.0,1.0,0.0\n"
+    for text in ("a,b,c,d\n" + row, "x,y,re\n" + row, " x,y,re,im\n" + row,
+                 row + row, "", "x,y,re,im", "x,y,re,im\n", "x,y,re,im\n\n"):
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # no numpy "no data" warning
+            with pytest.raises(ValueError):
+                gr.read_csv(path)
+    path.write_text("x,y,re,im\n" + row)
+    assert gr.read_csv(path).values[0, 0] == 1.0
 
 
 def test_grid_validation():

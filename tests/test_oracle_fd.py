@@ -1,6 +1,7 @@
 """Finite-difference oracle: assembly, convergence, and the frozen
 comparison numbers for the closed forms."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -41,6 +42,14 @@ def test_problem_validation():
         # sqrt(|E|)*dx = 0.02 passes; alpha*dx = 0.6 does not
         ofd.FdProblem(x0=0, y0=0, dx=0.03, dy=0.03, nx=9, ny=9,
                       E=19.99 ** 2 - 400.0, alpha=20.0)
+    # the operator is real: complex or non-finite parameters never
+    # reach the assembly
+    good = dict(x0=0, y0=0, dx=0.1, dy=0.1, nx=9, ny=9, E=1.0)
+    for name, bad in (("E", 1.0 + 0j), ("E", np.complex128(1.0)),
+                      ("E", math.nan), ("E", -math.inf), ("alpha", math.inf),
+                      ("alpha", math.nan), ("dx", math.nan), ("dy", math.inf)):
+        with pytest.raises(ValueError, match=name):
+            ofd.FdProblem(**{**good, name: bad})
     # misaligned barrier tip
     p = ofd.FdProblem(x0=-1.0, y0=-1.0, dx=0.25, dy=0.25, nx=9, ny=9,
                       E=1.0, edge_a=0.13)
@@ -77,9 +86,11 @@ def test_boundary_sampled_once_on_the_frame():
 
 
 def _reduced_vs_full(p):
+    # reference: the unreduced system solved in complex arithmetic
     sys = ofd.assemble(p)
+    assert sys.vals.dtype == np.float64
     grid = ofd.solve(sys)
-    ref = spsolve(_matrix(sys).tocsc(), sys.rhs)
+    ref = spsolve(_matrix(sys).astype(complex).tocsc(), sys.rhs)
     x = grid.values.ravel()
     assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
     return grid
@@ -116,6 +127,51 @@ def test_reduced_solve_matches_full_system_without_barrier():
                       boundary=lambda X, Y: np.exp(-np.abs(X) + 0.5j * Y))
     grid = _reduced_vs_full(p)
     assert not (grid.mask == EDGE).any()
+
+
+@pytest.mark.parametrize("bc,edge_a,alpha", [
+    ("dirichlet", 0.0, 1.0), ("neumann", 0.0, 0.0), ("dirichlet", None, 1.0)])
+def test_reduced_solve_matches_full_system_with_complex_forcing(bc, edge_a, alpha):
+    # Re and Im of the right-hand side are both nonzero inside the grid,
+    # so the two real solves are each exercised there
+    px, py, E = 0.7, 1.1, 2.3
+
+    def exact(X, Y):
+        return np.exp(1j * (px * X + py * Y))
+
+    def forcing(X, Y):
+        return (E - px * px - py * py) * exact(X, Y) + (0.3 - 0.8j) * X * Y
+
+    p = ofd.FdProblem(x0=-3.0, y0=-3.0, dx=0.1, dy=0.1, nx=61, ny=61, E=E,
+                      alpha=alpha, edge_a=edge_a, bc=bc,
+                      boundary=exact, forcing=forcing)
+    sys = ofd.assemble(p)
+    inside = sys.rhs[sys.mask.ravel() != OUTER]
+    assert np.abs(inside.real).max() > 0.5 and np.abs(inside.imag).max() > 0.5
+    _reduced_vs_full(p)
+
+
+def test_solve_rejects_non_finite_rhs():
+    def nan_right(X, Y):
+        return np.where(X > 0.5, np.nan, 1.0 + 0j)
+
+    for data in (dict(boundary=nan_right), dict(forcing=nan_right)):
+        p = ofd.FdProblem(x0=-1.0, y0=-1.0, dx=0.25, dy=0.25, nx=9, ny=9,
+                          E=1.0, **data)
+        with pytest.raises(ValueError, match="non-finite"):
+            ofd.solve(ofd.assemble(p))
+
+
+def test_solve_rejects_non_finite_residual():
+    # an infinite coefficient turns the solution into nan; the gate must
+    # raise instead of returning it
+    p = ofd.FdProblem(x0=-1.0, y0=-1.0, dx=0.25, dy=0.25, nx=9, ny=9,
+                      E=1.0, boundary=lambda X, Y: np.exp(1j * (X + Y)))
+    sys = ofd.assemble(p)
+    vals = sys.vals.copy()
+    vals[0] = np.inf                 # the first interior diagonal
+    with pytest.raises(RuntimeError, match="residual"):
+        ofd.solve(dataclasses.replace(sys, vals=vals))
 
 
 def test_solver_tol_validation():
