@@ -6,17 +6,17 @@ __version__ = "0.1.0"
 
 from .delta_1d import DeltaWell, psi0, scattering_coeffs, smatrix_pole
 from .geometry import PlanePoint, ParabolicCoords, to_parabolic, from_parabolic
-from .sommerfeld import EdgeGeometry, edge_field, field_on_grid, helmholtz_residual
+from .sommerfeld import EdgeGeometry, field_on_grid, helmholtz_residual
 from .specfun import erf_cx, fresnel_F, fresnel_F_quadrature
-from .bound_edge import make_field, bound_edge_field, delta_jump_check
+from .bound_edge import make_field, delta_jump_check
 from .green_perturbation import born_correction, green_eval, make_green, tail_scan
 
 __all__ = [
     "DeltaWell", "psi0", "scattering_coeffs", "smatrix_pole",
     "PlanePoint", "ParabolicCoords", "to_parabolic", "from_parabolic",
-    "EdgeGeometry", "edge_field", "field_on_grid", "helmholtz_residual",
+    "EdgeGeometry", "field_on_grid", "helmholtz_residual",
     "erf_cx", "fresnel_F", "fresnel_F_quadrature",
-    "make_field", "bound_edge_field", "delta_jump_check",
+    "make_field", "delta_jump_check",
     "born_correction", "green_eval", "make_green", "tail_scan",
     "__version__",
 ]

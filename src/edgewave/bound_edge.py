@@ -26,7 +26,9 @@ continuation of that rule which keeps the barrier condition exact for
 complex lambda: at phi = 0 and phi = 2pi one has xi_{lambda} =
 eta_{-lambda} identically, so the two terms cancel on both faces of the
 ray for every lambda.  The literal conjugate would break the ray
-condition in the trapped regime.
+condition in the trapped regime.  The bracket is sommerfeld.two_term,
+the free-edge formula in the rotated chart, so the free edge (lambda =
+0, kappa = k, no envelope) and this field share one evaluator.
 
 Known defects of this closed form (measured, not patched):
 
@@ -82,8 +84,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import k0
 
-from .geometry import PlanePoint, bound_pair
-from .specfun import fresnel_F_array
+from .sommerfeld import two_term
 
 __all__ = [
     "WaveguideParams",
@@ -92,7 +93,6 @@ __all__ = [
     "kappa_lambda",
     "make_params",
     "make_field",
-    "bound_edge_field",
     "field_values",
     "branch_field_values",
     "solve_scattering",
@@ -101,7 +101,6 @@ __all__ = [
     "delta_jump_check",
     "axis_value_jump",
     "ray_defect",
-    "fit_log_slope",
 ]
 
 _PRODUCT_TOL = 1e-12
@@ -181,13 +180,6 @@ def make_field(alpha: float, k: float, C0: complex = 1.0) -> BoundEdgeField:
     return BoundEdgeField(params=make_params(alpha, k, 1), C0=C0)
 
 
-def _polar(X, Y):
-    r = np.hypot(X, Y)
-    phi = np.arctan2(Y, X)
-    phi = np.where(np.signbit(phi), phi + 2.0 * math.pi, phi)
-    return r, phi
-
-
 def branch_field_values(f: BoundEdgeField, X, Y, eps: int) -> np.ndarray:
     """Evaluate one eps-branch of the closed form everywhere.
 
@@ -197,18 +189,10 @@ def branch_field_values(f: BoundEdgeField, X, Y, eps: int) -> np.ndarray:
     two-branch evaluator would pick the wrong face at x = 0.
     """
     X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
     alpha, k = f.params.alpha, f.params.k
     kap, lam = kappa_lambda(alpha, k, eps)
-    _, lam_m = kappa_lambda(alpha, k, -eps)
-    r, phi = _polar(X, Y)
-    xi, _ = bound_pair(r, phi, lam)
-    _, eta_star = bound_pair(r, phi, lam_m)   # eta with lambda -> -lambda
     envelope = np.exp(-alpha * np.abs(X))
-    return f.C0 * envelope * (
-        np.exp(-1j * k * Y) * fresnel_F_array(kap, xi)
-        - np.exp(1j * k * Y) * fresnel_F_array(kap, eta_star)
-    )
+    return f.C0 * envelope * two_term(k, kap, lam, 0.0, X, Y, -1)
 
 
 def field_values(f: BoundEdgeField, X, Y) -> np.ndarray:
@@ -223,13 +207,6 @@ def field_values(f: BoundEdgeField, X, Y) -> np.ndarray:
     if (~right).any():
         out[~right] = branch_field_values(f, X[~right], Y[~right], -1)
     return out
-
-
-def bound_edge_field(f: BoundEdgeField, p: PlanePoint) -> complex:
-    """Scalar evaluation; raises at the tip and for k = alpha upstream."""
-    if p.x == 0.0 and p.y == 0.0:
-        raise ValueError("the tip is excluded")
-    return complex(field_values(f, np.float64(p.x), np.float64(p.y)))
 
 
 # --- exact field from the barrier integral equation -------------------------
@@ -517,13 +494,3 @@ def ray_defect(f: BoundEdgeField, n: int = 1000, r_max: float = 20.0,
     th = np.linspace(0.05, 2.0 * math.pi - 0.05, 256)
     scale = np.abs(field_values(f, np.cos(th), np.sin(th))).max()
     return float(worst / scale)
-
-
-def fit_log_slope(xs: np.ndarray, values: np.ndarray) -> tuple[float, float]:
-    """Least-squares slope of log|values| vs xs; returns (slope, rms residual)."""
-    xs = np.asarray(xs, dtype=float)
-    logs = np.log(np.abs(np.asarray(values)))
-    design = np.vstack([xs, np.ones_like(xs)]).T
-    sol, *_ = np.linalg.lstsq(design, logs, rcond=None)
-    rms = float(np.sqrt(np.mean((logs - design @ sol) ** 2)))
-    return float(sol[0]), rms

@@ -310,7 +310,7 @@ def _check_bound_tail(alpha: float) -> tuple[bool, str]:
     f = bound_edge.make_field(alpha, 0.2 * alpha)
     xs = np.linspace(-20.0 / alpha, -10.0 / alpha, 41)
     vals = bound_edge.field_values(f, xs, np.full_like(xs, 12.0 / alpha))
-    slope, _ = bound_edge.fit_log_slope(np.abs(xs), vals)
+    slope, _ = green_perturbation.fit_log_slope(np.abs(xs), vals)
     rel = abs(slope + alpha) / alpha
     return rel <= 0.01, f"tail slope {fmt(slope)} vs {fmt(-alpha)} (rel {fmt(rel)}, tol 1%)"
 

@@ -35,15 +35,10 @@ __all__ = [
 @dataclass(frozen=True)
 class DeltaWell:
     alpha: float
-    g: float = None  # type: ignore[assignment]  # filled from alpha
 
     def __post_init__(self):
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
-        if self.g is None:
-            object.__setattr__(self, "g", 2.0 * self.alpha)
-        elif abs(self.g - 2.0 * self.alpha) > 1e-14 * self.alpha:
-            raise ValueError("delta strength must be g = 2*alpha in this convention")
 
 
 @dataclass(frozen=True)
@@ -66,27 +61,9 @@ def scattering_coeffs(well: DeltaWell, p: float) -> ScatteringCoefficients:
     return ScatteringCoefficients(p=p, A=1j * well.alpha / denom, B=p / denom)
 
 
-def _denominator(well: DeltaWell, p: complex) -> complex:
-    return p - 1j * well.alpha
-
-
-def smatrix_pole(well: DeltaWell, p_start: complex = 1.0 + 0.1j,
-                 tol: float = 1e-14, max_iter: int = 60) -> complex:
-    """Root of the amplitude denominator by Newton iteration.
-
-    The denominator is linear, so Newton lands in one step; the loop is
-    kept so the routine doubles as a regression check of the closed
-    form (a wrong denominator would show up as non-convergence).
-    """
-    p = complex(p_start)
-    for _ in range(max_iter):
-        f = _denominator(well, p)
-        # derivative of (p - i*alpha) w.r.t. p
-        step = f / 1.0
-        p = p - step
-        if abs(step) < tol * max(1.0, abs(p)):
-            return p
-    raise RuntimeError("pole search did not converge")
+def smatrix_pole(well: DeltaWell) -> complex:
+    """Zero p = i*alpha of the common amplitude denominator p - i*alpha."""
+    return 1j * well.alpha
 
 
 def pole_residue(well: DeltaWell, radius: float = 0.3, n: int = 256) -> complex:

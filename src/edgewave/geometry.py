@@ -1,43 +1,40 @@
-"""Parabolic double-cover coordinates about the barrier tip.
+"""One chart: polar and parabolic double-cover coordinates about the tip.
 
 The physical plane carries a half-line barrier {y = 0, x >= a}.  Writing
 z = y + i(x - a) = w^2 unfolds the cut plane into the w = xi + i*eta
 plane, where the two faces of the barrier become genuinely distinct
-lines.  The polar angle phi about the tip runs over the closed interval
-[0, 2pi], with phi = 0 (approach from y > 0) and phi = 2pi (approach
-from y < 0) kept as distinct sheets of the same ray.
+lines.  The polar angle phi about the tip (:func:`polar`) runs over the
+closed interval [0, 2pi], with phi = 0 (approach from y > 0) and
+phi = 2pi (approach from y < 0) kept as distinct sheets of the same ray.
+On the ray the IEEE sign of the zero in y picks the face: y = +0.0 is
+the top face, y = -0.0 the bottom one.  This module is the only place
+that makes that decision.
 
-With chi = phi - pi/2 the real chart is
-
-    xi  =  sqrt(r) cos(chi/2),      eta = -sqrt(r) sin(chi/2),
-
-so that y = xi^2 - eta^2 and x - a = 2 xi eta.  The guided-mode
-("rotated") chart replaces phi by phi - i*lambda with a complex rotation
-parameter lambda:
+The rotated chart (:func:`bound_pair`) takes phi to phi - i*lambda with a
+complex rotation parameter lambda:
 
     xi  = sqrt(r/2) (cos A + sin A),  eta = sqrt(r/2) (cos A - sin A),
     A   = (phi - i*lambda) / 2,
 
-which reduces to the real chart at lambda = 0.
+so that y = xi^2 - eta^2 and x - a = 2 xi eta at lambda = 0, where it is
+the real chart (:func:`to_parabolic`).  The free edge uses lambda = 0;
+the guided mode uses the rapidity of bound_edge.kappa_lambda.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:  # only for annotations; avoids a runtime import cycle
-    from .bound_edge import WaveguideParams
 
 __all__ = [
     "PlanePoint",
     "ParabolicCoords",
+    "polar",
     "to_parabolic",
     "from_parabolic",
-    "bound_parabolic",
     "bound_pair",
     "laplacian_factor",
 ]
@@ -62,38 +59,30 @@ class ParabolicCoords:
     eta: complex
 
 
-def _polar_about_tip(p: PlanePoint, side: str) -> tuple[float, float]:
-    u = p.x - p.a
-    v = p.y
-    r = math.hypot(u, v)
+def polar(X, Y, a: float = 0.0):
+    """Polar coordinates (r, phi) about the tip (a, 0), phi in [0, 2pi].
+
+    np.signbit (not `< 0`) promotes the angle -0.0 of a point on the ray
+    with y = -0.0 to the lower sheet phi = 2pi, so the two faces of the
+    ray stay distinct.  The tip itself gives r = 0.
+    """
+    U = np.asarray(X, dtype=float) - a
+    V = np.asarray(Y, dtype=float)
+    phi = np.arctan2(V, U)
+    return np.hypot(U, V), np.where(np.signbit(phi), phi + 2.0 * math.pi, phi)
+
+
+def to_parabolic(p: PlanePoint) -> ParabolicCoords:
+    """Real-chart coordinates (r, phi, xi, eta) of one plane point.
+
+    Raises at the tip, where the chart is singular.
+    """
+    r, phi = polar(p.x, p.y, p.a)
     if r == 0.0:
         raise ValueError("the tip is a coordinate singularity")
-    if v == 0.0 and u > 0.0:
-        # on the barrier ray: the angle is 0 or 2pi depending on the face
-        if side == "top":
-            return r, 0.0
-        if side == "bottom":
-            return r, 2.0 * math.pi
-        if side == "auto":
-            # every IEEE zero is signed, so the sign bit decides the face
-            return r, 0.0 if math.copysign(1.0, v) > 0 else 2.0 * math.pi
-        raise ValueError(f"unknown side tag {side!r}")
-    phi = math.atan2(v, u)
-    if phi < 0.0:
-        phi += 2.0 * math.pi
-    return r, phi
-
-
-def to_parabolic(p: PlanePoint, side: str = "auto") -> ParabolicCoords:
-    """Real-chart coordinates (r, phi, xi, eta) of a plane point."""
-    r, phi = _polar_about_tip(p, side)
-    half = 0.5 * (phi - 0.5 * math.pi)
-    root = math.sqrt(r)
-    return ParabolicCoords(
-        r=r, phi=phi,
-        xi=root * math.cos(half),
-        eta=-root * math.sin(half),
-    )
+    xi, eta = bound_pair(r, phi, 0.0)
+    return ParabolicCoords(r=float(r), phi=float(phi),
+                           xi=float(xi.real), eta=float(eta.real))
 
 
 def from_parabolic(xi: float, eta: float, a: float = 0.0) -> PlanePoint:
@@ -104,23 +93,18 @@ def from_parabolic(xi: float, eta: float, a: float = 0.0) -> PlanePoint:
 def bound_pair(r, phi, lam: complex):
     """Rotated-chart pair (xi, eta) for arrays of (r, phi).
 
-    Vectorized core shared by :func:`bound_parabolic` and the field
-    evaluators.  ``lam`` is the complex rotation parameter.
+    ``lam`` is the complex rotation parameter.  cos and sin of
+    A = (phi - i*lam)/2 are built from the real cos and sin of phi/2 and
+    the scalar cosh and sinh of lam/2, so the only trigonometry done on
+    arrays is real.
     """
-    A = 0.5 * (np.asarray(phi) - 1j * lam)
-    c, s = np.cos(A), np.sin(A)
+    half = 0.5 * np.asarray(phi)
+    c, s = np.cos(half), np.sin(half)
+    ch, sh = cmath.cosh(0.5 * lam), cmath.sinh(0.5 * lam)
+    # cos A = c ch + i s sh,  sin A = s ch - i c sh
+    p, q = ch - 1j * sh, ch + 1j * sh
     root = np.sqrt(np.asarray(r) / 2.0)
-    return root * (c + s), root * (c - s)
-
-
-def bound_parabolic(p: PlanePoint, params: "WaveguideParams",
-                    side: str = "auto") -> ParabolicCoords:
-    """Rotated-chart coordinates using the rotation parameter of ``params``."""
-    if not np.isfinite(params.lam):
-        raise ValueError("rotation parameter lambda must be finite")
-    r, phi = _polar_about_tip(p, side)
-    xi, eta = bound_pair(r, phi, params.lam)
-    return ParabolicCoords(r=r, phi=phi, xi=complex(xi), eta=complex(eta))
+    return root * (p * c + q * s), root * (q * c - p * s)
 
 
 def laplacian_factor(xi: complex, eta: complex) -> complex:

@@ -52,6 +52,7 @@ __all__ = [
     "ChannelGreen",
     "GreenValue",
     "TailScanResult",
+    "fit_log_slope",
     "make_green",
     "phi_bound",
     "phi_even",
@@ -222,6 +223,16 @@ class TailScanResult:
                 "alpha": self.alpha, "k": self.k}
 
 
+def fit_log_slope(xs, values) -> tuple[float, float]:
+    """Least-squares slope of log|values| vs xs; returns (slope, rms residual)."""
+    xs = np.asarray(xs, dtype=float)
+    logs = np.log(np.abs(np.asarray(values)))
+    design = np.vstack([xs, np.ones_like(xs)]).T
+    sol, *_ = np.linalg.lstsq(design, logs, rcond=None)
+    rms = float(np.sqrt(np.mean((logs - design @ sol) ** 2)))
+    return float(sol[0]), rms
+
+
 def tail_scan(alpha: float, k: float, lambda_imp: float, a_list,
               probe: PlanePoint) -> TailScanResult:
     """Born amplitude |psi1(probe)| against impurity offset, with log fit."""
@@ -236,12 +247,9 @@ def tail_scan(alpha: float, k: float, lambda_imp: float, a_list,
                      for a in a_arr])
     if np.all(amps < 1e-300):
         raise ValueError("all amplitudes underflowed; fit is degenerate")
-    design = np.vstack([a_arr, np.ones_like(a_arr)]).T
-    sol, *_ = np.linalg.lstsq(design, np.log(amps), rcond=None)
-    resid = float(np.sqrt(np.mean((np.log(amps) - design @ sol) ** 2)))
-    return TailScanResult(a_values=a_arr, amplitudes=amps,
-                          slope=float(sol[0]), residual=resid,
-                          alpha=alpha, k=k)
+    slope, resid = fit_log_slope(a_arr, amps)
+    return TailScanResult(a_values=a_arr, amplitudes=amps, slope=slope,
+                          residual=resid, alpha=alpha, k=k)
 
 
 def tail_scan_csv(res: TailScanResult) -> str:

@@ -41,7 +41,7 @@ from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.linalg import splu
 
 from .grid import DELTA_LINE, EDGE, INTERIOR, OUTER, FieldGrid, build_mask
-from .green_perturbation import TailScanResult
+from .green_perturbation import TailScanResult, fit_log_slope
 
 __all__ = [
     "FdProblem",
@@ -376,8 +376,6 @@ def reflection_scan(alpha: float, k: float, a_list, h: float = 0.1) -> TailScanR
     """Reflected guided amplitude vs barrier offset, with the log-slope fit."""
     a_arr = np.asarray(sorted(a_list), dtype=float)
     amps = np.array([reflected_amplitudes(alpha, k, a, h)[0] for a in a_arr])
-    design = np.vstack([a_arr, np.ones_like(a_arr)]).T
-    sol, *_ = np.linalg.lstsq(design, np.log(amps), rcond=None)
-    resid = float(np.sqrt(np.mean((np.log(amps) - design @ sol) ** 2)))
-    return TailScanResult(a_values=a_arr, amplitudes=amps, slope=float(sol[0]),
+    slope, resid = fit_log_slope(a_arr, amps)
+    return TailScanResult(a_values=a_arr, amplitudes=amps, slope=slope,
                           residual=resid, alpha=alpha, k=k)

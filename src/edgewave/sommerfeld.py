@@ -16,27 +16,32 @@ d(xi)/dy + d(eta)/dy vanish on the ray (xi and eta are conjugate
 harmonic coordinates there), so the normal derivative cancels instead;
 it is validated numerically in the test suite rather than taken on
 faith.
+
+The bracket is :func:`two_term` at rotation lambda = 0 and wavenumber
+kappa = k.  The guided mode at the barrier (bound_edge) is the same
+bracket with the rapidity lambda and kappa = sqrt(k^2 - alpha^2), times
+its transverse envelope: the bound-mode problem is Sommerfeld
+diffraction from the edge in a rotated chart.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
-from .geometry import PlanePoint, to_parabolic
+from .geometry import bound_pair, polar
 from .grid import EDGE, DELTA_LINE, INTERIOR, FieldGrid, build_mask
 from .specfun import fresnel_F_array
 
 __all__ = [
     "EdgeGeometry",
     "ResidualReport",
-    "edge_field",
     "field_on_grid",
     "field_values",
     "helmholtz_residual",
+    "two_term",
 ]
 
 _DIRICHLET = "dirichlet"
@@ -55,48 +60,29 @@ class EdgeGeometry:
             raise ValueError(f"bc must be '{_DIRICHLET}' or '{_NEUMANN}'")
 
 
-def _angles(X, Y, a):
-    """Polar coordinates about the tip with phi in [0, 2pi].
+def two_term(k: float, kappa: complex, lam: complex, a: float, X, Y,
+             sign: int) -> np.ndarray:
+    """exp(-iky) F(xi_lam; kappa) + sign * exp(+iky) F(eta_{-lam}; kappa).
 
-    np.signbit (not `< 0`) promotes y = -0.0 to the lower sheet
-    phi = 2pi, so the two faces of the ray stay distinct for signed
-    zeros, matching the scalar chart in geometry.
+    (xi, eta) is the rotated chart about the tip (a, 0).  The second
+    coordinate is taken at the negated rotation: on both faces of the
+    ray xi_lam = eta_{-lam} for every lambda, so with sign = -1 the two
+    terms cancel there.  The tip gives F(0) - F(0) = 0.
     """
-    U = np.asarray(X, dtype=float) - a
-    V = np.asarray(Y, dtype=float)
-    r = np.hypot(U, V)
-    phi = np.arctan2(V, U)
-    phi = np.where(np.signbit(phi), phi + 2.0 * math.pi, phi)
-    return r, phi
+    r, phi = polar(X, Y, a)
+    xi, _ = bound_pair(r, phi, lam)
+    _, eta = bound_pair(r, phi, -lam)
+    Y = np.asarray(Y, dtype=float)
+    return (np.exp(-1j * k * Y) * fresnel_F_array(kappa, xi)
+            + sign * np.exp(1j * k * Y) * fresnel_F_array(kappa, eta))
 
 
 def field_values(k: float, geom: EdgeGeometry, X, Y, C0: complex = 1.0) -> np.ndarray:
     """Vectorized field evaluation (tip included; the value there is 0)."""
-    r, phi = _angles(X, Y, geom.a)
-    half = 0.5 * (phi - 0.5 * math.pi)
-    root = np.sqrt(r)
-    xi = root * np.cos(half)
-    eta = -root * np.sin(half)
-    Y = np.asarray(Y, dtype=float)
-    down = np.exp(-1j * k * Y) * fresnel_F_array(k, xi)
-    up = np.exp(1j * k * Y) * fresnel_F_array(k, eta)
-    if geom.bc == _DIRICHLET:
-        return C0 * (down - up)
-    return C0 * (down + up)
-
-
-def edge_field(k: float, geom: EdgeGeometry, p: PlanePoint,
-               C0: complex = 1.0, side: str = "auto") -> complex:
-    """Field at a single point; raises at the tip."""
     if k <= 0:
         raise ValueError("k must be positive")
-    pp = PlanePoint(x=p.x, y=p.y, a=geom.a)
-    co = to_parabolic(pp, side=side)  # raises on the tip
-    down = np.exp(-1j * k * p.y) * fresnel_F_array(k, np.asarray(co.xi))
-    up = np.exp(1j * k * p.y) * fresnel_F_array(k, np.asarray(co.eta))
-    if geom.bc == _DIRICHLET:
-        return complex(C0 * (down - up))
-    return complex(C0 * (down + up))
+    return C0 * two_term(k, k, 0.0, geom.a, X, Y,
+                         -1 if geom.bc == _DIRICHLET else 1)
 
 
 def field_on_grid(k: float, geom: EdgeGeometry, x0: float, y0: float,
@@ -106,17 +92,14 @@ def field_on_grid(k: float, geom: EdgeGeometry, x0: float, y0: float,
 
     For Dirichlet the masked nodes are written as exact zeros (the
     analytic value there); for Neumann they keep the evaluated upper-face
-    value.
+    value.  A barrier ray that does not lie on the lattice raises
+    ``ValueError`` (from build_mask).
     """
     xs = x0 + dx * np.arange(nx)
     ys = y0 + dy * np.arange(ny)
     X, Y = np.meshgrid(xs, ys)
+    mask = build_mask(x0, y0, dx, dy, nx, ny, edge_a=geom.a)
     vals = field_values(k, geom, X, Y, C0)
-    try:
-        mask = build_mask(x0, y0, dx, dy, nx, ny, edge_a=geom.a)
-    except ValueError:
-        # ray not grid-aligned: keep an unmasked grid (pure sampling use)
-        mask = build_mask(x0, y0, dx, dy, nx, ny)
     if geom.bc == _DIRICHLET:
         vals[mask == EDGE] = 0.0
     return FieldGrid(x0=x0, y0=y0, dx=dx, dy=dy, nx=nx, ny=ny,

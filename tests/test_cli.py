@@ -131,6 +131,19 @@ def test_oracle_delta_line_resolution_exits_1(capsys):
     assert "alpha*dx" in err
 
 
+def test_unaligned_barrier_exits_1(tmp_path, capsys):
+    # a tip between grid lines leaves the ray off the lattice: the grid
+    # could neither zero it nor keep it out of the residual
+    grid = ["--a=0.05", "--dx=0.03", "--dy=0.03", "--nx=21", "--ny=21",
+            "--x0=-0.3", "--y0=-0.3"]
+    for cmd in ("field", "residual"):
+        code, _, err = run_cli(capsys, cmd, *grid, f"--out={tmp_path / 'f'}")
+        assert code == 1
+        assert err.startswith("numerical failure: ")
+        assert "not grid-aligned" in err
+    assert not (tmp_path / "f").exists()
+
+
 def test_overflow_exits_1(tmp_path, capsys):
     # erf_cx overflows far out on the bound-mode grid: a numerical
     # failure, reported without a traceback

@@ -15,10 +15,6 @@ def test_bound_state_profile():
 
 
 def test_strength_convention():
-    w = delta_1d.DeltaWell(alpha=0.7)
-    assert w.g == pytest.approx(1.4)
-    with pytest.raises(ValueError):
-        delta_1d.DeltaWell(alpha=0.7, g=1.0)
     with pytest.raises(ValueError):
         delta_1d.DeltaWell(alpha=-1.0)
 

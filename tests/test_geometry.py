@@ -12,10 +12,10 @@ from edgewave.geometry import PlanePoint
 def test_real_chart_reference_points():
     # r = 2 on the top face: xi = eta = 1; bottom face flips both signs;
     # the ray's far side (phi = pi) gives (1, -1)
-    c = geometry.to_parabolic(PlanePoint(2.0, 0.0), side="top")
+    c = geometry.to_parabolic(PlanePoint(2.0, 0.0))
     assert c.xi == pytest.approx(1.0, abs=1e-12)
     assert c.eta == pytest.approx(1.0, abs=1e-12)
-    c = geometry.to_parabolic(PlanePoint(2.0, 0.0), side="bottom")
+    c = geometry.to_parabolic(PlanePoint(2.0, -0.0))
     assert c.xi == pytest.approx(-1.0, abs=1e-12)
     assert c.eta == pytest.approx(-1.0, abs=1e-12)
     c = geometry.to_parabolic(PlanePoint(-2.0, 0.0))

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from edgewave import sommerfeld
-from edgewave.geometry import PlanePoint
 from edgewave.grid import EDGE
 
 
@@ -17,10 +16,10 @@ def test_frozen_field_values():
         ((-0.8, -1.1), -6.3958434176008705e-01 + 4.1276347373110067e-01j),
     ]
     for (x, y), want in cases:
-        got = sommerfeld.edge_field(2.0, g, PlanePoint(x, y))
+        got = sommerfeld.field_values(2.0, g, x, y)
         assert abs(got - want) < 1e-13
     gn = sommerfeld.EdgeGeometry(a=0.5, bc="neumann")
-    got = sommerfeld.edge_field(1.2, gn, PlanePoint(1.7, 0.4))
+    got = sommerfeld.field_values(1.2, gn, 1.7, 0.4)
     assert abs(got - (1.8946705906254686e+00 + 1.2989273691221870e+00j)) < 1e-13
 
 
@@ -50,25 +49,11 @@ def test_neumann_normal_derivative_vanishes():
         assert abs(d) < 1e-6
 
 
-def test_scalar_matches_vectorized():
-    # independent code paths (chart-based scalar vs inline half-angle
-    # arrays) must agree to rounding
-    g = sommerfeld.EdgeGeometry(a=0.25)
-    pts = [(1.1, 0.4), (-0.3, -2.0), (0.26, 1e-4)]
-    X = np.array([p[0] for p in pts])
-    Y = np.array([p[1] for p in pts])
-    vec = sommerfeld.field_values(1.7, g, X, Y)
-    for i, (x, y) in enumerate(pts):
-        scalar = sommerfeld.edge_field(1.7, g, PlanePoint(x, y))
-        assert vec[i] == pytest.approx(scalar, rel=1e-13, abs=1e-14)
-
-
 def test_bad_inputs():
     g = sommerfeld.EdgeGeometry(a=1.0)
     with pytest.raises(ValueError):
-        sommerfeld.edge_field(0.0, g, PlanePoint(2.0, 1.0))
-    with pytest.raises(ValueError):
-        sommerfeld.edge_field(2.0, g, PlanePoint(1.0, 0.0))   # the tip
+        sommerfeld.field_values(0.0, g, 2.0, 1.0)
+    assert sommerfeld.field_values(2.0, g, 1.0, 0.0) == 0.0   # the tip
     with pytest.raises(ValueError):
         sommerfeld.EdgeGeometry(a=0.0, bc="absorbing")
 
@@ -79,10 +64,9 @@ def test_field_on_grid_marks_and_zeroes_the_ray():
     on_ray = grid.mask == EDGE
     assert on_ray.sum() > 0
     assert np.abs(grid.values[on_ray]).max() == 0.0
-    # ray not aligned with any grid line: no EDGE nodes, field still filled
-    grid2 = sommerfeld.field_on_grid(2.0, g, -1.5, -1.37, 0.125, 0.125, 25, 25)
-    assert (grid2.mask == EDGE).sum() == 0
-    assert np.isfinite(grid2.values).all()
+    # a ray off the lattice can be neither zeroed nor masked
+    with pytest.raises(ValueError, match="grid-aligned"):
+        sommerfeld.field_on_grid(2.0, g, -1.5, -1.37, 0.125, 0.125, 25, 25)
 
 
 def test_residual_order_two_levels():
