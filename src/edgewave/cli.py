@@ -17,8 +17,7 @@ import sys
 
 import numpy as np
 
-from . import bound_edge, delta_1d, geometry, green_perturbation, oracle_fd
-from . import sommerfeld, specfun
+from . import bound_edge, criteria, green_perturbation, oracle_fd, sommerfeld
 from .geometry import PlanePoint
 from .grid import build_mask, write_csv, FieldGrid
 from .grid import _fmt as fmt
@@ -222,133 +221,29 @@ def _cmd_oracle(cfg: dict) -> int:
     return 0
 
 
-# --- verify ----------------------------------------------------------------
-
-def _check_flux(alpha: float) -> tuple[bool, str]:
-    well = delta_1d.DeltaWell(alpha=alpha)
-    ps = np.geomspace(1e-3, 1e3, 100) * alpha
-    worst = 0.0
-    for p in ps:
-        co = delta_1d.scattering_coeffs(well, p)
-        worst = max(worst, abs(abs(co.A) ** 2 + abs(co.B) ** 2 - 1.0))
-    return worst <= 1e-13, f"max flux defect {fmt(worst)} (tol 1.0e-13)"
-
-
-def _check_pole() -> tuple[bool, str]:
-    worst = 0.0
-    for alpha in (0.5, 1.0, 2.0):
-        pole = delta_1d.smatrix_pole(delta_1d.DeltaWell(alpha=alpha))
-        worst = max(worst, abs(pole - 1j * alpha))
-    return worst <= 1e-12, f"max pole offset {fmt(worst)} (tol 1.0e-12)"
-
-
-def _check_fresnel(k: float) -> tuple[bool, str]:
-    rng = np.random.default_rng(0)
-    worst = 0.0
-    for _ in range(8):
-        xi = complex(rng.uniform(-3, 3), rng.uniform(-1, 1))
-        a = specfun.fresnel_F(k, xi).value
-        b = specfun.fresnel_F_quadrature(k, xi, tol=1e-12).value
-        # scaled: |F| can be exponentially large off the real axis
-        worst = max(worst, abs(a - b) / max(1.0, abs(b)))
-    return worst <= 1e-9, f"max scaled |closed - quadrature| {fmt(worst)} (tol 1.0e-09)"
-
-
-def _check_ray_zero(k: float, a: float) -> tuple[bool, str]:
-    geom = sommerfeld.EdgeGeometry(a=a)
-    rs = np.geomspace(1e-3, 30.0, 1000)
-    X = a + rs
-    top = sommerfeld.field_values(k, geom, X, np.full_like(X, 0.0))
-    bot = sommerfeld.field_values(k, geom, X, np.full_like(X, -0.0))
-    th = np.linspace(0.1, 2 * math.pi - 0.1, 200)
-    scale = np.abs(sommerfeld.field_values(
-        k, geom, a + np.cos(th), np.sin(th))).max()
-    worst = max(np.abs(top).max(), np.abs(bot).max()) / scale
-    return worst <= 1e-12, f"max ray |psi|/scale {fmt(float(worst))} (tol 1.0e-12)"
-
-
-def _check_residual_order(k: float) -> tuple[bool, str]:
-    geom = sommerfeld.EdgeGeometry(a=0.0)
-    res = []
-    for n in (101, 201, 401):
-        grid = sommerfeld.field_on_grid(k, geom, -3.0, -3.0,
-                                        6.0 / (n - 1), 6.0 / (n - 1), n, n)
-        rep = sommerfeld.helmholtz_residual(grid, k, exclude_cells=2,
-                                            exclude_radius=0.5)
-        res.append(rep.l2_res)
-    orders = [math.log2(res[i] / res[i + 1]) for i in range(2)]
-    ok = min(orders) >= 1.8
-    return ok, f"observed orders {fmt(orders[0])}, {fmt(orders[1])} (need >= 1.8)"
-
-
-def _check_conjugation() -> tuple[bool, str]:
-    rng = np.random.default_rng(1)
-    worst = 0.0
-    for _ in range(100):
-        r = rng.uniform(1e-3, 10.0)
-        lam = rng.uniform(-2.0, 2.0)
-        for phi in (0.0, 2.0 * math.pi):
-            xi, eta = geometry.bound_pair(r, phi, lam)
-            worst = max(worst, abs(xi - np.conj(eta)))
-    return worst <= 1e-12, f"max |xi - conj(eta)| {fmt(worst)} (tol 1.0e-12)"
-
-
-def _check_products(alpha: float) -> tuple[bool, str]:
-    worst = 0.0
-    for k in (0.5 * alpha, 2.0 * alpha):
-        for eps in (1, -1):
-            kap, lam = bound_edge.kappa_lambda(alpha, k, eps)
-            worst = max(worst,
-                        abs(kap * np.exp(lam) - (k + alpha * eps)),
-                        abs(kap * np.exp(-lam) - (k - alpha * eps)))
-    return worst <= 1e-12, f"max product defect {fmt(worst)} (tol 1.0e-12)"
-
-
-def _check_bound_tail(alpha: float) -> tuple[bool, str]:
-    # transverse window on the quiet side of the barrier; slope of
-    # log|psi| against |x| must come out -alpha
-    f = bound_edge.make_field(alpha, 0.2 * alpha)
-    xs = np.linspace(-20.0 / alpha, -10.0 / alpha, 41)
-    vals = bound_edge.field_values(f, xs, np.full_like(xs, 12.0 / alpha))
-    slope, _ = green_perturbation.fit_log_slope(np.abs(xs), vals)
-    rel = abs(slope + alpha) / alpha
-    return rel <= 0.01, f"tail slope {fmt(slope)} vs {fmt(-alpha)} (rel {fmt(rel)}, tol 1%)"
-
-
-def _check_green_tail(alpha: float) -> tuple[bool, str]:
-    res = green_perturbation.tail_scan(
-        alpha, 0.5 * alpha, 1.0,
-        [a / alpha for a in (1.0, 1.5, 2.0, 2.5, 3.0)],
-        PlanePoint(0.0, -12.0 / alpha))
-    rel = abs(res.slope + 2.0 * alpha) / (2.0 * alpha)
-    return rel <= 0.05, f"slope {fmt(res.slope)} vs {fmt(-2.0 * alpha)} (rel {fmt(rel)}, tol 5%)"
-
-
 def _cmd_verify(cfg: dict) -> int:
     alpha, k = cfg["alpha"], cfg["k"]
+    rng = np.random.default_rng(0)
+    draws = [(k, complex(rng.uniform(-3, 3), rng.uniform(-1, 1)))
+             for _ in range(8)]
     checks = [
-        ("flux-conservation", lambda: _check_flux(alpha)),
-        ("bound-pole-location", _check_pole),
-        ("fresnel-cross-validation", lambda: _check_fresnel(k)),
-        ("edge-ray-zero", lambda: _check_ray_zero(k, cfg["a"])),
-        ("stencil-residual-order", lambda: _check_residual_order(k)),
-        ("coordinate-conjugation", _check_conjugation),
-        ("guided-products", lambda: _check_products(alpha)),
-        ("guided-tail-slope", lambda: _check_bound_tail(alpha)),
-        ("impurity-tail-slope", lambda: _check_green_tail(alpha)),
+        criteria.flux_conservation([alpha], tol=1e-13),
+        criteria.bound_pole_location((0.5, 1.0, 2.0), tol=1e-12),
+        criteria.fresnel_cross_validation(draws, quad_tol=1e-12, tol=1e-9),
+        criteria.edge_ray_zero(k, cfg["a"], tol=1e-12),
+        criteria.stencil_residual_order(k, (101, 201, 401), tol=1.8),
+        criteria.coordinate_conjugation(seed=1, tol=1e-12),
+        criteria.guided_products([alpha], tol=1e-12),
+        criteria.guided_tail_slope(alpha, tol=0.01),
+        criteria.impurity_tail_slope(alpha, tol=0.05),
     ]
-    lines = []
-    all_ok = True
-    for name, fn in checks:
-        ok, detail = fn()
-        all_ok &= ok
-        lines.append(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-    for line in lines:
-        print(line)
-    print("verify:", "all checks passed" if all_ok else "CHECKS FAILED")
+    text = "".join(f"{'PASS' if c.ok else 'FAIL'} {c.name}: {c.detail}\n"
+                   for c in checks)
+    all_ok = all(c.ok for c in checks)
+    print(text + "verify:", "all checks passed" if all_ok else "CHECKS FAILED")
     if cfg["out"]:
         with open(cfg["out"], "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(text)
     return 0 if all_ok else 1
 
 

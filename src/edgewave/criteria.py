@@ -1,0 +1,140 @@
+"""The checks behind ``edgewave verify`` and the acceptance gate.
+
+Each function measures one claim on samples and a tolerance chosen by
+the caller, and returns a :class:`Check`; verify and the gate differ
+only in those arguments.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from . import bound_edge, delta_1d, green_perturbation, sommerfeld, specfun
+from .geometry import PlanePoint, bound_pair
+from .grid import _fmt as fmt
+
+@dataclass(frozen=True)
+class Check:
+    """``value``: worst defect, lowest order (all in ``parts``) or slope."""
+
+    name: str
+    value: float
+    tol: float
+    ok: bool
+    detail: str
+    parts: tuple[float, ...] = ()
+
+
+def flux_conservation(alphas, tol: float) -> Check:
+    """max | |A|^2 + |B|^2 - 1 | over p in alpha * [1e-3, 1e3] (100 points)."""
+    worst = 0.0
+    for alpha in alphas:
+        well = delta_1d.DeltaWell(alpha=alpha)
+        for p in np.geomspace(1e-3, 1e3, 100) * alpha:
+            co = delta_1d.scattering_coeffs(well, p)
+            worst = max(worst, abs(abs(co.A) ** 2 + abs(co.B) ** 2 - 1.0))
+    return Check("flux-conservation", worst, tol, worst <= tol,
+                 f"max flux defect {fmt(worst)} (tol {tol:.1e})")
+
+
+def bound_pole_location(alphas, tol: float) -> Check:
+    """max |pole_residue - i*alpha|: the residue of A at smatrix_pole."""
+    worst = max(abs(delta_1d.pole_residue(delta_1d.DeltaWell(alpha=a)) - 1j * a)
+                for a in alphas)
+    return Check("bound-pole-location", worst, tol, worst <= tol,
+                 f"max pole residue defect {fmt(worst)} (tol {tol:.1e})")
+
+
+def fresnel_cross_validation(draws, quad_tol: float, tol: float) -> Check:
+    """max |closed - quadrature| / max(1, |quadrature|) of F over (k, xi)."""
+    worst = 0.0
+    for k, xi in draws:
+        a = specfun.fresnel_F(k, xi).value
+        b = specfun.fresnel_F_quadrature(k, xi, tol=quad_tol).value
+        worst = max(worst, abs(a - b) / max(1.0, abs(b)))
+    return Check("fresnel-cross-validation", worst, tol, worst <= tol,
+                 f"max scaled |closed - quadrature| {fmt(worst)} (tol {tol:.1e})")
+
+
+def edge_ray_zero(k: float, a: float, tol: float) -> Check:
+    """max |psi| on the barrier faces over max |psi| on the unit circle."""
+    geom = sommerfeld.EdgeGeometry(a=a)
+    X = a + np.geomspace(1e-3, 30.0, 1000)
+    top = sommerfeld.field_values(k, geom, X, np.full_like(X, 0.0))
+    bot = sommerfeld.field_values(k, geom, X, np.full_like(X, -0.0))
+    th = np.linspace(0.1, 2 * math.pi - 0.1, 200)
+    scale = np.abs(sommerfeld.field_values(
+        k, geom, a + np.cos(th), np.sin(th))).max()
+    worst = float(max(np.abs(top).max(), np.abs(bot).max()) / scale)
+    return Check("edge-ray-zero", worst, tol, worst <= tol,
+                 f"max ray |psi|/scale {fmt(worst)} (tol {tol:.1e})")
+
+
+def stencil_residual_order(k: float, sizes, tol: float) -> Check:
+    """Lowest order of the free edge's residual over n x n grids on [-3, 3]^2."""
+    geom = sommerfeld.EdgeGeometry(a=0.0)
+    res = []
+    for n in sizes:
+        h = 6.0 / (n - 1)
+        grid = sommerfeld.field_on_grid(k, geom, -3.0, -3.0, h, h, n, n)
+        res.append(sommerfeld.helmholtz_residual(
+            grid, k, exclude_cells=2, exclude_radius=0.5).l2_res)
+    orders = tuple(math.log2(r0 / r1) for r0, r1 in zip(res, res[1:]))
+    return Check("stencil-residual-order", min(orders), tol, min(orders) >= tol,
+                 f"observed orders {', '.join(fmt(o) for o in orders)} "
+                 f"(need >= {tol:g})", orders)
+
+
+def coordinate_conjugation(seed: int, tol: float) -> Check:
+    """max |xi - conj(eta)| on both faces, 100 draws of r and real lambda."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(100):
+        r = rng.uniform(1e-3, 10.0)
+        lam = rng.uniform(-2.0, 2.0)
+        for phi in (0.0, 2.0 * math.pi):
+            xi, eta = bound_pair(r, phi, lam)
+            worst = max(worst, abs(xi - np.conj(eta)))
+    return Check("coordinate-conjugation", worst, tol, worst <= tol,
+                 f"max |xi - conj(eta)| {fmt(worst)} (tol {tol:.1e})")
+
+
+def guided_products(alphas, tol: float) -> Check:
+    """max defect of kappa e^{+-lambda} = k +- alpha*eps, both regimes and signs."""
+    worst = 0.0
+    for alpha in alphas:
+        for k in (0.5 * alpha, 2.0 * alpha):
+            for eps in (1, -1):
+                kap, lam = bound_edge.kappa_lambda(alpha, k, eps)
+                worst = max(worst,
+                            abs(kap * np.exp(lam) - (k + alpha * eps)),
+                            abs(kap * np.exp(-lam) - (k - alpha * eps)))
+    return Check("guided-products", worst, tol, worst <= tol,
+                 f"max product defect {fmt(worst)} (tol {tol:.1e})")
+
+
+def guided_tail_slope(alpha: float, tol: float) -> Check:
+    """Slope of log|psi| against |x| behind the barrier; must be -alpha."""
+    f = bound_edge.make_field(alpha, 0.2 * alpha)
+    xs = np.linspace(-20.0 / alpha, -10.0 / alpha, 41)
+    vals = bound_edge.field_values(f, xs, np.full_like(xs, 12.0 / alpha))
+    slope, _ = green_perturbation.fit_log_slope(np.abs(xs), vals)
+    rel = abs(slope + alpha) / alpha
+    return Check("guided-tail-slope", slope, tol, rel <= tol,
+                 f"tail slope {fmt(slope)} vs {fmt(-alpha)} "
+                 f"(rel {fmt(rel)}, tol {tol:.0%})")
+
+
+def impurity_tail_slope(alpha: float, tol: float) -> Check:
+    """Slope of the Born tail log|psi1| against the offset; must be -2 alpha."""
+    res = green_perturbation.tail_scan(
+        alpha, 0.5 * alpha, 1.0,
+        [a / alpha for a in (1.0, 1.5, 2.0, 2.5, 3.0)],
+        PlanePoint(0.0, -12.0 / alpha))
+    rel = abs(res.slope + 2.0 * alpha) / (2.0 * alpha)
+    return Check("impurity-tail-slope", res.slope, tol, rel <= tol,
+                 f"slope {fmt(res.slope)} vs {fmt(-2.0 * alpha)} "
+                 f"(rel {fmt(rel)}, tol {tol:.0%})")

@@ -57,8 +57,13 @@ def scattering_coeffs(well: DeltaWell, p: float) -> ScatteringCoefficients:
     """Amplitude pair (A, B) at real momentum p > 0."""
     if p <= 0:
         raise ValueError("continuum states require p > 0")
-    denom = p - 1j * well.alpha
-    return ScatteringCoefficients(p=p, A=1j * well.alpha / denom, B=p / denom)
+    return ScatteringCoefficients(p, *_amplitudes(well.alpha, p))
+
+
+def _amplitudes(alpha: float, p):
+    """(A, B) at real or complex momentum p, over the denominator p - i*alpha."""
+    denom = p - 1j * alpha
+    return 1j * alpha / denom, p / denom
 
 
 def smatrix_pole(well: DeltaWell) -> complex:
@@ -71,12 +76,12 @@ def pole_residue(well: DeltaWell, radius: float = 0.3, n: int = 256) -> complex:
 
     The trapezoid rule on a circle converges spectrally for analytic
     integrands, so n = 256 gives machine accuracy here.  Expected value:
-    residue of i*alpha/(p - i*alpha) at p = i*alpha, i.e. i*alpha.
+    residue of A = i*alpha/(p - i*alpha) at p = i*alpha, i.e. i*alpha.
     """
     pole = smatrix_pole(well)
     th = 2.0 * math.pi * np.arange(n) / n
     z = pole + radius * np.exp(1j * th)
-    a_vals = 1j * well.alpha / (z - 1j * well.alpha)
+    a_vals, _ = _amplitudes(well.alpha, z)
     # (1/2pi i) * contour integral of A dp
     dz = 1j * radius * np.exp(1j * th) * (2.0 * math.pi / n)
     return complex(np.sum(a_vals * dz) / (2j * math.pi))

@@ -16,9 +16,9 @@ complex rotation parameter lambda:
     xi  = sqrt(r/2) (cos A + sin A),  eta = sqrt(r/2) (cos A - sin A),
     A   = (phi - i*lambda) / 2,
 
-so that y = xi^2 - eta^2 and x - a = 2 xi eta at lambda = 0, where it is
-the real chart (:func:`to_parabolic`).  The free edge uses lambda = 0;
-the guided mode uses the rapidity of bound_edge.kappa_lambda.
+so that y = xi^2 - eta^2 and x - a = 2 xi eta at lambda = 0, the real
+chart.  The free edge uses lambda = 0; the guided mode uses the
+rapidity of bound_edge.kappa_lambda.
 """
 
 from __future__ import annotations
@@ -31,12 +31,8 @@ import numpy as np
 
 __all__ = [
     "PlanePoint",
-    "ParabolicCoords",
     "polar",
-    "to_parabolic",
-    "from_parabolic",
     "bound_pair",
-    "laplacian_factor",
 ]
 
 
@@ -51,14 +47,6 @@ class PlanePoint:
             raise ValueError("tip abscissa a must be >= 0")
 
 
-@dataclass(frozen=True)
-class ParabolicCoords:
-    r: float
-    phi: float
-    xi: complex
-    eta: complex
-
-
 def polar(X, Y, a: float = 0.0):
     """Polar coordinates (r, phi) about the tip (a, 0), phi in [0, 2pi].
 
@@ -70,24 +58,6 @@ def polar(X, Y, a: float = 0.0):
     V = np.asarray(Y, dtype=float)
     phi = np.arctan2(V, U)
     return np.hypot(U, V), np.where(np.signbit(phi), phi + 2.0 * math.pi, phi)
-
-
-def to_parabolic(p: PlanePoint) -> ParabolicCoords:
-    """Real-chart coordinates (r, phi, xi, eta) of one plane point.
-
-    Raises at the tip, where the chart is singular.
-    """
-    r, phi = polar(p.x, p.y, p.a)
-    if r == 0.0:
-        raise ValueError("the tip is a coordinate singularity")
-    xi, eta = bound_pair(r, phi, 0.0)
-    return ParabolicCoords(r=float(r), phi=float(phi),
-                           xi=float(xi.real), eta=float(eta.real))
-
-
-def from_parabolic(xi: float, eta: float, a: float = 0.0) -> PlanePoint:
-    """Inverse of the real chart: y = xi^2 - eta^2, x = 2 xi eta + a."""
-    return PlanePoint(x=2.0 * xi * eta + a, y=xi * xi - eta * eta, a=a)
 
 
 def bound_pair(r, phi, lam: complex):
@@ -105,15 +75,3 @@ def bound_pair(r, phi, lam: complex):
     p, q = ch - 1j * sh, ch + 1j * sh
     root = np.sqrt(np.asarray(r) / 2.0)
     return root * (p * c + q * s), root * (q * c - p * s)
-
-
-def laplacian_factor(xi: complex, eta: complex) -> complex:
-    """Conformal factor 1/(4(xi^2 + eta^2)) of the Laplacian in (xi, eta).
-
-    On the real chart xi^2 + eta^2 = r, so the factor is 1/(4r); it
-    vanishes nowhere except the tip, which raises.
-    """
-    d = xi * xi + eta * eta
-    if d == 0:
-        raise ValueError("tip: xi = eta = 0 is singular")
-    return 1.0 / (4.0 * d)

@@ -181,13 +181,15 @@ def solve(s: SparseSystem, tol: float = 1e-10) -> FieldGrid:
     is factored once by SuperLU in real arithmetic, with the
     minimum-degree ordering on A^T + A, and [Re b, Im b] is solved as
     two right-hand sides.  The residual is checked on the full complex
-    system.  Raises ``ValueError`` if ``rhs`` is not finite and
+    system.  Raises ``ValueError`` for non-finite ``rhs`` or coefficients,
     ``RuntimeError`` if the residual is not finite or exceeds the gate.
     """
     if not 1e-12 <= tol <= 1e-6:
         raise ValueError("tol must lie in [1e-12, 1e-6]")
     if not np.isfinite(s.rhs).all():
         raise ValueError("rhs holds non-finite values (boundary or forcing data)")
+    if not np.isfinite(s.vals).all():
+        raise ValueError("system coefficients hold non-finite values")
     A = coo_matrix((s.vals, (s.rows, s.cols)), shape=(s.n, s.n)).tocsr()
     tag = s.mask.ravel()
     free = np.flatnonzero((tag == INTERIOR) | (tag == DELTA_LINE))

@@ -2,25 +2,26 @@
 
 Each test prints a single ``criterion N: PASS/FAIL`` line (visible with
 ``pytest -rA`` or on failure) and enforces the stated tolerance and
-runtime budget.  Criterion 6c compares the exact field of the barrier
-integral equation (bound_edge.solve_scattering) with the full-domain
-finite-difference solve.  The two-branch closed form carries an O(1)
-jump across the waveguide axis instead; its full-domain mismatch (44%)
-is frozen in test_oracle_fd.py, where the half-domain runs isolate that
-seam as the formula's only obstruction.
+runtime budget.  Criteria 1-5, 6a, 6b and the Green's-function half of
+7 call the checks of ``edgewave.criteria``, the same functions that
+``edgewave verify`` runs, with the gate's own samples, grids and
+tolerances; the rest measure what verify does not.  Criterion 6c
+compares the exact field of the barrier integral equation
+(bound_edge.solve_scattering) with the full-domain finite-difference
+solve.  The two-branch closed form carries an O(1) jump across the
+waveguide axis instead; its full-domain mismatch (44%) is frozen in
+test_oracle_fd.py, where the half-domain runs isolate that seam as the
+formula's only obstruction.
 """
 
 import contextlib
 import io
-import math
 import time
 
 import numpy as np
 import pytest
 
-from edgewave import (bound_edge, cli, delta_1d, geometry,
-                      green_perturbation, oracle_fd, sommerfeld, specfun)
-from edgewave.geometry import PlanePoint
+from edgewave import bound_edge, cli, criteria, oracle_fd
 from edgewave.grid import FieldGrid
 
 
@@ -34,72 +35,46 @@ def _report(num, ok, detail, elapsed, budget):
 
 def test_criterion_1_flux_and_pole():
     t0 = time.perf_counter()
-    worst_flux = 0.0
-    for alpha in (0.5, 1.0, 2.0):
-        well = delta_1d.DeltaWell(alpha=alpha)
-        for p in np.geomspace(1e-3, 1e3, 100) * alpha:
-            co = delta_1d.scattering_coeffs(well, p)
-            worst_flux = max(worst_flux,
-                             abs(abs(co.A) ** 2 + abs(co.B) ** 2 - 1.0))
-    worst_pole = max(
-        abs(delta_1d.smatrix_pole(delta_1d.DeltaWell(alpha=a)) - 1j * a)
-        for a in (0.5, 1.0, 2.0))
-    _report(1, worst_flux <= 1e-13 and worst_pole <= 1e-12,
-            f"flux defect {worst_flux:.2e} (tol 1e-13), "
-            f"pole offset {worst_pole:.2e} (tol 1e-12)",
+    flux = criteria.flux_conservation((0.5, 1.0, 2.0), tol=1e-13)
+    pole = criteria.bound_pole_location((0.5, 1.0, 2.0), tol=1e-12)
+    _report(1, flux.ok and pole.ok,
+            f"flux defect {flux.value:.2e} (tol 1e-13), "
+            f"pole residue defect {pole.value:.2e} (tol 1e-12)",
             time.perf_counter() - t0, 1.0)
 
 
 def test_criterion_2_fresnel_quadrature():
     t0 = time.perf_counter()
     rng = np.random.default_rng(42)
-    worst = 0.0
+    draws = []
     for i in range(200):
         k = rng.uniform(0.2, 3.0)
         if i < 120:
             xi = complex(rng.uniform(-4.0, 4.0))
         else:
             xi = complex(rng.uniform(-2.5, 2.5), rng.uniform(-0.8, 0.8))
-        a = specfun.fresnel_F(k, xi).value
-        b = specfun.fresnel_F_quadrature(k, xi, tol=1e-11).value
-        worst = max(worst, abs(a - b) / max(1.0, abs(b)))
-    _report(2, worst <= 1e-9,
-            f"max scaled closed-vs-quadrature gap {worst:.2e} (tol 1e-9, "
+        draws.append((k, xi))
+    chk = criteria.fresnel_cross_validation(draws, quad_tol=1e-11, tol=1e-9)
+    _report(2, chk.ok,
+            f"max scaled closed-vs-quadrature gap {chk.value:.2e} (tol 1e-9, "
             f"200 draws incl. complex xi)",
             time.perf_counter() - t0, 30.0)
 
 
 def test_criterion_3_ray_zero():
     t0 = time.perf_counter()
-    k, a = 2.0, 0.7
-    geom = sommerfeld.EdgeGeometry(a=a)
-    rs = np.geomspace(1e-3, 30.0, 1000)
-    X = a + rs
-    top = sommerfeld.field_values(k, geom, X, np.full_like(X, 0.0))
-    bot = sommerfeld.field_values(k, geom, X, np.full_like(X, -0.0))
-    th = np.linspace(0.1, 2.0 * math.pi - 0.1, 200)
-    scale = float(np.abs(sommerfeld.field_values(
-        k, geom, a + np.cos(th), np.sin(th))).max())
-    worst = float(max(np.abs(top).max(), np.abs(bot).max())) / scale
-    _report(3, worst <= 1e-12,
-            f"max |psi|/scale on the barrier {worst:.2e} (tol 1e-12, "
+    chk = criteria.edge_ray_zero(2.0, 0.7, tol=1e-12)
+    _report(3, chk.ok,
+            f"max |psi|/scale on the barrier {chk.value:.2e} (tol 1e-12, "
             f"1000 points per face)",
             time.perf_counter() - t0, 5.0)
 
 
 def test_criterion_4_residual_order():
     t0 = time.perf_counter()
-    k = 2.0
-    geom = sommerfeld.EdgeGeometry(a=0.0)
-    res = []
-    for n in (201, 401, 801):
-        h = 6.0 / (n - 1)
-        grid = sommerfeld.field_on_grid(k, geom, -3.0, -3.0, h, h, n, n)
-        rep = sommerfeld.helmholtz_residual(grid, k, exclude_cells=2,
-                                            exclude_radius=0.5)
-        res.append(rep.l2_res)
-    orders = [math.log2(res[i] / res[i + 1]) for i in range(2)]
-    _report(4, min(orders) >= 1.8,
+    chk = criteria.stencil_residual_order(2.0, (201, 401, 801), tol=1.8)
+    orders = chk.parts
+    _report(4, chk.ok,
             f"stencil residual orders {orders[0]:.3f}, {orders[1]:.3f} "
             f"(need >= 1.8 across 201/401/801)",
             time.perf_counter() - t0, 120.0)
@@ -107,50 +82,31 @@ def test_criterion_4_residual_order():
 
 def test_criterion_5_face_conjugation():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(7)
-    worst = 0.0
-    for _ in range(100):
-        r = rng.uniform(1e-3, 10.0)
-        lam = rng.uniform(-2.0, 2.0)      # real rapidity: see ledger
-        for phi in (0.0, 2.0 * math.pi):
-            xi, eta = geometry.bound_pair(r, phi, lam)
-            worst = max(worst, abs(xi - np.conj(eta)))
-    _report(5, worst <= 1e-12,
-            f"max |xi - conj(eta)| on the faces {worst:.2e} "
+    chk = criteria.coordinate_conjugation(seed=7, tol=1e-12)
+    _report(5, chk.ok,
+            f"max |xi - conj(eta)| on the faces {chk.value:.2e} "
             f"(tol 1e-12, 100 draws)",
             time.perf_counter() - t0, 1.0)
 
 
 def test_criterion_6a_guided_products():
     t0 = time.perf_counter()
-    worst = 0.0
-    for alpha in (0.5, 1.0, 2.0):
-        for k in (0.5 * alpha, 2.0 * alpha):
-            for eps in (1, -1):
-                kap, lam = bound_edge.kappa_lambda(alpha, k, eps)
-                worst = max(worst,
-                            abs(kap * np.exp(lam) - (k + alpha * eps)),
-                            abs(kap * np.exp(-lam) - (k - alpha * eps)))
-    _report("6a", worst <= 1e-12,
-            f"max factorization defect {worst:.2e} (tol 1e-12, "
+    chk = criteria.guided_products((0.5, 1.0, 2.0), tol=1e-12)
+    _report("6a", chk.ok,
+            f"max factorization defect {chk.value:.2e} (tol 1e-12, "
             f"both regimes, both signs)",
             time.perf_counter() - t0, 5.0)
 
 
 def test_criterion_6b_bound_tail_slope():
     t0 = time.perf_counter()
-    worst = 0.0
-    details = []
-    for alpha in (1.0, 2.0):
-        f = bound_edge.make_field(alpha, 0.2 * alpha)
-        xs = np.linspace(-20.0 / alpha, -10.0 / alpha, 41)
-        vals = bound_edge.field_values(f, xs, np.full_like(xs, 12.0 / alpha))
-        slope, _ = green_perturbation.fit_log_slope(np.abs(xs), vals)
-        rel = abs(slope + alpha) / alpha
-        worst = max(worst, rel)
-        details.append(f"alpha={alpha:g}: slope {slope:.4f}")
-    _report("6b", worst <= 0.01,
-            "; ".join(details) + f"; worst rel {worst:.2e} (tol 1%)",
+    checks = {alpha: criteria.guided_tail_slope(alpha, tol=0.01)
+              for alpha in (1.0, 2.0)}
+    worst = max(abs(c.value + alpha) / alpha for alpha, c in checks.items())
+    _report("6b", all(c.ok for c in checks.values()),
+            "; ".join(f"alpha={alpha:g}: slope {c.value:.4f}"
+                      for alpha, c in checks.items())
+            + f"; worst rel {worst:.2e} (tol 1%)",
             time.perf_counter() - t0, 30.0)
 
 
@@ -207,13 +163,10 @@ def test_criterion_7_reflection_slopes():
     details = []
     ok = True
     for alpha in (0.5, 1.0):
-        res = green_perturbation.tail_scan(
-            alpha, 0.5 * alpha, 1.0,
-            [a / alpha for a in (1.0, 1.5, 2.0, 2.5, 3.0)],
-            PlanePoint(0.0, -12.0 / alpha))
-        rel = abs(res.slope + 2.0 * alpha) / (2.0 * alpha)
-        ok &= rel <= 0.05
-        details.append(f"green alpha={alpha:g}: slope {res.slope:.4f} "
+        chk = criteria.impurity_tail_slope(alpha, tol=0.05)
+        rel = abs(chk.value + 2.0 * alpha) / (2.0 * alpha)
+        ok &= chk.ok
+        details.append(f"green alpha={alpha:g}: slope {chk.value:.4f} "
                        f"(rel {rel:.1%}, tol 5%)")
     for alpha in (0.5, 1.0):
         res = oracle_fd.reflection_scan(

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from edgewave import cli
+from edgewave import cli, criteria
 from edgewave.grid import read_csv
 
 
@@ -34,6 +34,19 @@ def test_verify_passes_at_alpha_0_7(capsys):
     lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
     assert len(lines) == 9
     assert all(l.startswith("PASS") for l in lines)
+
+
+def test_verify_reports_a_failed_check(capsys, monkeypatch):
+    def failing(alphas, tol):
+        return criteria.Check("guided-products", 1.0, tol, False, "forced")
+
+    monkeypatch.setattr(criteria, "guided_products", failing)
+    code, out, _ = run_cli(capsys, "verify")
+    assert code == 1
+    lines = out.splitlines()
+    assert "FAIL guided-products: forced" in lines
+    assert sum(l.startswith("PASS") for l in lines) == 8
+    assert lines[-1] == "verify: CHECKS FAILED"
 
 
 def test_field_csv_round_trips_and_repeats(tmp_path, capsys):

@@ -9,42 +9,48 @@ from edgewave import geometry
 from edgewave.geometry import PlanePoint
 
 
+def _real_chart(x, y, a=0.0):
+    # the real chart is the rotated one at lambda = 0
+    r, phi = geometry.polar(x, y, a)
+    xi, eta = geometry.bound_pair(r, phi, 0.0)
+    return float(r), float(phi), float(xi.real), float(eta.real)
+
+
 def test_real_chart_reference_points():
     # r = 2 on the top face: xi = eta = 1; bottom face flips both signs;
     # the ray's far side (phi = pi) gives (1, -1)
-    c = geometry.to_parabolic(PlanePoint(2.0, 0.0))
-    assert c.xi == pytest.approx(1.0, abs=1e-12)
-    assert c.eta == pytest.approx(1.0, abs=1e-12)
-    c = geometry.to_parabolic(PlanePoint(2.0, -0.0))
-    assert c.xi == pytest.approx(-1.0, abs=1e-12)
-    assert c.eta == pytest.approx(-1.0, abs=1e-12)
-    c = geometry.to_parabolic(PlanePoint(-2.0, 0.0))
-    assert c.xi == pytest.approx(1.0, abs=1e-12)
-    assert c.eta == pytest.approx(-1.0, abs=1e-12)
+    _, _, xi, eta = _real_chart(2.0, 0.0)
+    assert xi == pytest.approx(1.0, abs=1e-12)
+    assert eta == pytest.approx(1.0, abs=1e-12)
+    _, _, xi, eta = _real_chart(2.0, -0.0)
+    assert xi == pytest.approx(-1.0, abs=1e-12)
+    assert eta == pytest.approx(-1.0, abs=1e-12)
+    _, _, xi, eta = _real_chart(-2.0, 0.0)
+    assert xi == pytest.approx(1.0, abs=1e-12)
+    assert eta == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_round_trip():
+    # inverse of the real chart: y = xi^2 - eta^2, x - a = 2 xi eta
     rng = np.random.default_rng(5)
     for _ in range(200):
         p = PlanePoint(rng.uniform(-5, 5), rng.uniform(-5, 5), a=rng.uniform(0, 2))
         if p.x == p.a and p.y == 0.0:
             continue
-        c = geometry.to_parabolic(p)
-        q = geometry.from_parabolic(c.xi, c.eta, p.a)
-        assert math.hypot(q.x - p.x, q.y - p.y) < 1e-12 * (1 + c.r)
+        r, _, xi, eta = _real_chart(p.x, p.y, p.a)
+        x, y = 2.0 * xi * eta + p.a, xi * xi - eta * eta
+        assert math.hypot(x - p.x, y - p.y) < 1e-12 * (1 + r)
 
 
 def test_signed_zero_selects_the_face():
-    top = geometry.to_parabolic(PlanePoint(3.0, 0.0))
-    bot = geometry.to_parabolic(PlanePoint(3.0, -0.0))
-    assert top.phi == 0.0
-    assert bot.phi == pytest.approx(2 * math.pi)
-    assert top.xi == pytest.approx(-bot.xi)
+    _, top_phi, top_xi, _ = _real_chart(3.0, 0.0)
+    _, bot_phi, bot_xi, _ = _real_chart(3.0, -0.0)
+    assert top_phi == 0.0
+    assert bot_phi == pytest.approx(2 * math.pi)
+    assert top_xi == pytest.approx(-bot_xi)
 
 
 def test_tip_rejected():
-    with pytest.raises(ValueError):
-        geometry.to_parabolic(PlanePoint(1.0, 0.0, a=1.0))
     with pytest.raises(ValueError):
         PlanePoint(0.0, 0.0, a=-0.5)
 
@@ -97,10 +103,3 @@ def test_cross_branch_matching_on_faces():
             _, eta_m = geometry.bound_pair(r, phi, -lam)
             assert abs(xi_p - eta_m) < 1e-11 * (1 + math.sqrt(r)) * np.cosh(2.0)
 
-
-def test_laplacian_factor():
-    c = geometry.to_parabolic(PlanePoint(0.7, 1.9))
-    assert geometry.laplacian_factor(c.xi, c.eta) == pytest.approx(
-        1.0 / (4.0 * c.r), rel=1e-12)
-    with pytest.raises(ValueError):
-        geometry.laplacian_factor(0.0, 0.0)

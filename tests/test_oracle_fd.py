@@ -162,16 +162,32 @@ def test_solve_rejects_non_finite_rhs():
             ofd.solve(ofd.assemble(p))
 
 
-def test_solve_rejects_non_finite_residual():
-    # an infinite coefficient turns the solution into nan; the gate must
-    # raise instead of returning it
+def test_solve_rejects_non_finite_coefficients():
+    # the error names the cause wherever the bad entry sits: the first
+    # stored entry (row 10, interior), the pinned row 0, the centre row 40
     p = ofd.FdProblem(x0=-1.0, y0=-1.0, dx=0.25, dy=0.25, nx=9, ny=9,
                       E=1.0, boundary=lambda X, Y: np.exp(1j * (X + Y)))
     sys = ofd.assemble(p)
-    vals = sys.vals.copy()
-    vals[0] = np.inf                 # the first interior diagonal
-    with pytest.raises(RuntimeError, match="residual"):
-        ofd.solve(dataclasses.replace(sys, vals=vals))
+    tag = sys.mask.ravel()
+    assert sys.rows[0] == 10 and tag[10] == INTERIOR
+    assert tag[0] == OUTER and tag[40] == INTERIOR
+    for idx in (0, np.flatnonzero(sys.rows == 0)[0],
+                np.flatnonzero(sys.rows == 40)[0]):
+        for bad in (np.nan, np.inf):
+            vals = sys.vals.copy()
+            vals[idx] = bad
+            with pytest.raises(ValueError, match="coefficients"):
+                ofd.solve(dataclasses.replace(sys, vals=vals))
+
+
+def test_solve_rejects_non_finite_residual():
+    # finite data of size 1e308 overflows in the solve; the gate must
+    # raise instead of returning the non-finite solution
+    p = ofd.FdProblem(x0=-1.0, y0=-1.0, dx=0.25, dy=0.25, nx=9, ny=9,
+                      E=1.0, boundary=lambda X, Y: 1e308 * np.exp(1j * (X + Y)))
+    sys = ofd.assemble(p)
+    with np.errstate(over="ignore"), pytest.raises(RuntimeError, match="residual"):
+        ofd.solve(sys)
 
 
 def test_solver_tol_validation():
