@@ -165,12 +165,9 @@ class BoundEdgeField:
     """Closed-form field configuration (tip fixed at the origin)."""
 
     params: WaveguideParams       # the eps = +1 build
-    a: float = 0.0
     C0: complex = 1.0
 
     def __post_init__(self):
-        if self.a != 0.0:
-            raise ValueError("the closed form is only available for tip at a = 0")
         if self.params.eps != 1:
             raise ValueError("store the eps = +1 parameter build; the "
                              "eps = -1 partner is derived per evaluation")
@@ -478,16 +475,13 @@ def axis_value_jump(f: BoundEdgeField, y: float) -> float:
     return abs(p_plus - p_minus)
 
 
-def ray_defect(f: BoundEdgeField, n: int = 1000, r_max: float = 20.0,
-               rng=None) -> float:
+def ray_defect(f: BoundEdgeField, n: int = 1000) -> float:
     """max |psi| over both faces of the ray, relative to a field scale.
 
-    Samples n radii on each face (log-spaced plus optional jitter) and
-    normalizes by the max |psi| on a reference arc r = 1.
+    Samples n log-spaced radii in [1e-3, 20] on each face and normalizes
+    by the max |psi| on a reference arc r = 1.
     """
-    rs = np.geomspace(1e-3, r_max, n)
-    if rng is not None:
-        rs = rs * rng.uniform(0.9, 1.1, size=n)
+    rs = np.geomspace(1e-3, 20.0, n)
     top = branch_field_values(f, rs, np.full_like(rs, 0.0), 1)
     bot = branch_field_values(f, rs, np.full_like(rs, -0.0), 1)
     worst = max(np.abs(top).max(), np.abs(bot).max())

@@ -3,10 +3,11 @@ impurity tail scans and finite-difference oracle comparisons.
 
 All numeric output uses fixed 17-significant-digit scientific notation so
 identical configs produce byte-identical artifacts.  Flags use the
-``--key=value`` form; the same keys may be given in a plain ``key=value``
-config file (one per line, ``#`` comments), with precedence
-flag > file > default.  Exit status: 0 all checks passed, 1 numerical
-failure, 2 usage error.
+``--key=value`` form with the key spelled out (no abbreviations); the
+same keys may be given in a plain ``key=value`` config file (one per
+line, ``#`` comments), with precedence flag > file > default.  Exit
+status: 0 all checks passed, 1 numerical failure, 2 usage error (an
+unknown command, flag or key, or a value that does not parse).
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ _DEFAULTS = {
     "dy": 0.03,
     "nx": 201,
     "ny": 201,
-    "h": 0.1,
     "lam": 1.0,
     "a_list": "1:0.5:3",
     "probe_x": 0.0,
@@ -79,16 +79,23 @@ def _read_config_file(path: str) -> dict:
 
 def _parse_a_list(spec: str) -> list[float]:
     """Accept 'start:step:stop' (inclusive) or a comma-separated list."""
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise SystemExit("usage error: a range must be start:step:stop")
-        start, step, stop = (float(p) for p in parts)
-        if step <= 0 or stop < start:
-            raise SystemExit("usage error: need step > 0 and stop >= start")
-        n = int(math.floor((stop - start) / step + 1e-9)) + 1
-        return [start + i * step for i in range(n)]
-    return [float(p) for p in spec.split(",")]
+    is_range = ":" in spec
+    try:
+        values = [float(p) for p in spec.split(":" if is_range else ",")]
+        ok = all(map(math.isfinite, values))
+    except ValueError:
+        ok = False
+    if not ok:
+        raise SystemExit(f"usage error: a_list needs finite numbers: {spec!r}")
+    if not is_range:
+        return values
+    if len(values) != 3:
+        raise SystemExit("usage error: a range must be start:step:stop")
+    start, step, stop = values
+    if step <= 0 or stop < start:
+        raise SystemExit("usage error: need step > 0 and stop >= start")
+    n = int(math.floor((stop - start) / step + 1e-9)) + 1
+    return [start + i * step for i in range(n)]
 
 
 def _merge(args: argparse.Namespace) -> dict:
@@ -209,7 +216,7 @@ def _cmd_oracle(cfg: dict) -> int:
         x0=cfg["x0"], y0=cfg["y0"], dx=cfg["dx"], dy=cfg["dy"],
         nx=cfg["nx"], ny=cfg["ny"], E=E, alpha=alpha, edge_a=edge_a,
         bc=cfg["bc"], boundary=sampler)
-    fd = oracle_fd.solve(oracle_fd.assemble(prob), tol=1e-10)
+    fd = oracle_fd.solve(oracle_fd.assemble(prob))
     rep = oracle_fd.compare(ana, fd, E=E)
     flat = {k2: v for k2, v in rep.items() if k2 != "quadrants"}
     print(_kv(flat))
@@ -257,13 +264,15 @@ _COMMANDS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # no prefix abbreviations: a flag is one of the keys, spelled out, or
+    # a usage error (``--h`` must not become ``--help``)
     parser = argparse.ArgumentParser(
-        prog="edgewave",
+        prog="edgewave", allow_abbrev=False,
         description="Waveguide-edge diffraction fields, verification suite, "
                     "tail scans and finite-difference oracle runs.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
-        sp = sub.add_parser(name)
+        sp = sub.add_parser(name, allow_abbrev=False)
         sp.add_argument("--config", default=None,
                         help="key=value file; flags override it")
         for key in _DEFAULTS:

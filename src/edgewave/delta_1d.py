@@ -31,6 +31,8 @@ __all__ = [
     "pole_residue",
 ]
 
+_CONTOUR_NODES = 256
+
 
 @dataclass(frozen=True)
 class DeltaWell:
@@ -71,17 +73,21 @@ def smatrix_pole(well: DeltaWell) -> complex:
     return 1j * well.alpha
 
 
-def pole_residue(well: DeltaWell, radius: float = 0.3, n: int = 256) -> complex:
+def pole_residue(well: DeltaWell) -> complex:
     """Residue of A(p) at the pole, by a trapezoid contour integral.
 
-    The trapezoid rule on a circle converges spectrally for analytic
-    integrands, so n = 256 gives machine accuracy here.  Expected value:
-    residue of A = i*alpha/(p - i*alpha) at p = i*alpha, i.e. i*alpha.
+    The circle of radius alpha/2 about i*alpha keeps the mirror point
+    -i*alpha, where a flipped denominator would put the pole, outside at
+    four radii.  The trapezoid rule on a circle converges spectrally for
+    analytic integrands, so 256 nodes give machine accuracy here.
+    Expected value: residue of A = i*alpha/(p - i*alpha) at p = i*alpha,
+    i.e. i*alpha.
     """
     pole = smatrix_pole(well)
-    th = 2.0 * math.pi * np.arange(n) / n
+    radius = 0.5 * well.alpha
+    th = 2.0 * math.pi * np.arange(_CONTOUR_NODES) / _CONTOUR_NODES
     z = pole + radius * np.exp(1j * th)
     a_vals, _ = _amplitudes(well.alpha, z)
     # (1/2pi i) * contour integral of A dp
-    dz = 1j * radius * np.exp(1j * th) * (2.0 * math.pi / n)
+    dz = 1j * radius * np.exp(1j * th) * (2.0 * math.pi / _CONTOUR_NODES)
     return complex(np.sum(a_vals * dz) / (2j * math.pi))

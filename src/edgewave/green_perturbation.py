@@ -26,8 +26,9 @@ that equation, and the operator-mass check in the tests pins it: summing
 Only energies below the continuum threshold (E < 0) are supported: every
 continuum channel is then closed and the p-integral is a smooth decaying
 integrand after the substitution p = sqrt(-E) sinh u, which cancels the
-1/(2 sqrt(p^2 - E)) density exactly.  Gauss-Legendre nodes are doubled
-until the value moves by less than the requested tolerance.
+1/(2 sqrt(p^2 - E)) density exactly.  The integral is cut at
+p_max = 20 max(alpha, 1), and Gauss-Legendre nodes are doubled until the
+value moves by less than 1e-8.
 
 An impurity lam_imp * delta(x - a) delta(y) acting on the incoming guided
 mode psi0 = exp(-alpha|x| + iky) produces, to first order,
@@ -67,6 +68,7 @@ __all__ = [
 
 _N_START = 64
 _N_MAX = 65536
+_QUAD_TOL = 1e-8         # absolute move of the last node doubling
 
 
 @dataclass(frozen=True)
@@ -75,8 +77,6 @@ class ChannelGreen:
 
     alpha: float
     E: float
-    p_max: float
-    tol: float = 1e-8
 
     def __post_init__(self):
         if self.alpha < 0:
@@ -84,15 +84,10 @@ class ChannelGreen:
         if self.E >= 0:
             raise ValueError("only energies below the continuum threshold "
                              "(E < 0) are supported")
-        if self.p_max <= 0 or self.tol <= 0:
-            raise ValueError("p_max and tol must be positive")
 
 
-def make_green(alpha: float, E: float, p_max: float | None = None,
-               tol: float = 1e-8) -> ChannelGreen:
-    if p_max is None:
-        p_max = 20.0 * max(alpha, 1.0)
-    return ChannelGreen(alpha=alpha, E=E, p_max=p_max, tol=tol)
+def make_green(alpha: float, E: float) -> ChannelGreen:
+    return ChannelGreen(alpha=alpha, E=E)
 
 
 def phi_bound(alpha: float, x) -> np.ndarray:
@@ -141,7 +136,7 @@ def _continuum_integral(g: ChannelGreen, x: float, xp: float,
                         dy: float) -> tuple[complex, float]:
     # p = sqrt(-E) sinh u turns dp/(2 sqrt(p^2 - E)) into du/2
     s = math.sqrt(-g.E)
-    u_max = math.asinh(g.p_max / s)
+    u_max = math.asinh(20.0 * max(g.alpha, 1.0) / s)     # p_max
 
     def total(n: int) -> float:
         u, w = np.polynomial.legendre.leggauss(n)
@@ -159,12 +154,12 @@ def _continuum_integral(g: ChannelGreen, x: float, xp: float,
         n *= 2
         cur = total(n)
         delta = abs(cur - prev)
-        if delta < g.tol:
+        if delta < _QUAD_TOL:
             return complex(cur), delta
         if n >= _N_MAX:
             raise RuntimeError(
                 f"continuum quadrature did not converge: last move {delta:.3e} "
-                f"at {n} nodes (tol {g.tol:.1e})")
+                f"at {n} nodes (tol {_QUAD_TOL:.1e})")
         prev = cur
 
 

@@ -22,6 +22,11 @@ kappa = k.  The guided mode at the barrier (bound_edge) is the same
 bracket with the rapidity lambda and kappa = sqrt(k^2 - alpha^2), times
 its transverse envelope: the bound-mode problem is Sommerfeld
 diffraction from the edge in a rotated chart.
+
+:func:`helmholtz_residual` applies the five-point stencil to a grid
+field, outside a fixed two-cell band around the barrier ray and the
+waveguide axis and, on request, outside a disk about the tip it finds
+in the grid's mask.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ __all__ = [
 
 _DIRICHLET = "dirichlet"
 _NEUMANN = "neumann"
+_EXCLUDE_CELLS = 2       # residual band around the barrier and the axis
 
 
 @dataclass(frozen=True)
@@ -116,19 +122,18 @@ class ResidualReport:
     coarse_warning: bool
 
 
-def helmholtz_residual(grid: FieldGrid, k, exclude_cells: int = 2,
-                       exclude_radius: float = 0.0,
-                       tip: tuple[float, float] | None = None) -> ResidualReport:
+def helmholtz_residual(grid: FieldGrid, k,
+                       exclude_radius: float = 0.0) -> ResidualReport:
     """Five-point stencil residual |(Lap_h + k^2) psi| over interior nodes.
 
-    Nodes within ``exclude_cells`` (city-block) of the barrier ray or of
-    the waveguide axis are dropped: the field's derivatives jump across
+    Nodes within two cells (city-block) of the barrier ray or of the
+    waveguide axis are dropped: the field's derivatives jump across
     those lines, so the straight Cartesian stencil does not apply there.
     ``exclude_radius`` additionally drops a fixed disk around the tip,
-    where the sqrt(r) behavior makes the local truncation error blow up
-    as the mesh refines; with a mesh-independent disk the residual
-    converges at the stencil's second order.  ``k`` may be complex
-    (k^2 = E for the trapped regime).
+    the first EDGE node of the mask, where the sqrt(r) behavior makes the
+    local truncation error blow up as the mesh refines; with a
+    mesh-independent disk the residual converges at the stencil's second
+    order.  ``k`` may be complex (k^2 = E for the trapped regime).
     """
     if grid.nx < 3 or grid.ny < 3:
         raise ValueError("grid too small for the five-point stencil")
@@ -146,18 +151,15 @@ def helmholtz_residual(grid: FieldGrid, k, exclude_cells: int = 2,
     keep[1:-1, 1:-1] = True
     special = (grid.mask == EDGE) | (grid.mask == DELTA_LINE)
     if special.any():
-        band = special if exclude_cells == 0 else ndimage.binary_dilation(
-            special, iterations=exclude_cells)
-        keep &= ~band
+        keep &= ~ndimage.binary_dilation(special, iterations=_EXCLUDE_CELLS)
     if exclude_radius > 0.0:
-        if tip is None:
-            if not special.any():
-                raise ValueError("exclude_radius given but tip unknown")
-            jj, ii = np.nonzero(grid.mask == EDGE)
-            i_min = ii.min()
-            tip = (grid.x0 + grid.dx * i_min, grid.y0 + grid.dy * jj[ii.argmin()])
+        jj, ii = np.nonzero(grid.mask == EDGE)
+        if ii.size == 0:
+            raise ValueError("exclude_radius needs a barrier tip on the grid")
+        tip = ii.argmin()
         X, Y = grid.meshes()
-        keep &= np.hypot(X - tip[0], Y - tip[1]) > exclude_radius
+        keep &= np.hypot(X - (grid.x0 + grid.dx * ii[tip]),
+                         Y - (grid.y0 + grid.dy * jj[tip])) > exclude_radius
 
     included = res[keep]
     if included.size == 0:

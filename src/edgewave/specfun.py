@@ -89,10 +89,11 @@ def erf_cx(z):
     if np.any(re_z2 < -_EXP_UNDERFLOW):
         raise OverflowError("erf overflows: Re(z^2) below exponent range")
 
-    # fold into the principal quadrant, remembering the two reflections
-    flip_sign = z.real < 0
+    # fold into the principal quadrant, remembering the two reflections;
+    # the sign bit, not "< 0", so that a -0.0 part is reflected too
+    flip_sign = np.signbit(z.real)
     zq = np.where(flip_sign, -z, z)
-    flip_conj = zq.imag < 0
+    flip_conj = np.signbit(zq.imag)
     zq = np.where(flip_conj, np.conj(zq), zq)
 
     out = np.empty_like(zq)

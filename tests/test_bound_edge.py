@@ -59,8 +59,6 @@ def test_parameter_validation():
     with pytest.raises(ValueError):
         be.kappa_lambda(-1.0, 0.5, 1)
     with pytest.raises(ValueError):
-        be.BoundEdgeField(params=be.make_params(1.0, 0.5, 1), a=0.3)
-    with pytest.raises(ValueError):
         be.BoundEdgeField(params=be.make_params(1.0, 0.5, -1))
 
 
@@ -81,10 +79,9 @@ def test_vanishes_on_both_ray_faces(field):
 
 
 def test_ray_zero_in_trapped_and_open_regimes():
-    rng = np.random.default_rng(23)
     for k in (0.5, 2.0):
         f = be.make_field(1.0, k)
-        assert be.ray_defect(f, n=300, rng=rng) <= 1e-12
+        assert be.ray_defect(f, n=300) <= 1e-12
 
 
 def test_two_branch_evaluator_consistency(field):

@@ -118,6 +118,15 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert run_cli(capsys, "bogus")[0] == 2
     assert run_cli(capsys, "tail", "--alpha=-1")[0] == 2
     assert run_cli(capsys, "tail", "--a_list=1:2")[0] == 2
+    for bad in ("1,,2", "1,x", "1,2,3,nan", "1:0.5:inf"):
+        code, _, err = run_cli(capsys, "tail", f"--a_list={bad}")
+        assert code == 2
+        assert err.startswith("usage error: ")
+    # flags are whole keys: no abbreviation, and no key h
+    for flag in ("--h=0.5", "--h", "--alph=1"):
+        code, _, err = run_cli(capsys, "field", flag)
+        assert code == 2
+        assert "unrecognized arguments" in err
     assert run_cli(capsys, "field", "--nx=oops")[0] == 2
     assert run_cli(capsys, "field", "--mode=bound", "--a=0.5")[0] == 2
     cfg = tmp_path / "bad.cfg"

@@ -18,3 +18,8 @@ def test_pole_check_sees_a_wrong_denominator(monkeypatch):
     pole = criteria.bound_pole_location(alphas, tol=1e-12)
     assert not pole.ok
     assert pole.value > 0.4
+    # a small alpha puts the two candidate poles close together; the
+    # contour must still enclose only i*alpha
+    small = criteria.bound_pole_location((0.1,), tol=1e-12)
+    assert not small.ok
+    assert small.value > 0.09

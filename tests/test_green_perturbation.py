@@ -39,8 +39,6 @@ def test_validation():
         gp.make_green(1.0, 0.25)           # continuum open
     with pytest.raises(ValueError):
         gp.make_green(-1.0, -0.5)
-    with pytest.raises(ValueError):
-        gp.ChannelGreen(alpha=1.0, E=-0.5, p_max=-1.0)
     g = gp.make_green(1.0, -0.75)
     with pytest.raises(ValueError):
         gp.green_eval(g, PlanePoint(0.3, 0.2), PlanePoint(0.3, 0.2))

@@ -75,8 +75,7 @@ def test_residual_order_two_levels():
     for n in (101, 201):
         h = 6.0 / (n - 1)
         grid = sommerfeld.field_on_grid(2.0, g, -3.0, -3.0, h, h, n, n)
-        rep = sommerfeld.helmholtz_residual(grid, 2.0, exclude_cells=2,
-                                            exclude_radius=0.5)
+        rep = sommerfeld.helmholtz_residual(grid, 2.0, exclude_radius=0.5)
         assert rep.n_nodes > 0
         assert not rep.coarse_warning
         res.append(rep.l2_res)
@@ -88,9 +87,15 @@ def test_residual_flags_and_errors():
     grid = sommerfeld.field_on_grid(0.4, g, -3.0, -3.0, 0.75, 0.75, 9, 9)
     rep = sommerfeld.helmholtz_residual(grid, 0.4)
     assert not rep.coarse_warning        # k * h = 0.3
-    coarse = sommerfeld.field_on_grid(0.4, g, -3.0, -3.0, 1.5, 1.5, 5, 5)
-    rep = sommerfeld.helmholtz_residual(coarse, 0.4, exclude_cells=0,
-                                        exclude_radius=0.0)
+    coarse = sommerfeld.field_on_grid(0.4, g, -6.0, -6.0, 1.5, 1.5, 9, 9)
+    rep = sommerfeld.helmholtz_residual(coarse, 0.4)
+    assert rep.n_nodes == 25
     assert rep.coarse_warning            # k * h = 0.6
-    with pytest.raises(ValueError):
-        sommerfeld.helmholtz_residual(coarse, 0.4, exclude_cells=10)
+    # on a 5 x 5 grid the two-cell band covers every interior node
+    small = sommerfeld.field_on_grid(0.4, g, -3.0, -3.0, 1.5, 1.5, 5, 5)
+    with pytest.raises(ValueError, match="all nodes excluded"):
+        sommerfeld.helmholtz_residual(small, 0.4)
+    # the tip disk is placed from the mask, so it needs the ray on the grid
+    above = sommerfeld.field_on_grid(0.4, g, -3.0, 0.75, 0.75, 0.75, 9, 9)
+    with pytest.raises(ValueError, match="barrier tip"):
+        sommerfeld.helmholtz_residual(above, 0.4, exclude_radius=0.5)
