@@ -48,6 +48,8 @@ _TYPES = {
     "nx": int, "ny": int,
 }
 
+_A_RANGE_STEPS = 1000   # steps one start:step:stop range of a_list may span
+
 
 def _coerce(key: str, raw: str):
     ty = _TYPES.get(key, float)
@@ -94,7 +96,10 @@ def _parse_a_list(spec: str) -> list[float]:
     start, step, stop = values
     if step <= 0 or stop < start:
         raise SystemExit("usage error: need step > 0 and stop >= start")
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
+    span = (stop - start) / step          # inf for a subnormal step
+    if not span <= _A_RANGE_STEPS:
+        raise SystemExit(f"usage error: a range may span at most {_A_RANGE_STEPS} steps")
+    n = int(math.floor(span + 1e-9)) + 1
     return [start + i * step for i in range(n)]
 
 

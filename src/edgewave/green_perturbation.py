@@ -185,8 +185,10 @@ def born_correction(alpha: float, k: float, lambda_imp: float, a: float,
     The incident guided mode exp(-alpha|x| + iky) has energy
     E = k^2 - alpha^2, which must stay below the continuum threshold.
     """
-    if a <= 0:
-        raise ValueError("the impurity offset a must be positive")
+    if not (math.isfinite(a) and a > 0):
+        # a NaN offset would otherwise drive the continuum quadrature to
+        # its node cap on a NaN integrand
+        raise ValueError(f"the impurity offset a must be positive and finite, got {a!r}")
     if p.x == a and p.y == 0.0:
         raise ValueError("probe coincides with the impurity")
     E = k * k - alpha * alpha

@@ -12,13 +12,14 @@ The assembled operator rows read
 so applying a row to the constant field returns E.  ``assemble`` keeps
 the full system, pinned identity rows included.  Every coefficient is
 real (``E``, the spacings and ``alpha`` are real), so ``assemble``
-stores them as float64.  ``solve`` eliminates the pinned nodes, factors
-only the free unknowns once in real arithmetic (sparse LU with a
-minimum-degree ordering on A^T + A) and solves the real and imaginary
-parts of the complex right-hand side as two columns, so solves are
-direct and deterministic.  Every solve must meet the residual gate
-||A x - rhs|| <= 1e-10 ||rhs||.  ``compare`` drops a fixed band of two
-cells around the barrier ray and the waveguide axis.
+stores them as float64.  ``solve`` does no sparse factorisation: it
+inverts the separable interior-box operator by fast diagonalisation and
+meets the barrier rows through a small dense capacitance matrix, in
+real arithmetic, so solves are direct and deterministic.  Every solve
+must meet the residual gate ||A x - rhs|| <= 1e-10 ||rhs|| on the
+assembled system, which ties the fast solve to the independently
+assembled operator.  ``compare`` drops a fixed band of two cells around
+the barrier ray and the waveguide axis.
 
 The module also carries the discrete transverse mode the reflection
 experiment needs.  For the scattering run the incident wave must be an
@@ -37,10 +38,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, lu_factor, lu_solve
 from scipy.ndimage import binary_dilation
-from scipy.sparse import coo_matrix, csr_matrix
-from scipy.sparse.linalg import splu
+from scipy.sparse import coo_matrix
 
 from .grid import DELTA_LINE, EDGE, INTERIOR, OUTER, FieldGrid, build_mask
 from .green_perturbation import TailScanResult, fit_log_slope
@@ -70,7 +70,7 @@ class FdProblem:
     1-D coordinate arrays of the OUTER nodes only.  ``forcing`` supplies
     an interior right-hand side for manufactured-solution runs.  ``E``,
     ``alpha``, ``dx`` and ``dy`` must be real and finite: the operator is
-    assembled and factored in real arithmetic.
+    assembled and solved in real arithmetic.
     """
 
     x0: float
@@ -171,55 +171,107 @@ def assemble(p: FdProblem) -> SparseSystem:
 
 
 def solve(s: SparseSystem) -> FieldGrid:
-    """Direct sparse solve; verifies the residual against 1e-10 * ||rhs||.
+    """Direct solve by fast diagonalisation; verifies the residual against
+    1e-10 * ||rhs||.
 
-    Only the free unknowns (INTERIOR and DELTA_LINE nodes) are factored.
-    Pinned nodes -- the OUTER frame, and the EDGE nodes under Dirichlet
-    -- take their value from ``rhs`` and their columns move to the right
-    side.  A Neumann EDGE node follows its upper neighbour, so its column
-    is folded into that neighbour's.  Writing x = P z + x_pin, with P the
-    0/1 map from free unknowns to nodes, the reduced system
+    The OUTER frame is pinned to ``rhs`` and moved to the right side with
+    the assembled ``A``.  Off the barrier row the operator on the interior
+    box is separable, L = I (x) T_x + T_y (x) I, with T_x the tridiagonal
+    E - 2/dx^2 + (2 alpha/dx on the delta column), 1/dx^2 and T_y the
+    tridiagonal -2/dy^2, 1/dy^2.  With T_x = Q_x diag(lam) Q_x^T and
+    T_y = Q_y diag(mu) Q_y^T (Lynch, Rice & Thomas, Numer. Math. 6, 1964),
 
-        (A[free] P) z = b,   b = rhs[free] - A[free] x_pin
+        L^-1 = (Q_y (x) Q_x) diag(1 / (mu_j + lam_i)) (Q_y (x) Q_x)^T,
 
-    is factored once by SuperLU in real arithmetic, with the
-    minimum-degree ordering on A^T + A, and [Re b, Im b] is solved as
-    two right-hand sides.  The residual is checked on the full complex
-    system.  Raises ``ValueError`` for non-finite ``rhs`` or coefficients,
-    ``RuntimeError`` if the residual is not finite or exceeds the gate.
+    applied to [Re | Im] of the right-hand side by real matmuls.  The EDGE
+    rows of ``A`` (identity for Dirichlet, e - e_above for Neumann) are
+    constraints B psi = g, met by one source per EDGE node through the
+    dense m x m capacitance matrix B L^-1 P (Buzbee, Dorr, George & Golub,
+    SIAM J. Numer. Anal. 8, 1971).  One correction step
+    x += L~^-1 (rhs - A x) follows; then the Dirichlet EDGE nodes take
+    their pinned values and each Neumann EDGE node its upper neighbour's,
+    bit for bit.  Raises ``ValueError`` for non-finite ``rhs`` or
+    coefficients, ``RuntimeError`` if the residual on the full complex
+    system is not finite or exceeds the gate; the message gives
+    min|mu + lam| / max|mu + lam|, small near an eigenvalue of the
+    barrier-free box.
     """
     if not np.isfinite(s.rhs).all():
         raise ValueError("rhs holds non-finite values (boundary or forcing data)")
     if not np.isfinite(s.vals).all():
         raise ValueError("system coefficients hold non-finite values")
+    p = s.problem
+    nx, ny = p.nx, p.ny
     A = coo_matrix((s.vals, (s.rows, s.cols)), shape=(s.n, s.n)).tocsr()
     tag = s.mask.ravel()
-    free = np.flatnonzero((tag == INTERIOR) | (tag == DELTA_LINE))
-    src = np.arange(s.n)                 # node whose value each node takes
-    if s.problem.bc == "neumann":
-        src[tag == EDGE] += s.problem.nx
-    col = np.full(s.n, -1)               # column of P; -1 marks pinned
-    col[free] = np.arange(free.size)
-    col = col[src]
-    follows = col >= 0
-    rows = np.flatnonzero(follows)
-    P = csr_matrix((np.ones(rows.size), (rows, col[rows])), shape=(s.n, free.size))
-    x_pin = np.where(follows, 0.0, s.rhs[src])
-    A_free = A[free]
-    lu = splu((A_free @ P).tocsc(), permc_spec="MMD_AT_PLUS_A")
-    b = s.rhs[free] - A_free @ x_pin
-    z = lu.solve(np.column_stack((b.real, b.imag)))
-    x = P @ (z[:, 0] + 1j * z[:, 1]) + x_pin
-    scale = np.linalg.norm(s.rhs)
-    res = np.linalg.norm(A @ x - s.rhs)
-    if not np.isfinite(res):
-        raise RuntimeError(f"solver residual is {res}")
-    if scale > 0 and res > _SOLVE_TOL * scale:
+    edge = np.flatnonzero(tag == EDGE)
+    x = np.where(tag == OUTER, s.rhs, 0.0)
+
+    def box(v):                          # view of the interior box
+        return v.reshape(ny, nx)[1:-1, 1:-1]
+
+    with np.errstate(all="ignore"):
+        box_solve, spread = _box_solver(p, s.mask, A, edge)
+        box(x)[...] = box_solve(box(s.rhs - A @ x))
+        box(x)[...] += box_solve(box(s.rhs - A @ x))
+        if edge.size:
+            x[edge] = s.rhs[edge] if p.bc == "dirichlet" else x[edge + nx]
+        res = np.linalg.norm(A @ x - s.rhs)
+        scale = np.linalg.norm(s.rhs)
+    if not np.isfinite(res) or (scale > 0 and res > _SOLVE_TOL * scale):
         raise RuntimeError(
-            f"solver residual {res:.3e} exceeds {_SOLVE_TOL:.1e} * ||rhs||")
-    p = s.problem
-    return FieldGrid(x0=p.x0, y0=p.y0, dx=p.dx, dy=p.dy, nx=p.nx, ny=p.ny,
-                     values=x.reshape(p.ny, p.nx), mask=s.mask)
+            f"solver residual {res:.3e} exceeds {_SOLVE_TOL:.1e} * ||rhs|| "
+            f"({scale:.3e}); min|mu+lam|/max|mu+lam| of the barrier-free box "
+            f"is {spread:.1e}, small near one of its eigenvalues")
+    return FieldGrid(x0=p.x0, y0=p.y0, dx=p.dx, dy=p.dy, nx=nx, ny=ny,
+                     values=x.reshape(ny, nx), mask=s.mask)
+
+
+def _box_solver(p: FdProblem, mask: np.ndarray, A, edge: np.ndarray):
+    """Solver for the interior-box rows of ``A``, the frame moved out.
+
+    Returns (box_solve, spread).  ``box_solve`` maps a right-hand side on
+    the interior box, whose EDGE entries are the constraint data g, to
+    the solution there.  ``spread`` is min|mu + lam| / max|mu + lam|.
+    """
+    mx, my = p.nx - 2, p.ny - 2
+    diag_x = np.full(mx, p.E - 2.0 / p.dx ** 2)
+    diag_x[(mask[1:-1, 1:-1] == DELTA_LINE).any(axis=0)] += 2.0 * p.alpha / p.dx
+    lam, qx = eigh_tridiagonal(diag_x, np.full(mx - 1, 1.0 / p.dx ** 2))
+    mu, qy = eigh_tridiagonal(np.full(my, -2.0 / p.dy ** 2),
+                              np.full(my - 1, 1.0 / p.dy ** 2))
+    denom = mu[:, None] + lam[None, :]
+    spread = float(np.abs(denom).min() / np.abs(denom).max())
+    inv = 1.0 / denom
+    if edge.size:
+        # the EDGE nodes sit on box row jb, box columns ib; row e of B is
+        # d_e e_e + u_e e_above, with u dropped below the top frame (the
+        # frame value already sits in g)
+        jb, ib = edge[0] // p.nx - 1, edge % p.nx - 1
+        coef = [A.diagonal()[edge]]
+        if jb + 1 < my:
+            coef.append(np.asarray(A[edge, edge + p.nx]).ravel())
+        coef = np.array(coef)
+        rows, qi = qy[jb:jb + len(coef)], qx[ib]
+        # capacitance matrix B L^-1 P, P injecting one source per EDGE node
+        gamma = coef.T @ ((rows * qy[jb]) @ inv)
+        cap = lu_factor((gamma * qi) @ qi.T, check_finite=False)
+
+    def box_solve(f):
+        parts = np.stack((f.real, f.imag))
+        if edge.size:
+            g = parts[:, jb, ib]
+            parts[:, jb, ib] = 0.0
+        h = qy.T @ (parts @ qx) * inv
+        if edge.size:
+            # sources sigma with B L^-1 (f + P sigma) = g
+            b_psi = (coef * (rows @ h @ qi.T)).sum(axis=1)
+            sigma = lu_solve(cap, (g - b_psi).T, check_finite=False)
+            h += (qy[jb][:, None] * inv) * (sigma.T @ qi)[:, None, :]
+        psi = qy @ h @ qx.T
+        return psi[0] + 1j * psi[1]
+
+    return box_solve, spread
 
 
 def compare(analytic: FieldGrid, fd: FieldGrid, E: float | None = None) -> dict:

@@ -118,7 +118,10 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert run_cli(capsys, "bogus")[0] == 2
     assert run_cli(capsys, "tail", "--alpha=-1")[0] == 2
     assert run_cli(capsys, "tail", "--a_list=1:2")[0] == 2
-    for bad in ("1,,2", "1,x", "1,2,3,nan", "1:0.5:inf"):
+    # a range is counted before it is built: 2,000,001 and about 1e300
+    # offsets are usage errors, not a scan that never ends
+    for bad in ("1,,2", "1,x", "1,2,3,nan", "1:0.5:inf", "1:1e-6:3",
+                "1:1e-300:2"):
         code, _, err = run_cli(capsys, "tail", f"--a_list={bad}")
         assert code == 2
         assert err.startswith("usage error: ")

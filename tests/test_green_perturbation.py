@@ -108,6 +108,17 @@ def test_born_linearity_and_prefactor():
         gp.born_correction(alpha, k, 1.0, 1.2, PlanePoint(1.2, 0.0))
 
 
+def test_non_finite_offset_is_rejected_before_the_quadrature():
+    # a NaN offset passed the a <= 0 guard and then doubled quadrature
+    # nodes on a NaN integrand toward the node cap
+    probe = PlanePoint(0.0, -12.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            gp.born_correction(1.0, 0.5, 1.0, bad, probe)
+        with pytest.raises(ValueError, match="finite"):
+            gp.tail_scan(1.0, 0.5, 1.0, [1.0, 1.5, 2.0, 3.0, bad], probe)
+
+
 def test_tail_scan_frozen_slopes():
     for alpha, want in ((1.0, -2.0000006), (0.5, -1.0000003)):
         res = gp.tail_scan(alpha, 0.5 * alpha, 1.0,

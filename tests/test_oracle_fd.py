@@ -151,6 +151,56 @@ def test_reduced_solve_matches_full_system_with_complex_forcing(bc, edge_a, alph
     _reduced_vs_full(p)
 
 
+_STRUCTURE_BOX = dict(x0=-1.0, y0=-1.0, dx=0.1, dy=0.1, nx=21, ny=21,
+                      E=2.0, alpha=1.0, edge_a=0.3)
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("change", [
+    dict(y0=-1.9),                         # barrier row below the top frame
+    dict(edge_a=-5.0),                     # tip left of the grid: whole row
+    dict(dy=0.07, y0=-0.7),                # dx != dy
+    dict(alpha=0.0),                       # no delta line
+    dict(edge_a=0.0),                      # tip on the delta line
+    dict(edge_a=-0.4),                     # delta line crosses the barrier
+    dict(nx=4, ny=3, x0=-0.1, y0=-0.1, edge_a=0.1),
+    dict(nx=3, ny=3, x0=-0.1, y0=-0.1, edge_a=0.0),
+], ids=["top-row", "whole-row", "dx-ne-dy", "no-delta", "tip-on-delta",
+        "delta-crosses", "4x3", "3x3"])
+def test_fast_solve_matches_full_system_structure(bc, change):
+    # the capacitance rows, the delta column and the box transforms meet
+    # every placement of the barrier row and the axis
+    p = ofd.FdProblem(**{**_STRUCTURE_BOX, **change}, bc=bc,
+                      boundary=lambda X, Y: np.exp(1j * (0.7 * X + 1.1 * Y)),
+                      forcing=lambda X, Y: (0.3 - 0.8j) * X * Y + 1.0)
+    grid = _reduced_vs_full(p)
+    j, i = np.nonzero(grid.mask == EDGE)
+    assert j.size
+    if bc == "dirichlet":
+        assert np.all(grid.values[j, i] == 0.0)
+    else:
+        assert np.array_equal(grid.values[j, i], grid.values[j + 1, i])
+
+
+def test_near_resonance_gate_names_the_box_spectrum():
+    # the fast solve inverts the barrier-free box; within 1e-12 of its
+    # (3, 3) eigenvalue the gate fails and says how close E is to it,
+    # while 1e-9 away the solve passes
+    n = 141
+    h = 6.0 / (n - 1)
+    e33 = 2.0 * (2.0 - 2.0 * math.cos(3.0 * math.pi / (n - 1))) / h ** 2
+    assert e33 == pytest.approx(4.9329, abs=1e-4)
+
+    def problem(rel):
+        return ofd.FdProblem(x0=-3.0, y0=-3.0, dx=h, dy=h, nx=n, ny=n,
+                             E=e33 * (1.0 + rel), edge_a=0.0,
+                             boundary=lambda X, Y: np.exp(1j * (X + 2.0 * Y)))
+
+    with pytest.raises(RuntimeError, match=r"min\|mu\+lam\|/max\|mu\+lam\|"):
+        ofd.solve(ofd.assemble(problem(1e-12)))
+    ofd.solve(ofd.assemble(problem(1e-9)))
+
+
 def test_solve_rejects_non_finite_rhs():
     def nan_right(X, Y):
         return np.where(X > 0.5, np.nan, 1.0 + 0j)
@@ -214,8 +264,8 @@ def test_manufactured_solution_second_order():
 
 
 def test_dirichlet_edge_rows_vanish():
-    # the barrier rows are homogeneous identities, pinned out of the
-    # factored system, so the solve must leave the barrier at zero
+    # the barrier rows are homogeneous identities, and the solve sets
+    # the Dirichlet EDGE nodes to their pinned value, so the barrier is zero
     g = sommerfeld.EdgeGeometry(a=0.0)
     p = ofd.FdProblem(x0=-2.0, y0=-2.0, dx=0.1, dy=0.1, nx=41, ny=41,
                       E=4.0, edge_a=0.0,
