@@ -32,6 +32,8 @@ import numpy as np
 __all__ = [
     "PlanePoint",
     "polar",
+    "half_chart",
+    "rotation",
     "bound_pair",
 ]
 
@@ -60,18 +62,36 @@ def polar(X, Y, a: float = 0.0):
     return np.hypot(U, V), np.where(np.signbit(phi), phi + 2.0 * math.pi, phi)
 
 
+def half_chart(r, phi):
+    """(rc, rs) = sqrt(r/2) (cos(phi/2), sin(phi/2)), the real halves of the chart.
+
+    The real chart is xi = rc + rs, eta = rc - rs; the rotated one mixes
+    the same two arrays with the scalars of :func:`rotation`.
+    """
+    half = 0.5 * np.asarray(phi)
+    root = np.sqrt(np.asarray(r) / 2.0)
+    return root * np.cos(half), root * np.sin(half)
+
+
+def rotation(lam: complex) -> tuple[complex, complex]:
+    """(p, q) = (cosh(lam/2) - i sinh(lam/2), cosh(lam/2) + i sinh(lam/2)).
+
+    With A = (phi - i*lam)/2 and c, s the cos and sin of phi/2,
+    cos A + sin A = p c + q s and cos A - sin A = q c - p s, so the
+    rotated chart needs no trigonometry on arrays beyond the real one of
+    :func:`half_chart`.  Negating lam swaps p and q.
+    """
+    ch, sh = cmath.cosh(0.5 * lam), cmath.sinh(0.5 * lam)
+    return ch - 1j * sh, ch + 1j * sh
+
+
 def bound_pair(r, phi, lam: complex):
     """Rotated-chart pair (xi, eta) for arrays of (r, phi).
 
-    ``lam`` is the complex rotation parameter.  cos and sin of
-    A = (phi - i*lam)/2 are built from the real cos and sin of phi/2 and
-    the scalar cosh and sinh of lam/2, so the only trigonometry done on
-    arrays is real.
+    ``lam`` is the complex rotation parameter: xi = p rc + q rs and
+    eta = q rc - p rs, with (rc, rs) from :func:`half_chart` and (p, q)
+    from :func:`rotation`.
     """
-    half = 0.5 * np.asarray(phi)
-    c, s = np.cos(half), np.sin(half)
-    ch, sh = cmath.cosh(0.5 * lam), cmath.sinh(0.5 * lam)
-    # cos A = c ch + i s sh,  sin A = s ch - i c sh
-    p, q = ch - 1j * sh, ch + 1j * sh
-    root = np.sqrt(np.asarray(r) / 2.0)
-    return root * (p * c + q * s), root * (q * c - p * s)
+    rc, rs = half_chart(r, phi)
+    p, q = rotation(lam)
+    return p * rc + q * rs, q * rc - p * rs

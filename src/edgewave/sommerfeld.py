@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .geometry import bound_pair, polar
+from .geometry import half_chart, polar, rotation
 from .grid import EDGE, DELTA_LINE, INTERIOR, FieldGrid, build_mask
 from .specfun import fresnel_F_array
 
@@ -70,17 +70,24 @@ def two_term(k: float, kappa: complex, lam: complex, a: float, X, Y,
              sign: int) -> np.ndarray:
     """exp(-iky) F(xi_lam; kappa) + sign * exp(+iky) F(eta_{-lam}; kappa).
 
-    (xi, eta) is the rotated chart about the tip (a, 0).  The second
-    coordinate is taken at the negated rotation: on both faces of the
-    ray xi_lam = eta_{-lam} for every lambda, so with sign = -1 the two
-    terms cancel there.  The tip gives F(0) - F(0) = 0.
+    (xi, eta) is the rotated chart about the tip (a, 0), built once per
+    point: one polar angle, one cos/sin of phi/2 and one sqrt(r/2)
+    (geometry.half_chart), then xi_lam = p rc + q rs and
+    eta_{-lam} = p rc - q rs with the scalars (p, q) of
+    geometry.rotation.  At lambda = 0 both have an imaginary part of
+    exactly 0, so with a real kappa F takes specfun's real-argument
+    Fresnel route.  The
+    y-phase is taken once; k is real, so its partner is the conjugate.
+    On both faces of the ray xi_lam = eta_{-lam} for every lambda, so
+    with sign = -1 the two terms cancel there.  The tip gives
+    F(0) - F(0) = 0.
     """
-    r, phi = polar(X, Y, a)
-    xi, _ = bound_pair(r, phi, lam)
-    _, eta = bound_pair(r, phi, -lam)
-    Y = np.asarray(Y, dtype=float)
-    return (np.exp(-1j * k * Y) * fresnel_F_array(kappa, xi)
-            + sign * np.exp(1j * k * Y) * fresnel_F_array(kappa, eta))
+    rc, rs = half_chart(*polar(X, Y, a))
+    p, q = rotation(lam)
+    prc, qrs = p * rc, q * rs
+    phase = np.exp(-1j * k * np.asarray(Y, dtype=float))
+    return (phase * fresnel_F_array(kappa, prc + qrs)
+            + sign * phase.conj() * fresnel_F_array(kappa, prc - qrs))
 
 
 def field_values(k: float, geom: EdgeGeometry, X, Y, C0: complex = 1.0) -> np.ndarray:

@@ -1,19 +1,32 @@
 """Complex error function and the half-line Fresnel-type integral.
 
-Two independent evaluation routes are provided for
+Three evaluation routes are provided for
 
     F(xi; k) = integral of exp(2 i k tau^2) dtau from -infinity to xi,
 
 the building block of the edge-diffraction closed forms:
 
-* :func:`fresnel_F` - closed form through the complex error function,
-  F = sqrt(pi)/(2 s) * (1 + erf(s xi)) with s = sqrt(-2 i k), Re s > 0.
-  The branch with positive real part corresponds to rotating the
-  integration contour so the improper integral converges absolutely.
+* erf closed form - F = sqrt(pi)/(2 s) * (1 + erf(s xi)) with
+  s = sqrt(-2 i k), Re s > 0, through :func:`erf_cx`.  The branch with
+  positive real part corresponds to rotating the integration contour so
+  the improper integral converges absolutely.
+* real-argument Fresnel form - for real k > 0 and real xi the erf
+  argument lies on the ray s xi = e^{-i pi/4} sqrt(2k) xi, where
+  erf(e^{-i pi/4} u) = (1 - i)(C(z) + i S(z)), z = u sqrt(2/pi)
+  (Abramowitz & Stegun 7.3.22), so
+  F = sqrt(pi/k)/4 * ((1 + 2C(z)) + i (1 + 2S(z))), z = 2 xi sqrt(k/pi),
+  with Fresnel's real integrals C and S from scipy.
 * :func:`fresnel_F_quadrature` - adaptive Gauss-Kronrod integration
   along the rotated tail plus the straight segment 0 -> xi.  It shares
-  no special-function code with the closed form and serves as its
+  no special-function code with the closed forms and serves as their
   oracle.
+
+:func:`fresnel_F` and :func:`fresnel_F_array` pick between the two
+closed forms on values, not on dtype: the Fresnel form when k has zero
+imaginary part and positive real part and every xi has an imaginary
+part of exactly zero (the free edge), the erf form otherwise (the bound
+edge in both regimes).  Both forms keep the input contract of
+:func:`erf_cx`: a non-finite xi or |s xi| > 1e6 raises ``ValueError``.
 
 For real k this reproduces the conditionally convergent Fresnel limit;
 for k on the positive imaginary axis (evanescent regime) the integrand
@@ -27,7 +40,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import wofz
+from scipy.special import fresnel, wofz
 
 __all__ = [
     "FresnelValue",
@@ -127,24 +140,44 @@ def _rotation_root(k) -> complex:
     return complex(s)
 
 
-def fresnel_F(k, xi) -> FresnelValue:
-    """Closed-form F(xi; k) via the complex error function.
-
-    The error estimate is a forward bound: the erf backend is accurate
-    to ~1e-13 relative, amplified by the prefactor magnitude.
-    """
+def _closed_form(k, xi) -> tuple[complex, np.ndarray]:
+    """(sqrt(pi)/(2 s), F(xi; k)) for an array of xi, by either closed form."""
     s = _rotation_root(k)
-    e = erf_cx(s * complex(xi))
     pref = math.sqrt(math.pi) / (2.0 * s)
-    value = pref * (1.0 + e)
-    est = abs(pref) * 1e-13 * (1.0 + abs(e))
-    return FresnelValue(value=complex(value), est_abs_error=est)
+    k = complex(k)
+    xi = np.asarray(xi)
+    if k.imag != 0.0 or not k.real > 0.0 or np.any(xi.imag):
+        return pref, pref * (1.0 + erf_cx(s * xi))
+    z = np.asarray(xi.real, dtype=float) * (2.0 * math.sqrt(k.real / math.pi))
+    # |z| = |s xi| sqrt(2/pi); "not <=" also catches nan and inf
+    if not np.all(np.abs(z) <= 1e6 * math.sqrt(2.0 / math.pi)):
+        raise ValueError("fresnel_F requires finite xi with |s xi| <= 1e6")
+    out = np.empty(z.shape, dtype=complex)
+    fresnel(z, out=(out.imag, out.real))
+    # F = sqrt(pi/k)/4 ((1 + 2C) + i (1 + 2S)), on the interleaved parts
+    parts = out.reshape(-1).view(float)
+    scale = 0.25 * math.sqrt(math.pi / k.real)
+    parts *= 2.0 * scale
+    parts += scale
+    return pref, out if out.ndim else complex(out)
+
+
+def fresnel_F(k, xi) -> FresnelValue:
+    """Closed-form F(xi; k), with the route of :func:`fresnel_F_array`.
+
+    The error estimate is a forward bound: either backend is accurate
+    to ~1e-13 relative of |pref| (1 + |erf(s xi)|), with pref the
+    prefactor sqrt(pi)/(2 s) and pref erf(s xi) = F - pref.
+    """
+    pref, value = _closed_form(k, np.array([xi]))
+    value = complex(value[0])
+    est = 1e-13 * (abs(pref) + abs(value - pref))
+    return FresnelValue(value=value, est_abs_error=est)
 
 
 def fresnel_F_array(k, xi: np.ndarray) -> np.ndarray:
     """Vectorized closed-form F for grid work (values only)."""
-    s = _rotation_root(k)
-    return math.sqrt(math.pi) / (2.0 * s) * (1.0 + erf_cx(s * np.asarray(xi, dtype=complex)))
+    return _closed_form(k, xi)[1]
 
 
 # --- independent quadrature oracle -----------------------------------------

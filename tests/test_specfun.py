@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from edgewave import specfun
+from edgewave import sommerfeld, specfun
 
 mp = pytest.importorskip("mpmath")
 
@@ -99,6 +99,40 @@ def test_fresnel_array_matches_scalar():
     arr = specfun.fresnel_F_array(k, xis)
     for i, xi in enumerate(xis):
         assert abs(arr[i] - specfun.fresnel_F(k, xi).value) < 1e-15
+    # real k and real xi take the Fresnel route in both, bit for bit,
+    # also when the real values come complex-typed
+    xis = np.array([0.0, 1e-3, -1e-3, 2.0, -2.0, 300.0, -300.0])
+    for k in (2.0, 2.0 + 0j):
+        for arg in (xis, xis + 0j):
+            arr = specfun.fresnel_F_array(k, arg)
+            for i, xi in enumerate(arg):
+                assert arr[i] == specfun.fresnel_F(k, xi).value
+
+
+def test_fresnel_real_route_against_mpmath():
+    mp.mp.dps = 40
+    xis = np.concatenate([np.linspace(-30.0, 30.0, 61), [-1e-3, 1e-3, 0.37]])
+    for k in (0.05, 1.0, 3.0, 50.0):
+        s = specfun._rotation_root(k)
+        pref = math.sqrt(math.pi) / (2.0 * s)
+        got = specfun.fresnel_F_array(k, xis)
+        ms = mp.sqrt(mp.mpf(2) * k) * mp.expjpi(mp.mpf(-1) / 4)
+        for xi, g in zip(xis, got):
+            want = mp.sqrt(mp.pi) / (2 * ms) * (1 + mp.erf(ms * mp.mpf(xi)))
+            assert abs(g - complex(want)) <= 1e-12 * abs(pref)
+
+
+def test_fresnel_input_contract():
+    # the Fresnel route keeps erf_cx's contract: scipy's fresnel would
+    # return nan or 0.5 silently
+    with pytest.raises(ValueError):
+        specfun.fresnel_F_array(2.0, [np.nan])
+    with pytest.raises(ValueError):
+        specfun.fresnel_F_array(2.0, [np.inf])
+    with pytest.raises(ValueError):
+        specfun.fresnel_F(2.0, 1e7)
+    with pytest.raises(ValueError):
+        sommerfeld.field_values(2.0, sommerfeld.EdgeGeometry(), [np.nan], [0.5])
 
 
 def test_rotation_root_branch():
