@@ -86,12 +86,8 @@ def rotation(lam: complex) -> tuple[complex, complex]:
 
 
 def bound_pair(r, phi, lam: complex):
-    """Rotated-chart pair (xi, eta) for arrays of (r, phi).
-
-    ``lam`` is the complex rotation parameter: xi = p rc + q rs and
-    eta = q rc - p rs, with (rc, rs) from :func:`half_chart` and (p, q)
-    from :func:`rotation`.
-    """
+    """Rotated-chart pair (xi, eta) = (p rc + q rs, q rc - p rs) for arrays
+    of (r, phi)."""
     rc, rs = half_chart(r, phi)
     p, q = rotation(lam)
     return p * rc + q * rs, q * rc - p * rs

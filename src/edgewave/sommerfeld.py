@@ -71,16 +71,13 @@ def two_term(k: float, kappa: complex, lam: complex, a: float, X, Y,
     """exp(-iky) F(xi_lam; kappa) + sign * exp(+iky) F(eta_{-lam}; kappa).
 
     (xi, eta) is the rotated chart about the tip (a, 0), built once per
-    point: one polar angle, one cos/sin of phi/2 and one sqrt(r/2)
-    (geometry.half_chart), then xi_lam = p rc + q rs and
-    eta_{-lam} = p rc - q rs with the scalars (p, q) of
-    geometry.rotation.  At lambda = 0 both have an imaginary part of
-    exactly 0, so with a real kappa F takes specfun's real-argument
-    Fresnel route.  The
-    y-phase is taken once; k is real, so its partner is the conjugate.
-    On both faces of the ray xi_lam = eta_{-lam} for every lambda, so
-    with sign = -1 the two terms cancel there.  The tip gives
-    F(0) - F(0) = 0.
+    point from geometry.half_chart and geometry.rotation:
+    xi_lam = p rc + q rs and eta_{-lam} = p rc - q rs.  At lambda = 0
+    both have zero imaginary part, so a real kappa takes specfun's
+    Fresnel route.  k is real, so the second y-phase is the conjugate
+    of the first.  On both faces of the ray xi_lam = eta_{-lam} for
+    every lambda, so with sign = -1 the two terms cancel there.  The tip
+    gives F(0) - F(0) = 0.
     """
     rc, rs = half_chart(*polar(X, Y, a))
     p, q = rotation(lam)
