@@ -42,6 +42,7 @@ that slope by least squares over a list of impurity offsets.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -132,6 +133,16 @@ class GreenValue:
         return self.value
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only, built once
+    per n (n only doubles from _N_START to _N_MAX, so the cache is small)."""
+    u, w = np.polynomial.legendre.leggauss(n)
+    u.flags.writeable = False
+    w.flags.writeable = False
+    return u, w
+
+
 def _continuum_integral(g: ChannelGreen, x: float, xp: float,
                         dy: float) -> tuple[complex, float]:
     # p = sqrt(-E) sinh u turns dp/(2 sqrt(p^2 - E)) into du/2
@@ -139,7 +150,7 @@ def _continuum_integral(g: ChannelGreen, x: float, xp: float,
     u_max = math.asinh(20.0 * max(g.alpha, 1.0) / s)     # p_max
 
     def total(n: int) -> float:
-        u, w = np.polynomial.legendre.leggauss(n)
+        u, w = _gauss_legendre(n)
         u = 0.5 * u_max * (u + 1.0)
         w = 0.5 * u_max * w
         p = s * np.sinh(u)

@@ -176,25 +176,28 @@ def solve(s: SparseSystem) -> FieldGrid:
 
     The OUTER frame is pinned to ``rhs`` and moved to the right side with
     the assembled ``A``.  Off the barrier row the operator on the interior
-    box is separable, L = I (x) T_x + T_y (x) I, with T_x the tridiagonal
-    E - 2/dx^2 + (2 alpha/dx on the delta column), 1/dx^2 and T_y the
-    tridiagonal -2/dy^2, 1/dy^2.  With T_x = Q_x diag(lam) Q_x^T and
-    T_y = Q_y diag(mu) Q_y^T (Lynch, Rice & Thomas, Numer. Math. 6, 1964),
-
-        L^-1 = (Q_y (x) Q_x) diag(1 / (mu_j + lam_i)) (Q_y (x) Q_x)^T,
-
-    applied to [Re | Im] of the right-hand side by real matmuls.  The EDGE
-    rows of ``A`` (identity for Dirichlet, e - e_above for Neumann) are
+    box is separable, L = I (x) T_x + T_y (x) I, with T_y the Dirichlet
+    second difference -2/dy^2, 1/dy^2 and T_x = D_x + c e e^T: the same
+    second difference in x shifted by E, plus c = 2 alpha/dx on the delta
+    column e.  Both second differences are diagonalised by the DST-I sine
+    basis, D = S diag(lam) S with S symmetric and orthogonal and
+    lam = -4/h^2 sin^2(pi k / 2(m+1)) (Lynch, Rice & Thomas, Numer. Math.
+    6, 1964), so no eigensolver runs.  Per y-mode j the delta column is a
+    rank-one update of D_x + mu_j, folded in by Sherman-Morrison with
+    W = (S_x[e] * inv) S_x and beta_j = c / (1 + c W[j, e]).  The sines
+    are applied by their even/odd symmetry, two half-size matmuls per
+    transform, to [Re | Im] of the right-hand side.  The EDGE rows of
+    ``A`` (identity for Dirichlet, e - e_above for Neumann) are
     constraints B psi = g, met by one source per EDGE node through the
     dense m x m capacitance matrix B L^-1 P (Buzbee, Dorr, George & Golub,
     SIAM J. Numer. Anal. 8, 1971).  One correction step
     x += L~^-1 (rhs - A x) follows; then the Dirichlet EDGE nodes take
-    their pinned values and each Neumann EDGE node its upper neighbour's,
+    their pinned value and each Neumann EDGE node its upper neighbour's,
     bit for bit.  Raises ``ValueError`` for non-finite ``rhs`` or
     coefficients, ``RuntimeError`` if the residual on the full complex
     system is not finite or exceeds the gate; the message gives
-    min|mu + lam| / max|mu + lam|, small near an eigenvalue of the
-    barrier-free box.
+    min|mu + lam| / max|mu + lam| and, with a delta column,
+    min|1 + c W[j, e]|, small near an eigenvalue of the barrier-free box.
     """
     if not np.isfinite(s.rhs).all():
         raise ValueError("rhs holds non-finite values (boundary or forcing data)")
@@ -202,7 +205,7 @@ def solve(s: SparseSystem) -> FieldGrid:
         raise ValueError("system coefficients hold non-finite values")
     p = s.problem
     nx, ny = p.nx, p.ny
-    A = coo_matrix((s.vals, (s.rows, s.cols)), shape=(s.n, s.n)).tocsr()
+    A = coo_matrix((s.vals, (s.rows, s.cols)), shape=(s.n, s.n))
     tag = s.mask.ravel()
     edge = np.flatnonzero(tag == EDGE)
     x = np.where(tag == OUTER, s.rhs, 0.0)
@@ -211,7 +214,7 @@ def solve(s: SparseSystem) -> FieldGrid:
         return v.reshape(ny, nx)[1:-1, 1:-1]
 
     with np.errstate(all="ignore"):
-        box_solve, spread = _box_solver(p, s.mask, A, edge)
+        box_solve, spectrum = _box_solver(s, edge)
         box(x)[...] = box_solve(box(s.rhs - A @ x))
         box(x)[...] += box_solve(box(s.rhs - A @ x))
         if edge.size:
@@ -221,57 +224,128 @@ def solve(s: SparseSystem) -> FieldGrid:
     if not np.isfinite(res) or (scale > 0 and res > _SOLVE_TOL * scale):
         raise RuntimeError(
             f"solver residual {res:.3e} exceeds {_SOLVE_TOL:.1e} * ||rhs|| "
-            f"({scale:.3e}); min|mu+lam|/max|mu+lam| of the barrier-free box "
-            f"is {spread:.1e}, small near one of its eigenvalues")
+            f"({scale:.3e}); of the barrier-free box {spectrum}, small near "
+            f"one of its eigenvalues")
     return FieldGrid(x0=p.x0, y0=p.y0, dx=p.dx, dy=p.dy, nx=nx, ny=ny,
                      values=x.reshape(ny, nx), mask=s.mask)
 
 
-def _box_solver(p: FdProblem, mask: np.ndarray, A, edge: np.ndarray):
-    """Solver for the interior-box rows of ``A``, the frame moved out.
+class _SineBasis:
+    """Orthonormal DST-I basis S[k, j] = sqrt(2/(m+1)) sin(pi (k+1)(j+1)/(m+1)).
 
-    Returns (box_solve, spread).  ``box_solve`` maps a right-hand side on
-    the interior box, whose EDGE entries are the constraint data g, to
-    the solution there.  ``spread`` is min|mu + lam| / max|mu + lam|.
+    Entries come from one table of sin(pi r/(m+1)), r < 2(m+1), indexed
+    by (k+1)(j+1) mod 2(m+1), so S is symmetric bit for bit; each table
+    value is a sine or cosine of an argument in [0, pi/4].  ``sin2``
+    holds sin^2(pi (k+1) / 2(m+1)), the eigenvalues of the Dirichlet
+    second difference over -4/h^2.  ``left`` and ``right`` apply S along
+    the second-last and last axis through S[k, m-1-j] = (-1)^k S[k, j]:
+    even rows meet the folded sum, odd rows the folded difference.
     """
+
+    def __init__(self, m: int):
+        p = m + 1
+        r = np.arange(2 * p)
+        q = np.minimum(r % p, p - r % p)      # sin(pi r/p) = +-sin(pi q/p)
+        table = np.where(4 * q <= p, np.sin(np.pi * q / p),
+                         np.cos(np.pi * (p - 2 * q) / (2 * p)))
+        table[p:] *= -1.0
+        k = np.arange(1, m + 1)
+        self.m, self.h = m, m // 2
+        self.S = math.sqrt(2.0 / p) * table[np.outer(k, k) % (2 * p)]
+        self.sin2 = np.sin(np.pi * k / (2 * p)) ** 2
+        self._even = np.ascontiguousarray(self.S[0::2, :m - self.h])
+        self._odd = np.ascontiguousarray(self.S[1::2, :self.h])
+
+    def left(self, X):
+        """S @ X along the second-last axis."""
+        m, h = self.m, self.h
+        tail = X[..., ::-1, :][..., :h, :]
+        plus = X[..., :m - h, :].copy()
+        plus[..., :h, :] += tail
+        out = np.empty(X.shape)
+        out[..., 0::2, :] = self._even @ plus
+        out[..., 1::2, :] = self._odd @ (X[..., :h, :] - tail)
+        return out
+
+    def right(self, X):
+        """X @ S along the last axis."""
+        m, h = self.m, self.h
+        tail = X[..., ::-1][..., :h]
+        plus = X[..., :m - h].copy()
+        plus[..., :h] += tail
+        out = np.empty(X.shape)
+        out[..., 0::2] = plus @ self._even.T
+        out[..., 1::2] = (X[..., :h] - tail) @ self._odd.T
+        return out
+
+
+def _box_solver(s: SparseSystem, edge: np.ndarray):
+    """Solver for the interior-box rows of ``s``, the frame moved out.
+
+    Returns (box_solve, spectrum).  ``box_solve`` maps a right-hand side
+    on the interior box, whose EDGE entries are the constraint data g, to
+    the solution there.  ``spectrum`` names min|mu + lam| / max|mu + lam|
+    and, with a delta column, min|1 + c W[j, e]|.
+    """
+    p = s.problem
     mx, my = p.nx - 2, p.ny - 2
-    diag_x = np.full(mx, p.E - 2.0 / p.dx ** 2)
-    diag_x[(mask[1:-1, 1:-1] == DELTA_LINE).any(axis=0)] += 2.0 * p.alpha / p.dx
-    lam, qx = eigh_tridiagonal(diag_x, np.full(mx - 1, 1.0 / p.dx ** 2))
-    mu, qy = eigh_tridiagonal(np.full(my, -2.0 / p.dy ** 2),
-                              np.full(my - 1, 1.0 / p.dy ** 2))
-    denom = mu[:, None] + lam[None, :]
-    spread = float(np.abs(denom).min() / np.abs(denom).max())
+    sx = _SineBasis(mx)
+    sy = sx if my == mx else _SineBasis(my)
+    denom = (-4.0 / p.dy ** 2) * sy.sin2[:, None] \
+        + (p.E - 4.0 / p.dx ** 2 * sx.sin2)[None, :]
     inv = 1.0 / denom
+    spectrum = (f"min|mu+lam|/max|mu+lam| is "
+                f"{np.abs(denom).min() / np.abs(denom).max():.1e}")
+    delta = np.flatnonzero((s.mask[1:-1, 1:-1] == DELTA_LINE).any(axis=0))
+    if delta.size:
+        # row j of W is (D_x + mu_j)^-1 e, e the delta column i0
+        i0, c = int(delta[0]), 2.0 * p.alpha / p.dx
+        W = sx.right(sx.S[i0] * inv)
+        secular = 1.0 + c * W[:, i0]
+        beta = c / secular
+        spectrum += (f" and min|1 + c W| of its delta column "
+                     f"{np.abs(secular).min():.1e}")
     if edge.size:
         # the EDGE nodes sit on box row jb, box columns ib; row e of B is
         # d_e e_e + u_e e_above, with u dropped below the top frame (the
         # frame value already sits in g)
         jb, ib = edge[0] // p.nx - 1, edge % p.nx - 1
-        coef = [A.diagonal()[edge]]
-        if jb + 1 < my:
-            coef.append(np.asarray(A[edge, edge + p.nx]).ravel())
-        coef = np.array(coef)
-        rows, qi = qy[jb:jb + len(coef)], qx[ib]
+        on = s.mask.ravel()[s.rows] == EDGE
+        r, cl, v = s.rows[on], s.cols[on], s.vals[on]
+        e = np.searchsorted(edge, r)
+        links = [cl == r] + ([cl == r + p.nx] if jb + 1 < my else [])
+        coef = np.array([np.bincount(e[k], v[k], minlength=edge.size)
+                         for k in links])
+        rows, qi = sy.S[jb:jb + len(coef)], sx.S[ib]
         # capacitance matrix B L^-1 P, P injecting one source per EDGE node
-        gamma = coef.T @ ((rows * qy[jb]) @ inv)
-        cap = lu_factor((gamma * qi) @ qi.T, check_finite=False)
+        gamma = coef.T @ (rows * sy.S[jb])
+        cap = ((gamma @ inv) * qi) @ qi.T
+        if delta.size:
+            wb = W[:, ib]
+            cap -= ((gamma * beta) * wb.T) @ wb
+        cap = lu_factor(cap, check_finite=False)
 
     def box_solve(f):
         parts = np.stack((f.real, f.imag))
         if edge.size:
             g = parts[:, jb, ib]
             parts[:, jb, ib] = 0.0
-        h = qy.T @ (parts @ qx) * inv
+        h = sy.left(sx.right(parts)) * inv
         if edge.size:
             # sources sigma with B L^-1 (f + P sigma) = g
-            b_psi = (coef * (rows @ h @ qi.T)).sum(axis=1)
-            sigma = lu_solve(cap, (g - b_psi).T, check_finite=False)
-            h += (qy[jb][:, None] * inv) * (sigma.T @ qi)[:, None, :]
-        psi = qy @ h @ qx.T
+            b_psi = (rows @ h) @ qi.T
+            if delta.size:
+                b_psi -= (rows * (beta * (h @ sx.S[i0]))[:, None, :]) @ wb
+            sigma = lu_solve(cap, (g - (coef * b_psi).sum(axis=1)).T,
+                             check_finite=False)
+            h += (sy.S[jb][:, None] * inv) * (sigma.T @ qi)[:, None, :]
+        t = sx.right(h)
+        if delta.size:
+            t -= (beta * t[..., i0])[..., None] * W
+        psi = sy.left(t)
         return psi[0] + 1j * psi[1]
 
-    return box_solve, spread
+    return box_solve, spectrum
 
 
 def compare(analytic: FieldGrid, fd: FieldGrid, E: float | None = None) -> dict:

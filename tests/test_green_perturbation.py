@@ -71,6 +71,23 @@ def test_symmetry():
     assert a == b
 
 
+def test_gauss_legendre_rules_are_cached_read_only():
+    # the rule for each node count is built once and shared; a caller
+    # cannot write into it, and a cached call gives the same bits
+    gp._gauss_legendre.cache_clear()
+    g = gp.make_green(1.0, -0.75)
+    first = gp.green_eval(g, PlanePoint(0.4, 0.1), PlanePoint(-1.0, 2.0))
+    u, w = gp._gauss_legendre(64)
+    assert gp._gauss_legendre(64)[0] is u
+    assert not u.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+    ref_u, ref_w = np.polynomial.legendre.leggauss(64)
+    assert np.array_equal(u, ref_u) and np.array_equal(w, ref_w)
+    again = gp.green_eval(g, PlanePoint(0.4, 0.1), PlanePoint(-1.0, 2.0))
+    assert again.value == first.value and again.est_error == first.est_error
+
+
 def test_bound_channel_dominates_at_large_separation():
     alpha, k = 1.0, 0.5
     E = k * k - alpha * alpha

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigvalsh_tridiagonal
 from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import spsolve
 
@@ -199,6 +200,47 @@ def test_near_resonance_gate_names_the_box_spectrum():
     with pytest.raises(RuntimeError, match=r"min\|mu\+lam\|/max\|mu\+lam\|"):
         ofd.solve(ofd.assemble(problem(1e-12)))
     ofd.solve(ofd.assemble(problem(1e-9)))
+
+
+def test_near_resonance_gate_names_the_delta_column():
+    # the same gate with the delta column: E on an eigenvalue of the
+    # barrier-free box with its delta column, found apart from the solver
+    # (eigvalsh_tridiagonal on T_x, the analytic y eigenvalue), fails at
+    # 1e-12 and names min|1 + c W|; 1e-9 away the solve passes
+    n, alpha = 141, 1.0
+    h = 6.0 / (n - 1)
+    diag = np.full(n - 2, -2.0 / h ** 2)
+    diag[(n - 3) // 2] += 2.0 * alpha / h          # the x = 0 column
+    nu = eigvalsh_tridiagonal(diag, np.full(n - 3, 1.0 / h ** 2))
+    mu3 = -4.0 / h ** 2 * math.sin(3.0 * math.pi / (2.0 * (n - 1))) ** 2
+    e = -(nu[-1] + mu3)                            # guided x-mode, y-mode 3
+    assert e == pytest.approx(1.4771, abs=1e-4)
+
+    def problem(rel):
+        return ofd.FdProblem(x0=-3.0, y0=-3.0, dx=h, dy=h, nx=n, ny=n,
+                             E=e * (1.0 + rel), alpha=alpha, edge_a=0.0,
+                             boundary=lambda X, Y: np.exp(1j * (X + 2.0 * Y)))
+
+    with pytest.raises(RuntimeError, match=r"min\|1 \+ c W\| of its delta "
+                                           r"column [0-9.]+e-1[0-9]"):
+        ofd.solve(ofd.assemble(problem(1e-12)))
+    ofd.solve(ofd.assemble(problem(1e-9)))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 179])
+def test_sine_basis_is_symmetric_orthogonal_and_folds(m):
+    b = ofd._SineBasis(m)
+    assert np.array_equal(b.S, b.S.T)
+    assert np.abs(b.S @ b.S - np.eye(m)).max() < 1e-14
+    # the eigenvalues of the second difference, -4 sin^2 / h^2, match
+    # a dense eigensolver
+    lap = -2.0 * np.eye(m) + np.eye(m, k=1) + np.eye(m, k=-1)
+    assert np.allclose(np.sort(-4.0 * b.sin2), np.linalg.eigvalsh(lap),
+                       rtol=0.0, atol=1e-13)
+    X = np.random.default_rng(m).standard_normal((2, m, m + 3))
+    assert np.abs(b.left(X) - b.S @ X).max() < 1e-14
+    Y = X.swapaxes(-1, -2)
+    assert np.abs(b.right(Y) - Y @ b.S).max() < 1e-14
 
 
 def test_solve_rejects_non_finite_rhs():
