@@ -12,14 +12,16 @@ The assembled operator rows read
 so applying a row to the constant field returns E.  ``assemble`` keeps
 the full system, pinned identity rows included.  Every coefficient is
 real (``E``, the spacings and ``alpha`` are real), so ``assemble``
-stores them as float64.  ``solve`` does no sparse factorisation: it
-inverts the separable interior-box operator by fast diagonalisation and
-meets the barrier rows through a small dense capacitance matrix, in
-real arithmetic, so solves are direct and deterministic.  Every solve
-must meet the residual gate ||A x - rhs|| <= 1e-10 ||rhs|| on the
-assembled system, which ties the fast solve to the independently
-assembled operator.  ``compare`` drops a fixed band of two cells around
-the barrier ray and the waveguide axis.
+stores them as float64.  ``solve`` does no sparse factorisation and
+runs no eigensolver: it inverts the separable interior-box operator in
+the closed-form DST-I sine bases, takes the delta column as a rank-one
+update per transverse mode, and meets the barrier rows through a small
+dense capacitance matrix, in real arithmetic, so solves are direct and
+deterministic.  Every solve must meet the residual gate
+||A x - rhs|| <= 1e-10 ||rhs|| on the assembled system, which ties the
+fast solve to the independently assembled operator.  ``compare`` drops
+a fixed band of two cells around the barrier ray and the waveguide
+axis.
 
 The module also carries the discrete transverse mode the reflection
 experiment needs.  For the scattering run the incident wave must be an
@@ -179,12 +181,13 @@ def solve(s: SparseSystem) -> FieldGrid:
     box is separable, L = I (x) T_x + T_y (x) I, with T_y the Dirichlet
     second difference -2/dy^2, 1/dy^2 and T_x = D_x + c e e^T: the same
     second difference in x shifted by E, plus c = 2 alpha/dx on the delta
-    column e.  Both second differences are diagonalised by the DST-I sine
-    basis, D = S diag(lam) S with S symmetric and orthogonal and
-    lam = -4/h^2 sin^2(pi k / 2(m+1)) (Lynch, Rice & Thomas, Numer. Math.
-    6, 1964), so no eigensolver runs.  Per y-mode j the delta column is a
-    rank-one update of D_x + mu_j, folded in by Sherman-Morrison with
-    W = (S_x[e] * inv) S_x and beta_j = c / (1 + c W[j, e]).  The sines
+    column e.  The DST-I sine basis S, symmetric and orthogonal,
+    diagonalises both: D_x = S_x diag(lam) S_x and T_y = S_y diag(mu) S_y
+    with lam = E - 4/dx^2 sin^2(pi k / 2(m+1)), mu likewise without E
+    (Lynch, Rice & Thomas, Numer. Math. 6, 1964), so no eigensolver
+    runs.  Per y-mode j the delta column is a rank-one update of
+    D_x + mu_j, folded in by Sherman-Morrison with W = (S_x[e] * inv) S_x,
+    inv = 1 / (mu + lam), and beta_j = c / (1 + c W[j, e]).  The sines
     are applied by their even/odd symmetry, two half-size matmuls per
     transform, to [Re | Im] of the right-hand side.  The EDGE rows of
     ``A`` (identity for Dirichlet, e - e_above for Neumann) are
@@ -192,7 +195,7 @@ def solve(s: SparseSystem) -> FieldGrid:
     dense m x m capacitance matrix B L^-1 P (Buzbee, Dorr, George & Golub,
     SIAM J. Numer. Anal. 8, 1971).  One correction step
     x += L~^-1 (rhs - A x) follows; then the Dirichlet EDGE nodes take
-    their pinned value and each Neumann EDGE node its upper neighbour's,
+    their pinned values and each Neumann EDGE node its upper neighbour's,
     bit for bit.  Raises ``ValueError`` for non-finite ``rhs`` or
     coefficients, ``RuntimeError`` if the residual on the full complex
     system is not finite or exceeds the gate; the message gives
@@ -268,15 +271,8 @@ class _SineBasis:
         return out
 
     def right(self, X):
-        """X @ S along the last axis."""
-        m, h = self.m, self.h
-        tail = X[..., ::-1][..., :h]
-        plus = X[..., :m - h].copy()
-        plus[..., :h] += tail
-        out = np.empty(X.shape)
-        out[..., 0::2] = plus @ self._even.T
-        out[..., 1::2] = (X[..., :h] - tail) @ self._odd.T
-        return out
+        """X @ S along the last axis, which is (S @ X^T)^T as S = S^T."""
+        return self.left(X.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
 def _box_solver(s: SparseSystem, edge: np.ndarray):
