@@ -13,11 +13,11 @@ so applying a row to the constant field returns E.  ``assemble`` keeps
 the full system, pinned identity rows included.  Every coefficient is
 real (``E``, the spacings and ``alpha`` are real), so ``assemble``
 stores them as float64.  ``solve`` does no sparse factorisation and
-runs no eigensolver: it inverts the separable interior-box operator in
-the closed-form DST-I sine bases, takes the delta column as a rank-one
-update per transverse mode, and meets the barrier rows through a small
-dense capacitance matrix, in real arithmetic, so solves are direct and
-deterministic.  Every solve must meet the residual gate
+runs no eigensolver: it inverts the separable interior-box operator with
+the fast sine transform (``scipy.fft.dst``, type I, orthonormal), takes
+the delta column as a rank-one update per transverse mode, and meets the
+barrier rows through a small dense capacitance matrix, so solves are
+direct and deterministic.  Every solve must meet the residual gate
 ||A x - rhs|| <= 1e-10 ||rhs|| on the assembled system, which ties the
 fast solve to the independently assembled operator.  ``compare`` drops
 a fixed band of two cells around the barrier ray and the waveguide
@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from scipy.fft import dst
 from scipy.linalg import eigh_tridiagonal, lu_factor, lu_solve
 from scipy.ndimage import binary_dilation
 from scipy.sparse import coo_matrix
@@ -61,6 +62,7 @@ __all__ = [
 
 _SOLVE_TOL = 1e-10       # residual gate, relative to ||rhs||
 _EXCLUDE_CELLS = 2       # compare() band around the barrier and the axis
+_GUIDED_H = 0.1          # grid step of the guided-mode reflection experiment
 
 
 @dataclass(frozen=True)
@@ -181,15 +183,17 @@ def solve(s: SparseSystem) -> FieldGrid:
     box is separable, L = I (x) T_x + T_y (x) I, with T_y the Dirichlet
     second difference -2/dy^2, 1/dy^2 and T_x = D_x + c e e^T: the same
     second difference in x shifted by E, plus c = 2 alpha/dx on the delta
-    column e.  The DST-I sine basis S, symmetric and orthogonal,
+    column e.  The orthonormal DST-I matrix S, symmetric and orthogonal,
     diagonalises both: D_x = S_x diag(lam) S_x and T_y = S_y diag(mu) S_y
     with lam = E - 4/dx^2 sin^2(pi k / 2(m+1)), mu likewise without E
     (Lynch, Rice & Thomas, Numer. Math. 6, 1964), so no eigensolver
     runs.  Per y-mode j the delta column is a rank-one update of
     D_x + mu_j, folded in by Sherman-Morrison with W = (S_x[e] * inv) S_x,
-    inv = 1 / (mu + lam), and beta_j = c / (1 + c W[j, e]).  The sines
-    are applied by their even/odd symmetry, two half-size matmuls per
-    transform, to [Re | Im] of the right-hand side.  The EDGE rows of
+    inv = 1 / (mu + lam), and beta_j = c / (1 + c W[j, e]).  S is
+    applied as the fast sine transform ``scipy.fft.dst(type=1,
+    norm="ortho")`` (Hockney, J. ACM 12, 1965), which takes the complex
+    right-hand side one real part at a time; the few rows of S the
+    corrections need are transforms of unit vectors.  The EDGE rows of
     ``A`` (identity for Dirichlet, e - e_above for Neumann) are
     constraints B psi = g, met by one source per EDGE node through the
     dense m x m capacitance matrix B L^-1 P (Buzbee, Dorr, George & Golub,
@@ -233,62 +237,36 @@ def solve(s: SparseSystem) -> FieldGrid:
                      values=x.reshape(ny, nx), mask=s.mask)
 
 
-class _SineBasis:
-    """Orthonormal DST-I basis S[k, j] = sqrt(2/(m+1)) sin(pi (k+1)(j+1)/(m+1)).
+def _sine_rows(m: int, idx) -> np.ndarray:
+    """Rows ``idx`` of the orthonormal DST-I matrix S on m nodes.
 
-    Entries come from one table of sin(pi r/(m+1)), r < 2(m+1), indexed
-    by (k+1)(j+1) mod 2(m+1), so S is symmetric bit for bit; each table
-    value is a sine or cosine of an argument in [0, pi/4].  ``sin2``
-    holds sin^2(pi (k+1) / 2(m+1)), the eigenvalues of the Dirichlet
-    second difference over -4/h^2.  ``left`` and ``right`` apply S along
-    the second-last and last axis through S[k, m-1-j] = (-1)^k S[k, j]:
-    even rows meet the folded sum, odd rows the folded difference.
+    S[k, j] = sqrt(2/(m+1)) sin(pi (k+1)(j+1)/(m+1)) is symmetric, so row
+    i is the transform of the unit vector e_i.
     """
+    unit = (np.arange(m) == np.reshape(idx, (-1, 1))).astype(float)
+    return dst(unit, type=1, norm="ortho", overwrite_x=True)
 
-    def __init__(self, m: int):
-        p = m + 1
-        r = np.arange(2 * p)
-        q = np.minimum(r % p, p - r % p)      # sin(pi r/p) = +-sin(pi q/p)
-        table = np.where(4 * q <= p, np.sin(np.pi * q / p),
-                         np.cos(np.pi * (p - 2 * q) / (2 * p)))
-        table[p:] *= -1.0
-        k = np.arange(1, m + 1)
-        self.m, self.h = m, m // 2
-        self.S = math.sqrt(2.0 / p) * table[np.outer(k, k) % (2 * p)]
-        self.sin2 = np.sin(np.pi * k / (2 * p)) ** 2
-        self._even = np.ascontiguousarray(self.S[0::2, :m - self.h])
-        self._odd = np.ascontiguousarray(self.S[1::2, :self.h])
 
-    def left(self, X):
-        """S @ X along the second-last axis."""
-        m, h = self.m, self.h
-        tail = X[..., ::-1, :][..., :h, :]
-        plus = X[..., :m - h, :].copy()
-        plus[..., :h, :] += tail
-        out = np.empty(X.shape)
-        out[..., 0::2, :] = self._even @ plus
-        out[..., 1::2, :] = self._odd @ (X[..., :h, :] - tail)
-        return out
-
-    def right(self, X):
-        """X @ S along the last axis, which is (S @ X^T)^T as S = S^T."""
-        return self.left(X.swapaxes(-1, -2)).swapaxes(-1, -2)
+def _second_difference_eigs(m: int, h: float) -> np.ndarray:
+    """Eigenvalues -4/h^2 sin^2(pi k / 2(m+1)), k = 1..m, of the Dirichlet
+    second difference on m nodes, in the order of the DST-I modes."""
+    k = np.arange(1, m + 1)
+    return -4.0 / h ** 2 * np.sin(np.pi * k / (2 * (m + 1))) ** 2
 
 
 def _box_solver(s: SparseSystem, edge: np.ndarray):
     """Solver for the interior-box rows of ``s``, the frame moved out.
 
-    Returns (box_solve, spectrum).  ``box_solve`` maps a right-hand side
-    on the interior box, whose EDGE entries are the constraint data g, to
-    the solution there.  ``spectrum`` names min|mu + lam| / max|mu + lam|
-    and, with a delta column, min|1 + c W[j, e]|.
+    Returns (box_solve, spectrum).  ``box_solve`` maps a complex
+    right-hand side on the interior box, whose EDGE entries are the
+    constraint data g, to the solution there; it zeroes those entries of
+    its argument.  ``spectrum`` names min|mu + lam| / max|mu + lam| and,
+    with a delta column, min|1 + c W[j, e]|.
     """
     p = s.problem
     mx, my = p.nx - 2, p.ny - 2
-    sx = _SineBasis(mx)
-    sy = sx if my == mx else _SineBasis(my)
-    denom = (-4.0 / p.dy ** 2) * sy.sin2[:, None] \
-        + (p.E - 4.0 / p.dx ** 2 * sx.sin2)[None, :]
+    denom = _second_difference_eigs(my, p.dy)[:, None] \
+        + (p.E + _second_difference_eigs(mx, p.dx))[None, :]
     inv = 1.0 / denom
     spectrum = (f"min|mu+lam|/max|mu+lam| is "
                 f"{np.abs(denom).min() / np.abs(denom).max():.1e}")
@@ -296,7 +274,8 @@ def _box_solver(s: SparseSystem, edge: np.ndarray):
     if delta.size:
         # row j of W is (D_x + mu_j)^-1 e, e the delta column i0
         i0, c = int(delta[0]), 2.0 * p.alpha / p.dx
-        W = sx.right(sx.S[i0] * inv)
+        s0 = _sine_rows(mx, i0)[0]
+        W = dst(s0 * inv, type=1, norm="ortho", overwrite_x=True)
         secular = 1.0 + c * W[:, i0]
         beta = c / secular
         spectrum += (f" and min|1 + c W| of its delta column "
@@ -312,9 +291,9 @@ def _box_solver(s: SparseSystem, edge: np.ndarray):
         links = [cl == r] + ([cl == r + p.nx] if jb + 1 < my else [])
         coef = np.array([np.bincount(e[k], v[k], minlength=edge.size)
                          for k in links])
-        rows, qi = sy.S[jb:jb + len(coef)], sx.S[ib]
+        rows, qi = _sine_rows(my, jb + np.arange(len(coef))), _sine_rows(mx, ib)
         # capacitance matrix B L^-1 P, P injecting one source per EDGE node
-        gamma = coef.T @ (rows * sy.S[jb])
+        gamma = coef.T @ (rows * rows[0])
         cap = ((gamma @ inv) * qi) @ qi.T
         if delta.size:
             wb = W[:, ib]
@@ -322,24 +301,24 @@ def _box_solver(s: SparseSystem, edge: np.ndarray):
         cap = lu_factor(cap, check_finite=False)
 
     def box_solve(f):
-        parts = np.stack((f.real, f.imag))
         if edge.size:
-            g = parts[:, jb, ib]
-            parts[:, jb, ib] = 0.0
-        h = sy.left(sx.right(parts)) * inv
+            g = f[jb, ib]
+            f[jb, ib] = 0.0
+        h = dst(dst(f, type=1, norm="ortho", axis=1),
+                type=1, norm="ortho", axis=0, overwrite_x=True)
+        h *= inv
         if edge.size:
             # sources sigma with B L^-1 (f + P sigma) = g
             b_psi = (rows @ h) @ qi.T
             if delta.size:
-                b_psi -= (rows * (beta * (h @ sx.S[i0]))[:, None, :]) @ wb
-            sigma = lu_solve(cap, (g - (coef * b_psi).sum(axis=1)).T,
+                b_psi -= (rows * (beta * (h @ s0))) @ wb
+            sigma = lu_solve(cap, g - (coef * b_psi).sum(axis=0),
                              check_finite=False)
-            h += (sy.S[jb][:, None] * inv) * (sigma.T @ qi)[:, None, :]
-        t = sx.right(h)
+            h += (rows[0][:, None] * inv) * (sigma @ qi)
+        t = dst(h, type=1, norm="ortho", axis=1, overwrite_x=True)
         if delta.size:
-            t -= (beta * t[..., i0])[..., None] * W
-        psi = sy.left(t)
-        return psi[0] + 1j * psi[1]
+            t -= (beta * t[:, i0])[:, None] * W
+        return dst(t, type=1, norm="ortho", axis=0, overwrite_x=True)
 
     return box_solve, spectrum
 
@@ -419,12 +398,11 @@ def discrete_mode(alpha: float, xs: np.ndarray) -> tuple[float, np.ndarray]:
 
 # --- guided-mode reflection experiment -------------------------------------
 
-def solve_guided_scatter(alpha: float, k: float, a: float | None,
-                         h: float = 0.1):
+def solve_guided_scatter(alpha: float, k: float, a: float | None):
     """FD total field for the discrete guided mode meeting the barrier.
 
-    The domain is [-8, 8]/alpha x [-13, 5]/alpha with the mode incident
-    from below; outer frame pinned to the incident wave.  ``a = None``
+    The domain is [-8, 8]/alpha x [-13, 5]/alpha at grid step 0.1, with
+    the mode incident from below; outer frame pinned to the incident wave.  ``a = None``
     removes the barrier (consistency run: the scattered part must vanish
     to solver precision).  Returns (xs, ys, phi, scattered) with the
     scattered field psi - psi0 on the full grid.
@@ -433,7 +411,7 @@ def solve_guided_scatter(alpha: float, k: float, a: float | None,
         raise ValueError("alpha and k must be positive")
     L = 8.0 / alpha
     y0, y1 = -13.0 / alpha, 5.0 / alpha
-    nx = 2 * int(round(L / h)) + 1
+    nx = 2 * int(round(L / _GUIDED_H)) + 1
     xs = np.linspace(-L, L, nx)
     hx = xs[1] - xs[0]
     ny = int(round((y1 - y0) / hx)) + 1
@@ -452,8 +430,8 @@ def solve_guided_scatter(alpha: float, k: float, a: float | None,
     return xs, ys, phi, total.values - psi0
 
 
-def reflected_amplitudes(alpha: float, k: float, a: float,
-                         h: float = 0.1) -> tuple[float, float, float]:
+def reflected_amplitudes(alpha: float, k: float,
+                         a: float) -> tuple[float, float, float]:
     """(|reflected|, |forward|, |halo|) guided-channel amplitudes.
 
     Projects the scattered field onto the discrete transverse mode row
@@ -469,7 +447,7 @@ def reflected_amplitudes(alpha: float, k: float, a: float,
         # around the tip, and the fit returns |reflected| = |forward|
         raise ValueError("the reflection experiment needs a > 0; for a tip "
                          "on the axis use bound_edge.solve_scattering")
-    xs, ys, phi, s = solve_guided_scatter(alpha, k, a, h)
+    xs, ys, phi, s = solve_guided_scatter(alpha, k, a)
     hx = xs[1] - xs[0]
     c = (s * phi[None, :]).sum(axis=1) * hx
     kap = math.sqrt(alpha * alpha - k * k)
@@ -481,10 +459,10 @@ def reflected_amplitudes(alpha: float, k: float, a: float,
     return abs(coef[0]), abs(coef[1]), abs(coef[2])
 
 
-def reflection_scan(alpha: float, k: float, a_list, h: float = 0.1) -> TailScanResult:
+def reflection_scan(alpha: float, k: float, a_list) -> TailScanResult:
     """Reflected guided amplitude vs barrier offset, with the log-slope fit."""
     a_arr = np.asarray(sorted(a_list), dtype=float)
-    amps = np.array([reflected_amplitudes(alpha, k, a, h)[0] for a in a_arr])
+    amps = np.array([reflected_amplitudes(alpha, k, a)[0] for a in a_arr])
     slope, resid = fit_log_slope(a_arr, amps)
     return TailScanResult(a_values=a_arr, amplitudes=amps, slope=slope,
                           residual=resid, alpha=alpha, k=k)

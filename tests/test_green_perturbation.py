@@ -108,6 +108,23 @@ def test_operator_mass_near_unity():
                          (-0.75, 0.85), 0.1)
     assert m == pytest.approx(1.0, abs=0.05)
     assert m == pytest.approx(0.9928, abs=2e-3)
+    # the sliced stencil against the per-node loop, on a patch that
+    # crosses the x = 0 column; only the summation order differs
+    src, h = PlanePoint(0.25, 0.05), 0.1
+    xs = np.arange(-0.3, 0.5 + h / 2, h)
+    ys = np.arange(-0.35, 0.35 + h / 2, h)
+    G = np.array([[gp.green_eval(g, src, PlanePoint(x, y)).value for x in xs]
+                  for y in ys])
+    ref = 0.0 + 0.0j
+    for j in range(1, len(ys) - 1):
+        for i in range(1, len(xs) - 1):
+            row = g.E * G[j, i] + (G[j, i - 1] + G[j, i + 1] + G[j - 1, i]
+                                   + G[j + 1, i] - 4.0 * G[j, i]) / h ** 2
+            if abs(xs[i]) < 1e-12:
+                row += 2.0 * g.alpha * G[j, i] / h
+            ref += row * h * h
+    got = gp.operator_mass(g, src, (-0.3, 0.5), (-0.35, 0.35), h)
+    assert got == pytest.approx(abs(ref), rel=1e-13)
 
 
 def test_born_linearity_and_prefactor():

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.fft import dst
 from scipy.linalg import eigvalsh_tridiagonal
 from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import spsolve
@@ -229,18 +230,29 @@ def test_near_resonance_gate_names_the_delta_column():
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 179])
 def test_sine_basis_is_symmetric_orthogonal_and_folds(m):
-    b = ofd._SineBasis(m)
-    assert np.array_equal(b.S, b.S.T)
-    assert np.abs(b.S @ b.S - np.eye(m)).max() < 1e-14
-    # the eigenvalues of the second difference, -4 sin^2 / h^2, match
-    # a dense eigensolver
-    lap = -2.0 * np.eye(m) + np.eye(m, k=1) + np.eye(m, k=-1)
-    assert np.allclose(np.sort(-4.0 * b.sin2), np.linalg.eigvalsh(lap),
-                       rtol=0.0, atol=1e-13)
+    # the orthonormal DST-I of the unit vectors is the dense sine matrix
+    # S[k, j] = sqrt(2/(m+1)) sin(pi (k+1)(j+1)/(m+1)), the product
+    # reduced mod 2(m+1) to keep the sine argument small
+    k = np.arange(1, m + 1)
+    S = math.sqrt(2.0 / (m + 1)) * np.sin(
+        np.pi * (np.outer(k, k) % (2 * (m + 1))) / (m + 1))
+    D = dst(np.eye(m), type=1, norm="ortho")
+    assert np.abs(D - S).max() < 1e-15
+    assert np.array_equal(ofd._sine_rows(m, np.arange(m)), D)
+    # S is its own inverse, and complex input is split into its parts
+    assert np.abs(dst(D, type=1, norm="ortho") - np.eye(m)).max() < 1e-14
     X = np.random.default_rng(m).standard_normal((2, m, m + 3))
-    assert np.abs(b.left(X) - b.S @ X).max() < 1e-14
-    Y = X.swapaxes(-1, -2)
-    assert np.abs(b.right(Y) - Y @ b.S).max() < 1e-14
+    Z = X[0] + 1j * X[1]
+    for axis in (0, 1):
+        got = dst(Z, type=1, norm="ortho", axis=axis)
+        assert np.array_equal(
+            got, dst(X[0], type=1, norm="ortho", axis=axis)
+            + 1j * dst(X[1], type=1, norm="ortho", axis=axis))
+    # the eigenvalues of the second difference, -4 sin^2 / h^2, match a
+    # dense eigensolver
+    lap = -2.0 * np.eye(m) + np.eye(m, k=1) + np.eye(m, k=-1)
+    assert np.abs(np.sort(ofd._second_difference_eigs(m, 1.0))
+                  - np.linalg.eigvalsh(lap)).max() < 1e-13
 
 
 def test_solve_rejects_non_finite_rhs():
