@@ -269,7 +269,7 @@ def tail_scan_csv(res: TailScanResult) -> str:
 
 def operator_mass(g: ChannelGreen, src: PlanePoint, x_range, y_range,
                   h: float) -> float:
-    """Sum of (E + Laplacian_h - 2 alpha delta_h) G over a patch, times h^2.
+    """Sum of (E + Laplacian_h + 2 alpha delta_h) G over a patch, times h^2.
 
     For the exact resolvent in the (E - H)G = delta convention this mass
     is +1 once the patch encloses the source; the discretization defect

@@ -291,7 +291,8 @@ def _box_solver(s: SparseSystem, edge: np.ndarray):
         links = [cl == r] + ([cl == r + p.nx] if jb + 1 < my else [])
         coef = np.array([np.bincount(e[k], v[k], minlength=edge.size)
                          for k in links])
-        rows, qi = _sine_rows(my, jb + np.arange(len(coef))), _sine_rows(mx, ib)
+        rows = _sine_rows(my, jb + np.arange(len(coef)))
+        qi = _sine_rows(mx, ib)
         # capacitance matrix B L^-1 P, P injecting one source per EDGE node
         gamma = coef.T @ (rows * rows[0])
         cap = ((gamma @ inv) * qi) @ qi.T
