@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from . import bound_edge, criteria, green_perturbation, oracle_fd, sommerfeld
+from . import bound_edge, criteria, green_perturbation, sommerfeld
 from .geometry import PlanePoint
 from .grid import build_mask, write_csv, FieldGrid
 from .grid import _fmt as fmt
@@ -202,6 +202,10 @@ def _cmd_tail(cfg: dict) -> int:
 
 
 def _cmd_oracle(cfg: dict) -> int:
+    # imported here: scipy.linalg, scipy.fft and scipy.sparse cost every
+    # other command 0.2 s
+    from . import oracle_fd
+
     ana = _analytic_grid(cfg)
     if cfg["mode"] == "sommerfeld":
         E, alpha, edge_a = cfg["k"] ** 2, 0.0, cfg["a"]

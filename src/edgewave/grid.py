@@ -120,6 +120,30 @@ def build_mask(x0, y0, dx, dy, nx, ny, edge_a=None, delta_line=False) -> np.ndar
     return mask
 
 
+def dilate(mask: np.ndarray, cells: int, square: bool) -> np.ndarray:
+    """Boolean mask grown by ``cells`` nodes; nothing enters from outside.
+
+    ``square`` grows by the (2 cells + 1)^2 square, else by ``cells``
+    steps of the five-point cross (city-block distance <= cells).  The
+    result equals ``scipy.ndimage.binary_dilation`` with that structure,
+    resp. the default cross and ``iterations=cells``.
+    """
+    def spread(m, axis, reach):        # m OR its shifts by 1..reach
+        out = m.copy()
+        a, b = np.moveaxis(out, axis, 0), np.moveaxis(m, axis, 0)
+        for s in range(1, reach + 1):
+            a[s:] |= b[:-s]
+            a[:-s] |= b[s:]
+        return out
+
+    out = np.asarray(mask, dtype=bool)
+    if square:
+        return spread(spread(out, 0, cells), 1, cells)
+    for _ in range(cells):
+        out = spread(out, 0, 1) | spread(out, 1, 1)
+    return out
+
+
 def _fmt(v: float) -> str:
     # 17 significant digits: round-trips double precision exactly
     return f"{v:.16e}"

@@ -42,10 +42,9 @@ from typing import Callable
 import numpy as np
 from scipy.fft import dst
 from scipy.linalg import eigh_tridiagonal, lu_factor, lu_solve
-from scipy.ndimage import binary_dilation
 from scipy.sparse import coo_matrix
 
-from .grid import DELTA_LINE, EDGE, INTERIOR, OUTER, FieldGrid, build_mask
+from .grid import DELTA_LINE, EDGE, INTERIOR, OUTER, FieldGrid, build_mask, dilate
 from .green_perturbation import TailScanResult, fit_log_slope
 
 __all__ = [
@@ -61,6 +60,7 @@ __all__ = [
 ]
 
 _SOLVE_TOL = 1e-10       # residual gate, relative to ||rhs||
+_MAX_BOX_SOLVES = 2      # refinement steps before the gate is final
 _EXCLUDE_CELLS = 2       # compare() band around the barrier and the axis
 _GUIDED_H = 0.1          # grid step of the guided-mode reflection experiment
 
@@ -175,8 +175,8 @@ def assemble(p: FdProblem) -> SparseSystem:
 
 
 def solve(s: SparseSystem) -> FieldGrid:
-    """Direct solve by fast diagonalisation; verifies the residual against
-    1e-10 * ||rhs||.
+    """Direct solve by fast diagonalisation, refined until the residual
+    meets 1e-10 * ||rhs||.
 
     The OUTER frame is pinned to ``rhs`` and moved to the right side with
     the assembled ``A``.  Off the barrier row the operator on the interior
@@ -197,13 +197,17 @@ def solve(s: SparseSystem) -> FieldGrid:
     ``A`` (identity for Dirichlet, e - e_above for Neumann) are
     constraints B psi = g, met by one source per EDGE node through the
     dense m x m capacitance matrix B L^-1 P (Buzbee, Dorr, George & Golub,
-    SIAM J. Numer. Anal. 8, 1971).  One correction step
-    x += L~^-1 (rhs - A x) follows; then the Dirichlet EDGE nodes take
-    their pinned values and each Neumann EDGE node its upper neighbour's,
-    bit for bit.  Raises ``ValueError`` for non-finite ``rhs`` or
+    SIAM J. Numer. Anal. 8, 1971).  The solve is iterative refinement
+    (Moler, J. ACM 14, 1967) of at most two steps.  Each step adds the
+    box solve L~^-1 r to x, sets the Dirichlet EDGE nodes to their
+    pinned values and each Neumann EDGE node to its upper neighbour's,
+    bit for bit, then forms r = rhs - A x once, for the gate and as the
+    next step's right-hand side, and stops as soon as
+    ||r|| <= 1e-10 ||rhs||.  One step usually passes with a 10-100x
+    margin; the 601^2 grid on [-3, 3]^2 needs the second.  Raises ``ValueError`` for non-finite ``rhs`` or
     coefficients, ``RuntimeError`` if the residual on the full complex
-    system is not finite or exceeds the gate; the message gives
-    min|mu + lam| / max|mu + lam| and, with a delta column,
+    system is not finite or exceeds the gate after the last step; the
+    message gives min|mu + lam| / max|mu + lam| and, with a delta column,
     min|1 + c W[j, e]|, small near an eigenvalue of the barrier-free box.
     """
     if not np.isfinite(s.rhs).all():
@@ -222,12 +226,16 @@ def solve(s: SparseSystem) -> FieldGrid:
 
     with np.errstate(all="ignore"):
         box_solve, spectrum = _box_solver(s, edge)
-        box(x)[...] = box_solve(box(s.rhs - A @ x))
-        box(x)[...] += box_solve(box(s.rhs - A @ x))
-        if edge.size:
-            x[edge] = s.rhs[edge] if p.bc == "dirichlet" else x[edge + nx]
-        res = np.linalg.norm(A @ x - s.rhs)
         scale = np.linalg.norm(s.rhs)
+        r = s.rhs - A @ x
+        for _ in range(_MAX_BOX_SOLVES):
+            box(x)[...] += box_solve(box(r))
+            if edge.size:
+                x[edge] = s.rhs[edge] if p.bc == "dirichlet" else x[edge + nx]
+            r = s.rhs - A @ x
+            res = np.linalg.norm(r)
+            if res <= _SOLVE_TOL * scale:
+                break
     if not np.isfinite(res) or (scale > 0 and res > _SOLVE_TOL * scale):
         raise RuntimeError(
             f"solver residual {res:.3e} exceeds {_SOLVE_TOL:.1e} * ||rhs|| "
@@ -340,8 +348,7 @@ def compare(analytic: FieldGrid, fd: FieldGrid, E: float | None = None) -> dict:
     keep = mask == INTERIOR
     special = (mask == EDGE) | (mask == DELTA_LINE)
     if special.any():
-        size = 2 * _EXCLUDE_CELLS + 1
-        keep &= ~binary_dilation(special, structure=np.ones((size, size), bool))
+        keep &= ~dilate(special, _EXCLUDE_CELLS, square=True)
     if not keep.any():
         raise ValueError("no nodes left to compare")
 

@@ -34,10 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .geometry import half_chart, polar, rotation
-from .grid import EDGE, DELTA_LINE, INTERIOR, FieldGrid, build_mask
+from .grid import EDGE, DELTA_LINE, FieldGrid, build_mask, dilate
 from .specfun import fresnel_F_array
 
 __all__ = [
@@ -155,7 +154,7 @@ def helmholtz_residual(grid: FieldGrid, k,
     keep[1:-1, 1:-1] = True
     special = (grid.mask == EDGE) | (grid.mask == DELTA_LINE)
     if special.any():
-        keep &= ~ndimage.binary_dilation(special, iterations=_EXCLUDE_CELLS)
+        keep &= ~dilate(special, _EXCLUDE_CELLS, square=False)
     if exclude_radius > 0.0:
         jj, ii = np.nonzero(grid.mask == EDGE)
         if ii.size == 0:

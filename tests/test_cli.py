@@ -1,10 +1,15 @@
 """Command-line interface: determinism, config precedence, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import edgewave
 from edgewave import cli, criteria
 from edgewave.grid import read_csv
 
@@ -190,3 +195,13 @@ def test_alpha_checked_only_where_used(tmp_path, capsys):
     assert run_cli(capsys, "field", "--mode=bound", "--alpha=0", *grid)[0] == 2
     assert run_cli(capsys, "tail", "--alpha=0")[0] == 2
     assert run_cli(capsys, "verify", "--alpha=0")[0] == 2
+
+
+def test_cli_import_leaves_out_the_oracle_and_ndimage():
+    # only the oracle command needs oracle_fd and its scipy modules
+    code = ("import sys, edgewave.cli; print([m for m in "
+            "('edgewave.oracle_fd', 'scipy.ndimage') if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=str(Path(edgewave.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -4,8 +4,28 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from edgewave import grid as gr
+
+
+@pytest.mark.parametrize("square", [True, False])
+def test_dilate_matches_ndimage(square):
+    # shifted ORs against scipy.ndimage bit for bit: the (2c+1)^2 square,
+    # and c iterations of the five-point cross
+    rng = np.random.default_rng(14)
+    for _ in range(100):
+        mask = rng.random(rng.integers(1, 40, size=2)) < rng.choice([0.01, 0.1, 0.4])
+        before = mask.copy()
+        for cells in (1, 2, 3):
+            if square:
+                want = ndimage.binary_dilation(
+                    mask, structure=np.ones((2 * cells + 1,) * 2, bool))
+            else:
+                want = ndimage.binary_dilation(mask, iterations=cells)
+            got = gr.dilate(mask, cells, square=square)
+            assert got.dtype == bool and np.array_equal(got, want)
+        assert np.array_equal(mask, before)
 
 
 def test_mask_classification():

@@ -228,6 +228,36 @@ def test_near_resonance_gate_names_the_delta_column():
     ofd.solve(ofd.assemble(problem(1e-9)))
 
 
+def test_refinement_stops_once_the_gate_holds(monkeypatch):
+    # each step solves the box on the last residual; on the Sommerfeld
+    # box one box solve meets the 1e-10 ||rhs|| gate at 101^2 (1.4e-12),
+    # at 601^2 it does not (1.3e-10) and the second step does (6.5e-11)
+    solves = []
+    box_solver = ofd._box_solver
+
+    def counting(s, edge):
+        box_solve, spectrum = box_solver(s, edge)
+
+        def counted(f):
+            solves.append(s.n)
+            return box_solve(f)
+        return counted, spectrum
+
+    monkeypatch.setattr(ofd, "_box_solver", counting)
+    k, g = 2.0, sommerfeld.EdgeGeometry(a=0.0)
+    for n, want in ((101, 1), (601, 2)):
+        h = 6.0 / (n - 1)
+        p = ofd.FdProblem(x0=-3.0, y0=-3.0, dx=h, dy=h, nx=n, ny=n,
+                          E=k * k, edge_a=0.0,
+                          boundary=lambda X, Y: sommerfeld.field_values(k, g, X, Y))
+        sys = ofd.assemble(p)
+        solves.clear()
+        grid = ofd.solve(sys)
+        assert len(solves) == want, n
+        res = np.linalg.norm(_matrix(sys) @ grid.values.ravel() - sys.rhs)
+        assert res <= 1e-10 * np.linalg.norm(sys.rhs)
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 179])
 def test_sine_basis_is_symmetric_orthogonal_and_folds(m):
     # the orthonormal DST-I of the unit vectors is the dense sine matrix
