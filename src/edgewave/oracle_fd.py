@@ -204,10 +204,11 @@ def solve(s: SparseSystem) -> FieldGrid:
     bit for bit, then forms r = rhs - A x once, for the gate and as the
     next step's right-hand side, and stops as soon as
     ||r|| <= 1e-10 ||rhs||.  One step usually passes with a 10-100x
-    margin; the 601^2 grid on [-3, 3]^2 needs the second.  Raises ``ValueError`` for non-finite ``rhs`` or
-    coefficients, ``RuntimeError`` if the residual on the full complex
-    system is not finite or exceeds the gate after the last step; the
-    message gives min|mu + lam| / max|mu + lam| and, with a delta column,
+    margin; the 601^2 grid on [-3, 3]^2 needs the second.  Raises
+    ``ValueError`` for non-finite ``rhs`` or coefficients,
+    ``RuntimeError`` if the residual on the full complex system is not
+    finite or exceeds the gate after the last step; the message gives
+    min|mu + lam| / max|mu + lam| and, with a delta column,
     min|1 + c W[j, e]|, small near an eigenvalue of the barrier-free box.
     """
     if not np.isfinite(s.rhs).all():

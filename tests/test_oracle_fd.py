@@ -231,7 +231,7 @@ def test_near_resonance_gate_names_the_delta_column():
 def test_refinement_stops_once_the_gate_holds(monkeypatch):
     # each step solves the box on the last residual; on the Sommerfeld
     # box one box solve meets the 1e-10 ||rhs|| gate at 101^2 (1.4e-12),
-    # at 601^2 it does not (1.3e-10) and the second step does (6.5e-11)
+    # at 601^2 it does not (1.2e-10) and the second step does (6.5e-11)
     solves = []
     box_solver = ofd._box_solver
 
