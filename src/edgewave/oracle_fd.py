@@ -193,11 +193,11 @@ def solve(s: SparseSystem) -> FieldGrid:
     applied as the fast sine transform ``scipy.fft.dst(type=1,
     norm="ortho")`` (Hockney, J. ACM 12, 1965), which takes the complex
     right-hand side one real part at a time; the few rows of S the
-    corrections need are transforms of unit vectors.  The EDGE rows of
-    ``A`` (identity for Dirichlet, e - e_above for Neumann) are
-    constraints B psi = g, met by one source per EDGE node through the
-    dense m x m capacitance matrix B L^-1 P (Buzbee, Dorr, George & Golub,
-    SIAM J. Numer. Anal. 8, 1971).  The solve is iterative refinement
+    corrections need are transforms of unit vectors.  The EDGE rows B psi
+    = g are built from ``bc`` (identity for Dirichlet, e - e_above for
+    Neumann) and met by one source per EDGE node through the dense m x m
+    capacitance matrix B L^-1 P (Buzbee, Dorr, George & Golub, SIAM J.
+    Numer. Anal. 8, 1971); the gate checks them against ``A``.  The solve is iterative refinement
     (Moler, J. ACM 14, 1967) of at most two steps.  Each step adds the
     box solve L~^-1 r to x, sets the Dirichlet EDGE nodes to their
     pinned values and each Neumann EDGE node to its upper neighbour's,
@@ -250,7 +250,8 @@ def _sine_rows(m: int, idx) -> np.ndarray:
     """Rows ``idx`` of the orthonormal DST-I matrix S on m nodes.
 
     S[k, j] = sqrt(2/(m+1)) sin(pi (k+1)(j+1)/(m+1)) is symmetric, so row
-    i is the transform of the unit vector e_i.
+    i is the transform of the unit vector e_i; the formula's row m is
+    zero, and so is the row returned for idx = m.
     """
     unit = (np.arange(m) == np.reshape(idx, (-1, 1))).astype(float)
     return dst(unit, type=1, norm="ortho", overwrite_x=True)
@@ -266,6 +267,7 @@ def _second_difference_eigs(m: int, h: float) -> np.ndarray:
 def _box_solver(s: SparseSystem, edge: np.ndarray):
     """Solver for the interior-box rows of ``s``, the frame moved out.
 
+    The barrier rows come from ``bc``, not from the assembled entries.
     Returns (box_solve, spectrum).  ``box_solve`` maps a complex
     right-hand side on the interior box, whose EDGE entries are the
     constraint data g, to the solution there; it zeroes those entries of
@@ -290,20 +292,16 @@ def _box_solver(s: SparseSystem, edge: np.ndarray):
         spectrum += (f" and min|1 + c W| of its delta column "
                      f"{np.abs(secular).min():.1e}")
     if edge.size:
-        # the EDGE nodes sit on box row jb, box columns ib; row e of B is
-        # d_e e_e + u_e e_above, with u dropped below the top frame (the
-        # frame value already sits in g)
+        # the EDGE nodes sit on box row jb, box columns ib; in y-modes B
+        # reads S_y[jb] (Dirichlet) or S_y[jb] - S_y[jb + 1] (Neumann).
+        # Below the top frame _sine_rows gives row jb + 1 = my as zero:
+        # the frame value already sits in g
         jb, ib = edge[0] // p.nx - 1, edge % p.nx - 1
-        on = s.mask.ravel()[s.rows] == EDGE
-        r, cl, v = s.rows[on], s.cols[on], s.vals[on]
-        e = np.searchsorted(edge, r)
-        links = [cl == r] + ([cl == r + p.nx] if jb + 1 < my else [])
-        coef = np.array([np.bincount(e[k], v[k], minlength=edge.size)
-                         for k in links])
-        rows = _sine_rows(my, jb + np.arange(len(coef)))
+        sy, above = _sine_rows(my, [jb, jb + 1])
+        by = sy - above if p.bc == "neumann" else sy
         qi = _sine_rows(mx, ib)
         # capacitance matrix B L^-1 P, P injecting one source per EDGE node
-        gamma = coef.T @ (rows * rows[0])
+        gamma = by * sy
         cap = ((gamma @ inv) * qi) @ qi.T
         if delta.size:
             wb = W[:, ib]
@@ -319,12 +317,11 @@ def _box_solver(s: SparseSystem, edge: np.ndarray):
         h *= inv
         if edge.size:
             # sources sigma with B L^-1 (f + P sigma) = g
-            b_psi = (rows @ h) @ qi.T
+            b_psi = (by @ h) @ qi.T
             if delta.size:
-                b_psi -= (rows * (beta * (h @ s0))) @ wb
-            sigma = lu_solve(cap, g - (coef * b_psi).sum(axis=0),
-                             check_finite=False)
-            h += (rows[0][:, None] * inv) * (sigma @ qi)
+                b_psi -= (by * (beta * (h @ s0))) @ wb
+            sigma = lu_solve(cap, g - b_psi, check_finite=False)
+            h += (sy[:, None] * inv) * (sigma @ qi)
         t = dst(h, type=1, norm="ortho", axis=1, overwrite_x=True)
         if delta.size:
             t -= (beta * t[:, i0])[:, None] * W

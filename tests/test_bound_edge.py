@@ -58,8 +58,23 @@ def test_parameter_validation():
         be.kappa_lambda(1.0, 0.5, 0)
     with pytest.raises(ValueError):
         be.kappa_lambda(-1.0, 0.5, 1)
-    with pytest.raises(ValueError):
-        be.BoundEdgeField(params=be.make_params(1.0, 0.5, -1))
+    for alpha, k in ((1.0, 1.0), (0.0, 0.5), (-1.0, 0.5), (1.0, 0.0), (1.0, -0.5)):
+        with pytest.raises(ValueError):
+            be.make_field(alpha, k)
+        with pytest.raises(ValueError):
+            be.WaveguideParams(alpha=alpha, k=k)
+
+
+@pytest.mark.parametrize("alpha,k,name", [
+    (math.nan, 0.5, "alpha"), (math.inf, 0.5, "alpha"),
+    (1.0, math.nan, "k"), (1.0, math.inf, "k"), (-math.inf, 0.5, "alpha")])
+def test_non_finite_parameters_are_rejected(alpha, k, name):
+    # before evaluation, naming the parameter: erf_cx would otherwise
+    # meet the non-finite value deep inside the field
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+        be.kappa_lambda(alpha, k, 1)
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+        be.make_field(alpha, k)
 
 
 def test_frozen_point_values(field):

@@ -258,6 +258,25 @@ def test_refinement_stops_once_the_gate_holds(monkeypatch):
         assert res <= 1e-10 * np.linalg.norm(sys.rhs)
 
 
+def test_gate_ties_the_fast_solve_to_the_assembled_operator():
+    # the fast solve takes its barrier rows from bc, not from the
+    # assembled entries; a Neumann link changed from -1 to -0.5 in A
+    # alone is caught by the residual gate
+    g = sommerfeld.EdgeGeometry(a=0.0, bc="neumann")
+    p = ofd.FdProblem(x0=-3.0, y0=-3.0, dx=0.1, dy=0.1, nx=61, ny=61,
+                      E=4.0, edge_a=0.0, bc="neumann",
+                      boundary=lambda X, Y: sommerfeld.field_values(2.0, g, X, Y))
+    sys = ofd.assemble(p)
+    ofd.solve(sys)
+    tag = sys.mask.ravel()
+    link = np.flatnonzero((tag[sys.rows] == EDGE) & (sys.cols == sys.rows + p.nx))
+    assert link.size and np.all(sys.vals[link] == -1.0)
+    vals = sys.vals.copy()
+    vals[link[link.size // 2]] = -0.5
+    with pytest.raises(RuntimeError, match="exceeds"):
+        ofd.solve(dataclasses.replace(sys, vals=vals))
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 179])
 def test_sine_basis_is_symmetric_orthogonal_and_folds(m):
     # the orthonormal DST-I of the unit vectors is the dense sine matrix
@@ -269,6 +288,8 @@ def test_sine_basis_is_symmetric_orthogonal_and_folds(m):
     D = dst(np.eye(m), type=1, norm="ortho")
     assert np.abs(D - S).max() < 1e-15
     assert np.array_equal(ofd._sine_rows(m, np.arange(m)), D)
+    # the formula's row m, sin(pi (k+1)) = 0, comes back as zero
+    assert not ofd._sine_rows(m, [m]).any()
     # S is its own inverse, and complex input is split into its parts
     assert np.abs(dst(D, type=1, norm="ortho") - np.eye(m)).max() < 1e-14
     X = np.random.default_rng(m).standard_normal((2, m, m + 3))
