@@ -197,13 +197,13 @@ def solve(s: SparseSystem) -> FieldGrid:
     = g are built from ``bc`` (identity for Dirichlet, e - e_above for
     Neumann) and met by one source per EDGE node through the dense m x m
     capacitance matrix B L^-1 P (Buzbee, Dorr, George & Golub, SIAM J.
-    Numer. Anal. 8, 1971); the gate checks them against ``A``.  The solve is iterative refinement
-    (Moler, J. ACM 14, 1967) of at most two steps.  Each step adds the
-    box solve L~^-1 r to x, sets the Dirichlet EDGE nodes to their
-    pinned values and each Neumann EDGE node to its upper neighbour's,
-    bit for bit, then forms r = rhs - A x once, for the gate and as the
-    next step's right-hand side, and stops as soon as
-    ||r|| <= 1e-10 ||rhs||.  One step usually passes with a 10-100x
+    Numer. Anal. 8, 1971); the gate checks them against ``A``.  The solve
+    is iterative refinement (Moler, J. ACM 14, 1967) of at most two
+    steps.  Each step adds the box solve L~^-1 r to x, sets the Dirichlet
+    EDGE nodes to their pinned values and each Neumann EDGE node to its
+    upper neighbour's, bit for bit, then forms r = rhs - A x once, for
+    the gate and as the next step's right-hand side, and stops as soon
+    as ||r|| <= 1e-10 ||rhs||.  One step usually passes with a 10-100x
     margin; the 601^2 grid on [-3, 3]^2 needs the second.  Raises
     ``ValueError`` for non-finite ``rhs`` or coefficients,
     ``RuntimeError`` if the residual on the full complex system is not
