@@ -13,6 +13,7 @@ unknown command, flag or key, or a value that does not parse).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import bound_edge, criteria, green_perturbation, sommerfeld
 from .geometry import PlanePoint
-from .grid import build_mask, write_csv, FieldGrid
+from .grid import FieldGrid, tabulate, write_csv
 from .grid import _fmt as fmt
 
 _DEFAULTS = {
@@ -134,31 +135,32 @@ def _kv(record: dict) -> str:
     return "{" + ", ".join(parts) + "}"
 
 
-def _analytic_grid(cfg: dict) -> FieldGrid:
+def _closed_form(cfg: dict):
+    """(E, alpha, values) of the closed form ``mode`` names, where
+    ``values(X, Y)`` samples the field; the one place that reads ``mode``."""
+    k = cfg["k"]
     if cfg["mode"] == "sommerfeld":
         geom = sommerfeld.EdgeGeometry(a=cfg["a"], bc=cfg["bc"])
-        return sommerfeld.field_on_grid(
-            cfg["k"], geom, cfg["x0"], cfg["y0"], cfg["dx"], cfg["dy"],
-            cfg["nx"], cfg["ny"], C0=cfg["c0"])
+        return k * k, 0.0, lambda X, Y: sommerfeld.field_values(
+            k, geom, X, Y, C0=cfg["c0"])
     if cfg["mode"] == "bound":
-        if cfg["a"] != 0.0:
-            raise SystemExit(
-                "usage error: the bound closed form requires a = 0")
-        f = bound_edge.make_field(cfg["alpha"], cfg["k"], C0=cfg["c0"])
-        mask = build_mask(cfg["x0"], cfg["y0"], cfg["dx"], cfg["dy"],
-                          cfg["nx"], cfg["ny"], edge_a=0.0, delta_line=True)
-        xs = cfg["x0"] + cfg["dx"] * np.arange(cfg["nx"])
-        ys = cfg["y0"] + cfg["dy"] * np.arange(cfg["ny"])
-        X, Y = np.meshgrid(xs, ys)
-        vals = bound_edge.field_values(f, X, Y)
-        return FieldGrid(x0=cfg["x0"], y0=cfg["y0"], dx=cfg["dx"],
-                         dy=cfg["dy"], nx=cfg["nx"], ny=cfg["ny"],
-                         values=vals, mask=mask)
+        if cfg["a"] != 0.0 or cfg["bc"] != "dirichlet" or not cfg["alpha"] > 0:
+            raise SystemExit("usage error: the bound closed form requires "
+                             "a = 0, bc = dirichlet and alpha > 0")
+        f = bound_edge.make_field(cfg["alpha"], k, C0=cfg["c0"])
+        return f.params.E, cfg["alpha"], lambda X, Y: bound_edge.field_values(
+            f, X, Y)
     raise SystemExit(f"usage error: unknown mode {cfg['mode']!r}")
 
 
+def _analytic_grid(cfg: dict, alpha: float, values) -> FieldGrid:
+    return tabulate(values, cfg["x0"], cfg["y0"], cfg["dx"], cfg["dy"],
+                    cfg["nx"], cfg["ny"], edge_a=cfg["a"],
+                    delta_line=alpha != 0.0, dirichlet=cfg["bc"] == "dirichlet")
+
+
 def _cmd_field(cfg: dict) -> int:
-    grid = _analytic_grid(cfg)
+    grid = _analytic_grid(cfg, *_closed_form(cfg)[1:])
     out = cfg["out"] or "field.csv"
     write_csv(grid, out)
     print(f"wrote {out}")
@@ -166,15 +168,10 @@ def _cmd_field(cfg: dict) -> int:
 
 
 def _cmd_residual(cfg: dict) -> int:
-    grid = _analytic_grid(cfg)
-    E = cfg["k"] ** 2 if cfg["mode"] == "sommerfeld" \
-        else cfg["k"] ** 2 - cfg["alpha"] ** 2
+    E, alpha, values = _closed_form(cfg)
     k_eff = math.sqrt(E) if E >= 0 else 1j * math.sqrt(-E)
-    rep = sommerfeld.helmholtz_residual(grid, k_eff)
-    record = {"max_res": rep.max_res, "l2_res": rep.l2_res,
-              "n_nodes": rep.n_nodes, "dx": rep.dx, "dy": rep.dy,
-              "coarse_warning": rep.coarse_warning}
-    line = _kv(record)
+    rep = sommerfeld.helmholtz_residual(_analytic_grid(cfg, alpha, values), k_eff)
+    line = _kv(dataclasses.asdict(rep))
     print(line)
     if cfg["out"]:
         with open(cfg["out"], "w") as fh:
@@ -206,25 +203,12 @@ def _cmd_oracle(cfg: dict) -> int:
     # other command 0.2 s
     from . import oracle_fd
 
-    ana = _analytic_grid(cfg)
-    if cfg["mode"] == "sommerfeld":
-        E, alpha, edge_a = cfg["k"] ** 2, 0.0, cfg["a"]
-        geom = sommerfeld.EdgeGeometry(a=cfg["a"], bc=cfg["bc"])
-
-        def sampler(X, Y):
-            return sommerfeld.field_values(cfg["k"], geom, X, Y, C0=cfg["c0"])
-    else:
-        E = cfg["k"] ** 2 - cfg["alpha"] ** 2
-        alpha, edge_a = cfg["alpha"], 0.0
-        f = bound_edge.make_field(cfg["alpha"], cfg["k"], C0=cfg["c0"])
-
-        def sampler(X, Y):
-            return bound_edge.field_values(f, X, Y)
-
+    E, alpha, values = _closed_form(cfg)
+    ana = _analytic_grid(cfg, alpha, values)
     prob = oracle_fd.FdProblem(
         x0=cfg["x0"], y0=cfg["y0"], dx=cfg["dx"], dy=cfg["dy"],
-        nx=cfg["nx"], ny=cfg["ny"], E=E, alpha=alpha, edge_a=edge_a,
-        bc=cfg["bc"], boundary=sampler)
+        nx=cfg["nx"], ny=cfg["ny"], E=E, alpha=alpha, edge_a=cfg["a"],
+        bc=cfg["bc"], boundary=values)
     fd = oracle_fd.solve(oracle_fd.assemble(prob))
     rep = oracle_fd.compare(ana, fd, E=E)
     flat = {k2: v for k2, v in rep.items() if k2 != "quadrants"}
@@ -291,12 +275,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run(command: str, cfg: dict) -> int:
     """Dispatch a merged, validated config; returns the exit status."""
-    # alpha enters only the bound closed form, tail scans and verify
-    keys = ["k", "dx", "dy"]
-    if cfg["mode"] == "bound" or command in ("tail", "verify"):
-        keys.append("alpha")
-    for key in keys:
-        if not cfg[key] > 0:
+    # alpha must be positive only where it is read: the bound closed form
+    # (checked there), tail scans and verify
+    for key in ("k", "dx", "dy", "alpha"):
+        if not math.isfinite(cfg[key]):
+            raise SystemExit(f"usage error: {key} must be finite")
+        if not cfg[key] > 0 and (key != "alpha" or command in ("tail", "verify")):
             raise SystemExit(f"usage error: {key} must be positive")
     if cfg["nx"] < 2 or cfg["ny"] < 2:
         raise SystemExit("usage error: nx, ny must be >= 2")

@@ -120,6 +120,19 @@ def build_mask(x0, y0, dx, dy, nx, ny, edge_a=None, delta_line=False) -> np.ndar
     return mask
 
 
+def tabulate(values, x0, y0, dx, dy, nx, ny, edge_a, delta_line,
+             dirichlet) -> FieldGrid:
+    """Sample the field ``values(X, Y)`` on the lattice build_mask tags;
+    with ``dirichlet`` the barrier nodes are exact zeros, the field there."""
+    mask = build_mask(x0, y0, dx, dy, nx, ny, edge_a, delta_line)
+    X, Y = np.meshgrid(x0 + dx * np.arange(nx), y0 + dy * np.arange(ny))
+    vals = values(X, Y)
+    if dirichlet:
+        vals[mask == EDGE] = 0.0
+    return FieldGrid(x0=x0, y0=y0, dx=dx, dy=dy, nx=nx, ny=ny,
+                     values=vals, mask=mask)
+
+
 def dilate(mask: np.ndarray, cells: int, square: bool) -> np.ndarray:
     """Boolean mask grown by ``cells`` nodes; nothing enters from outside.
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import half_chart, polar, rotation
-from .grid import EDGE, DELTA_LINE, FieldGrid, build_mask, dilate
+from .grid import EDGE, DELTA_LINE, FieldGrid, dilate, tabulate
 from .specfun import fresnel_F_array
 
 __all__ = [
@@ -88,8 +88,8 @@ def two_term(k: float, kappa: complex, lam: complex, a: float, X, Y,
 
 def field_values(k: float, geom: EdgeGeometry, X, Y, C0: complex = 1.0) -> np.ndarray:
     """Vectorized field evaluation (tip included; the value there is 0)."""
-    if k <= 0:
-        raise ValueError("k must be positive")
+    if not 0 < k < np.inf:
+        raise ValueError(f"k must be positive and finite, got {k!r}")
     return C0 * two_term(k, k, 0.0, geom.a, X, Y,
                          -1 if geom.bc == _DIRICHLET else 1)
 
@@ -97,22 +97,12 @@ def field_values(k: float, geom: EdgeGeometry, X, Y, C0: complex = 1.0) -> np.nd
 def field_on_grid(k: float, geom: EdgeGeometry, x0: float, y0: float,
                   dx: float, dy: float, nx: int, ny: int,
                   C0: complex = 1.0) -> FieldGrid:
-    """Evaluate the field on a lattice; edge-masked nodes are set per bc.
-
-    For Dirichlet the masked nodes are written as exact zeros (the
-    analytic value there); for Neumann they keep the evaluated upper-face
-    value.  A barrier ray that does not lie on the lattice raises
-    ``ValueError`` (from build_mask).
-    """
-    xs = x0 + dx * np.arange(nx)
-    ys = y0 + dy * np.arange(ny)
-    X, Y = np.meshgrid(xs, ys)
-    mask = build_mask(x0, y0, dx, dy, nx, ny, edge_a=geom.a)
-    vals = field_values(k, geom, X, Y, C0)
-    if geom.bc == _DIRICHLET:
-        vals[mask == EDGE] = 0.0
-    return FieldGrid(x0=x0, y0=y0, dx=dx, dy=dy, nx=nx, ny=ny,
-                     values=vals, mask=mask)
+    """Tabulate the field: Dirichlet barrier nodes are exact zeros (the
+    analytic value there), Neumann ones keep the upper-face value.  A
+    barrier ray off the lattice raises ``ValueError`` (from build_mask)."""
+    return tabulate(lambda X, Y: field_values(k, geom, X, Y, C0),
+                    x0, y0, dx, dy, nx, ny, edge_a=geom.a, delta_line=False,
+                    dirichlet=geom.bc == _DIRICHLET)
 
 
 @dataclass(frozen=True)

@@ -89,22 +89,33 @@ def test_tail_summary_record(tmp_path, capsys):
     assert len(lines) == 6
 
 
-def test_residual_record(capsys):
-    code, stdout, _ = run_cli(capsys, "residual", "--nx=61", "--ny=61",
-                              "--dx=0.1", "--dy=0.1", "--x0=-3", "--y0=-3")
+_RECORD_CASES = pytest.mark.parametrize("mode_args,E", [
+    pytest.param((), 4.0, id="sommerfeld"),
+    pytest.param(("--mode=bound", "--alpha=1", "--k=0.5"), -0.75, id="bound"),
+])
+_RECORD_GRID = ("--nx=61", "--ny=61", "--dx=0.1", "--dy=0.1", "--x0=-3",
+                "--y0=-3", "--k=2")
+
+
+@_RECORD_CASES
+def test_residual_record(capsys, mode_args, E):
+    code, stdout, _ = run_cli(capsys, "residual", *_RECORD_GRID, *mode_args)
     assert code == 0
     rec = json.loads(stdout.splitlines()[0])
     assert {"max_res", "l2_res", "n_nodes", "dx", "dy"} <= set(rec)
+    assert list(rec) == ["max_res", "l2_res", "n_nodes", "dx", "dy",
+                         "coarse_warning"]
 
 
-def test_oracle_record(capsys):
-    code, stdout, _ = run_cli(capsys, "oracle", "--nx=61", "--ny=61",
-                              "--dx=0.1", "--dy=0.1", "--x0=-3", "--y0=-3",
-                              "--k=2")
+@_RECORD_CASES
+def test_oracle_record(capsys, mode_args, E):
+    code, stdout, _ = run_cli(capsys, "oracle", *_RECORD_GRID, *mode_args)
     assert code == 0
     rec = json.loads(stdout.splitlines()[0])
-    assert rec["l2_rel"] < 0.05
-    assert rec["E"] == 4.0
+    assert rec["E"] == E
+    # the bound l2_rel measures the two-branch seam, so it is not pinned
+    if not mode_args:
+        assert rec["l2_rel"] < 0.05
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):
@@ -137,6 +148,23 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         assert "unrecognized arguments" in err
     assert run_cli(capsys, "field", "--nx=oops")[0] == 2
     assert run_cli(capsys, "field", "--mode=bound", "--a=0.5")[0] == 2
+    # the bound closed form is the Dirichlet field: no Neumann comparison
+    for cmd in ("field", "oracle"):
+        code, _, err = run_cli(capsys, cmd, "--mode=bound", "--bc=neumann",
+                               "--alpha=1", "--k=0.5", "--nx=101", "--ny=101",
+                               "--dx=0.06", "--dy=0.06",
+                               f"--out={tmp_path / 'never.csv'}")
+        assert code == 2
+        assert "bc = dirichlet" in err
+    # non-finite numbers are usage errors naming the key, alpha included
+    # where it is not read
+    for key in ("k", "dx", "dy", "alpha"):
+        for value in ("inf", "-inf", "nan"):
+            code, _, err = run_cli(capsys, "field", f"--{key}={value}",
+                                   f"--out={tmp_path / 'never.csv'}")
+            assert code == 2
+            assert err.startswith(f"usage error: {key} must be ")
+    assert not (tmp_path / "never.csv").exists()
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("unknown_key=3\n")
     assert run_cli(capsys, "field", f"--config={cfg}")[0] == 2

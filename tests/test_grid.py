@@ -46,6 +46,22 @@ def test_edge_wins_over_delta_at_crossing():
     assert m[4, 4] == gr.EDGE
 
 
+@pytest.mark.parametrize("dirichlet", [True, False])
+def test_tabulate_samples_and_zeroes_dirichlet_barrier(dirichlet):
+    def values(X, Y):
+        return X + 1j * Y + 5.0
+
+    g = gr.tabulate(values, -1.0, -1.0, 0.25, 0.25, 9, 9, edge_a=0.25,
+                    delta_line=True, dirichlet=dirichlet)
+    assert np.array_equal(g.mask, gr.build_mask(
+        -1.0, -1.0, 0.25, 0.25, 9, 9, edge_a=0.25, delta_line=True))
+    X, Y = g.meshes()
+    edge = g.mask == gr.EDGE
+    assert np.array_equal(g.values[~edge], values(X, Y)[~edge])
+    want = 0.0 if dirichlet else values(X, Y)[edge]
+    assert np.array_equal(g.values[edge], np.broadcast_to(want, edge.sum()))
+
+
 def test_misaligned_feature_raises():
     with pytest.raises(ValueError):
         gr.build_mask(-1.0, -1.0, 0.25, 0.25, 9, 9, edge_a=0.1)

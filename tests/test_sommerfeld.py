@@ -53,6 +53,11 @@ def test_bad_inputs():
     g = sommerfeld.EdgeGeometry(a=1.0)
     with pytest.raises(ValueError):
         sommerfeld.field_values(0.0, g, 2.0, 1.0)
+    # rejected before evaluation, naming k: the Fresnel route would
+    # otherwise meet the non-finite phase with RuntimeWarnings
+    for k in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="^k must be positive and finite"):
+            sommerfeld.field_values(k, g, 2.0, 1.0)
     assert sommerfeld.field_values(2.0, g, 1.0, 0.0) == 0.0   # the tip
     with pytest.raises(ValueError):
         sommerfeld.EdgeGeometry(a=0.0, bc="absorbing")
