@@ -102,6 +102,12 @@ __all__ = [
     "ray_defect",
 ]
 
+def _check_alpha_k(alpha: float, k: float) -> None:
+    for name, v in (("alpha", alpha), ("k", k)):
+        if not (math.isfinite(v) and v > 0):
+            raise ValueError(f"{name} must be positive and finite, got {v!r}")
+
+
 def kappa_lambda(alpha: float, k: float, eps: int) -> tuple[complex, complex]:
     """Solve the defining products for (kappa, lambda).
 
@@ -111,9 +117,7 @@ def kappa_lambda(alpha: float, k: float, eps: int) -> tuple[complex, complex]:
     its exact negation for eps = -1; the branch keeps exp(-iky)F(xi)
     bounded on the physical sheet.
     """
-    for name, v in (("alpha", alpha), ("k", k)):
-        if not (math.isfinite(v) and v > 0):
-            raise ValueError(f"{name} must be positive and finite, got {v!r}")
+    _check_alpha_k(alpha, k)
     if k == alpha:
         raise ValueError("k = alpha is the branch point between the regimes")
     if eps not in (1, -1):
@@ -149,15 +153,14 @@ class WaveguideParams:
 
 @dataclass(frozen=True)
 class BoundEdgeField:
-    """Closed-form field configuration (tip fixed at the origin): the
-    guided-mode parameters and the amplitude C0 of the field."""
+    """Closed-form field configuration (tip fixed at the origin, unit
+    amplitude): the guided-mode parameters."""
 
     params: WaveguideParams
-    C0: complex = 1.0
 
 
-def make_field(alpha: float, k: float, C0: complex = 1.0) -> BoundEdgeField:
-    return BoundEdgeField(params=WaveguideParams(alpha=alpha, k=k), C0=C0)
+def make_field(alpha: float, k: float) -> BoundEdgeField:
+    return BoundEdgeField(params=WaveguideParams(alpha=alpha, k=k))
 
 
 def branch_field_values(f: BoundEdgeField, X, Y, eps: int) -> np.ndarray:
@@ -172,7 +175,7 @@ def branch_field_values(f: BoundEdgeField, X, Y, eps: int) -> np.ndarray:
     alpha, k = f.params.alpha, f.params.k
     kap, lam = kappa_lambda(alpha, k, eps)
     envelope = np.exp(-alpha * np.abs(X))
-    return f.C0 * envelope * two_term(k, kap, lam, 0.0, X, Y, -1)
+    return envelope * two_term(k, kap, lam, 0.0, X, Y, -1)
 
 
 def field_values(f: BoundEdgeField, X, Y) -> np.ndarray:
@@ -202,10 +205,7 @@ _TIP_PANELS = 12       # default uniform panels over the tip stretch
 
 def _trapped_kappa(alpha: float, k: float) -> float:
     """kappa = sqrt(alpha^2 - k^2) > 0, after checking 0 < k < alpha."""
-    if not (math.isfinite(alpha) and alpha > 0):
-        raise ValueError("alpha must be positive")
-    if not (math.isfinite(k) and k > 0):
-        raise ValueError("k must be positive")
+    _check_alpha_k(alpha, k)
     if k >= alpha:
         raise ValueError("only the trapped regime 0 < k < alpha (E < 0) "
                          "is supported")

@@ -5,9 +5,11 @@ All numeric output uses fixed 17-significant-digit scientific notation so
 identical configs produce byte-identical artifacts.  Flags use the
 ``--key=value`` form with the key spelled out (no abbreviations); the
 same keys may be given in a plain ``key=value`` config file (one per
-line, ``#`` comments), with precedence flag > file > default.  Exit
-status: 0 all checks passed, 1 numerical failure, 2 usage error (an
-unknown command, flag or key, or a value that does not parse).
+line, ``#`` comments), with precedence flag > file > default.  Each
+command takes only the keys it reads.  Exit status: 0 all checks
+passed, 1 numerical failure, 2 usage error (an unknown command, a flag
+or key the command does not read, or a value that does not parse or is
+not one of its choices).
 """
 
 from __future__ import annotations
@@ -24,35 +26,44 @@ from .geometry import PlanePoint
 from .grid import FieldGrid, tabulate, write_csv
 from .grid import _fmt as fmt
 
-_DEFAULTS = {
+# each command's keys, with their defaults
+_GRID_KEYS = {
     "mode": "sommerfeld",
     "alpha": 1.0,
     "k": 2.0,
     "a": 0.0,
     "bc": "dirichlet",
-    "c0": 1.0,
     "x0": -3.0,
     "y0": -3.0,
     "dx": 0.03,
     "dy": 0.03,
     "nx": 201,
     "ny": 201,
+    "out": None,
+}
+_TAIL_KEYS = {
+    "alpha": 1.0,
+    "k": None,          # alpha/2: the scan lives in the trapped regime
     "lam": 1.0,
     "a_list": "1:0.5:3",
     "probe_x": 0.0,
-    "probe_y": None,
+    "probe_y": None,    # -12/alpha
     "out": None,
 }
+_VERIFY_KEYS = {"alpha": 1.0, "k": 2.0, "a": 0.0, "out": None}
 
-_TYPES = {
-    "mode": str, "bc": str, "a_list": str, "out": str,
-    "nx": int, "ny": int,
-}
+_TYPES = {"a_list": str, "out": str, "nx": int, "ny": int}
+_CHOICES = {"mode": ("sommerfeld", "bound"), "bc": ("dirichlet", "neumann")}
 
 _A_RANGE_STEPS = 1000   # steps one start:step:stop range of a_list may span
 
 
 def _coerce(key: str, raw: str):
+    if key in _CHOICES:
+        if raw not in _CHOICES[key]:
+            raise SystemExit(f"usage error: {key} must be one of "
+                             f"{', '.join(_CHOICES[key])}, got {raw!r}")
+        return raw
     ty = _TYPES.get(key, float)
     try:
         return ty(raw)
@@ -60,7 +71,7 @@ def _coerce(key: str, raw: str):
         raise SystemExit(f"usage error: bad value for {key}: {raw!r}") from exc
 
 
-def _read_config_file(path: str) -> dict:
+def _read_config_file(path: str, keys) -> dict:
     cfg = {}
     try:
         with open(path) as fh:
@@ -72,7 +83,7 @@ def _read_config_file(path: str) -> dict:
                     raise SystemExit(
                         f"usage error: {path}:{lineno}: expected key=value")
                 key, raw = (s.strip() for s in line.split("=", 1))
-                if key not in _DEFAULTS:
+                if key not in keys:
                     raise SystemExit(f"usage error: unknown config key {key!r}")
                 cfg[key] = _coerce(key, raw)
     except OSError as exc:
@@ -105,18 +116,13 @@ def _parse_a_list(spec: str) -> list[float]:
 
 
 def _merge(args: argparse.Namespace) -> dict:
-    cfg = dict(_DEFAULTS)
-    explicit = set()
+    cfg = dict(_COMMANDS[args.command][1])
     if args.config:
-        file_cfg = _read_config_file(args.config)
-        cfg.update(file_cfg)
-        explicit |= set(file_cfg)
-    for key in _DEFAULTS:
-        val = getattr(args, key, None)
+        cfg.update(_read_config_file(args.config, cfg))
+    for key in cfg:
+        val = getattr(args, key)
         if val is not None:
             cfg[key] = _coerce(key, val)
-            explicit.add(key)
-    cfg["_explicit"] = explicit
     return cfg
 
 
@@ -139,18 +145,15 @@ def _closed_form(cfg: dict):
     """(E, alpha, values) of the closed form ``mode`` names, where
     ``values(X, Y)`` samples the field; the one place that reads ``mode``."""
     k = cfg["k"]
-    if cfg["mode"] == "sommerfeld":
-        geom = sommerfeld.EdgeGeometry(a=cfg["a"], bc=cfg["bc"])
-        return k * k, 0.0, lambda X, Y: sommerfeld.field_values(
-            k, geom, X, Y, C0=cfg["c0"])
     if cfg["mode"] == "bound":
         if cfg["a"] != 0.0 or cfg["bc"] != "dirichlet" or not cfg["alpha"] > 0:
             raise SystemExit("usage error: the bound closed form requires "
                              "a = 0, bc = dirichlet and alpha > 0")
-        f = bound_edge.make_field(cfg["alpha"], k, C0=cfg["c0"])
+        f = bound_edge.make_field(cfg["alpha"], k)
         return f.params.E, cfg["alpha"], lambda X, Y: bound_edge.field_values(
             f, X, Y)
-    raise SystemExit(f"usage error: unknown mode {cfg['mode']!r}")
+    geom = sommerfeld.EdgeGeometry(a=cfg["a"], bc=cfg["bc"])
+    return k * k, 0.0, lambda X, Y: sommerfeld.field_values(k, geom, X, Y)
 
 
 def _analytic_grid(cfg: dict, alpha: float, values) -> FieldGrid:
@@ -181,9 +184,7 @@ def _cmd_residual(cfg: dict) -> int:
 
 def _cmd_tail(cfg: dict) -> int:
     alpha = cfg["alpha"]
-    # the global default k targets the open regime; the scan lives in the
-    # trapped one, so an unset k falls back to alpha/2
-    k = cfg["k"] if "k" in cfg.get("_explicit", ()) else 0.5 * alpha
+    k = cfg["k"] if cfg["k"] is not None else 0.5 * alpha
     if not 0 < k < alpha:
         raise SystemExit("usage error: tail scan needs 0 < k < alpha")
     probe_y = cfg["probe_y"] if cfg["probe_y"] is not None else -12.0 / alpha
@@ -248,11 +249,11 @@ def _cmd_verify(cfg: dict) -> int:
 
 
 _COMMANDS = {
-    "field": _cmd_field,
-    "residual": _cmd_residual,
-    "verify": _cmd_verify,
-    "tail": _cmd_tail,
-    "oracle": _cmd_oracle,
+    "field": (_cmd_field, _GRID_KEYS),
+    "residual": (_cmd_residual, _GRID_KEYS),
+    "verify": (_cmd_verify, _VERIFY_KEYS),
+    "tail": (_cmd_tail, _TAIL_KEYS),
+    "oracle": (_cmd_oracle, _GRID_KEYS),
 }
 
 
@@ -264,11 +265,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Waveguide-edge diffraction fields, verification suite, "
                     "tail scans and finite-difference oracle runs.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, keys) in _COMMANDS.items():
         sp = sub.add_parser(name, allow_abbrev=False)
         sp.add_argument("--config", default=None,
                         help="key=value file; flags override it")
-        for key in _DEFAULTS:
+        for key in keys:
             sp.add_argument(f"--{key}", default=None)
     return parser
 
@@ -276,15 +277,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(command: str, cfg: dict) -> int:
     """Dispatch a merged, validated config; returns the exit status."""
     # alpha must be positive only where it is read: the bound closed form
-    # (checked there), tail scans and verify
+    # (checked there), tail scans and verify; tail's unset k is alpha/2
     for key in ("k", "dx", "dy", "alpha"):
+        if cfg.get(key) is None:
+            continue
         if not math.isfinite(cfg[key]):
             raise SystemExit(f"usage error: {key} must be finite")
         if not cfg[key] > 0 and (key != "alpha" or command in ("tail", "verify")):
             raise SystemExit(f"usage error: {key} must be positive")
-    if cfg["nx"] < 2 or cfg["ny"] < 2:
+    if "nx" in cfg and (cfg["nx"] < 2 or cfg["ny"] < 2):
         raise SystemExit("usage error: nx, ny must be >= 2")
-    return _COMMANDS[command](cfg)
+    return _COMMANDS[command][0](cfg)
 
 
 def main(argv=None) -> int:

@@ -10,8 +10,8 @@ On the ray the IEEE sign of the zero in y picks the face: y = +0.0 is
 the top face, y = -0.0 the bottom one.  This module is the only place
 that makes that decision.
 
-The rotated chart (:func:`bound_pair`) takes phi to phi - i*lambda with a
-complex rotation parameter lambda:
+The rotated chart (:func:`rotated_pair`) takes phi to phi - i*lambda with
+a complex rotation parameter lambda:
 
     xi  = sqrt(r/2) (cos A + sin A),  eta = sqrt(r/2) (cos A - sin A),
     A   = (phi - i*lambda) / 2,
@@ -32,9 +32,7 @@ import numpy as np
 __all__ = [
     "PlanePoint",
     "polar",
-    "half_chart",
-    "rotation",
-    "bound_pair",
+    "rotated_pair",
 ]
 
 
@@ -62,32 +60,23 @@ def polar(X, Y, a: float = 0.0):
     return np.hypot(U, V), np.where(np.signbit(phi), phi + 2.0 * math.pi, phi)
 
 
-def half_chart(r, phi):
-    """(rc, rs) = sqrt(r/2) (cos(phi/2), sin(phi/2)), the real halves of the chart.
+def rotated_pair(r, phi, lam: complex):
+    """(xi_lam, eta_{-lam}) = (p rc + q rs, p rc - q rs) for arrays of (r, phi).
 
-    The real chart is xi = rc + rs, eta = rc - rs; the rotated one mixes
-    the same two arrays with the scalars of :func:`rotation`.
+    rc, rs = sqrt(r/2) (cos(phi/2), sin(phi/2)) are the real halves of
+    the chart and (p, q) = (cosh(lam/2) - i sinh(lam/2), cosh(lam/2) +
+    i sinh(lam/2)).  With A = (phi - i*lam)/2 and c, s the cos and sin of
+    phi/2, cos A + sin A = p c + q s and cos A - sin A = q c - p s, so
+    the rotated chart needs no trigonometry on arrays beyond the real
+    one; negating lam swaps p and q, which gives eta_{-lam}.  This is
+    the pair the two-term field takes.  On both faces of the ray (rs = 0)
+    xi_lam = eta_{-lam} for every lam, and for real lam eta_{-lam} is
+    conj(eta_lam).  At lam = 0 it is the real chart (rc + rs, rc - rs).
     """
     half = 0.5 * np.asarray(phi)
     root = np.sqrt(np.asarray(r) / 2.0)
-    return root * np.cos(half), root * np.sin(half)
-
-
-def rotation(lam: complex) -> tuple[complex, complex]:
-    """(p, q) = (cosh(lam/2) - i sinh(lam/2), cosh(lam/2) + i sinh(lam/2)).
-
-    With A = (phi - i*lam)/2 and c, s the cos and sin of phi/2,
-    cos A + sin A = p c + q s and cos A - sin A = q c - p s, so the
-    rotated chart needs no trigonometry on arrays beyond the real one of
-    :func:`half_chart`.  Negating lam swaps p and q.
-    """
+    rc, rs = root * np.cos(half), root * np.sin(half)
     ch, sh = cmath.cosh(0.5 * lam), cmath.sinh(0.5 * lam)
-    return ch - 1j * sh, ch + 1j * sh
-
-
-def bound_pair(r, phi, lam: complex):
-    """Rotated-chart pair (xi, eta) = (p rc + q rs, q rc - p rs) for arrays
-    of (r, phi)."""
-    rc, rs = half_chart(r, phi)
-    p, q = rotation(lam)
-    return p * rc + q * rs, q * rc - p * rs
+    p, q = ch - 1j * sh, ch + 1j * sh
+    prc, qrs = p * rc, q * rs
+    return prc + qrs, prc - qrs

@@ -3,7 +3,7 @@
 The field for a unit-amplitude wave incident along the -y direction on
 the barrier {y = 0, x >= a} is
 
-    psi(x, y) = C0 * [exp(-iky) F(xi) - exp(+iky) F(eta)]     (Dirichlet)
+    psi(x, y) = exp(-iky) F(xi) - exp(+iky) F(eta)     (Dirichlet)
 
 with F the half-line Fresnel-type integral (specfun) and (xi, eta) the
 parabolic coordinates about the tip (geometry).  On the barrier ray the
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import half_chart, polar, rotation
+from .geometry import polar, rotated_pair
 from .grid import EDGE, DELTA_LINE, FieldGrid, dilate, tabulate
 from .specfun import fresnel_F_array
 
@@ -69,38 +69,33 @@ def two_term(k: float, kappa: complex, lam: complex, a: float, X, Y,
              sign: int) -> np.ndarray:
     """exp(-iky) F(xi_lam; kappa) + sign * exp(+iky) F(eta_{-lam}; kappa).
 
-    (xi, eta) is the rotated chart about the tip (a, 0), built once per
-    point from geometry.half_chart and geometry.rotation:
-    xi_lam = p rc + q rs and eta_{-lam} = p rc - q rs.  At lambda = 0
+    (xi_lam, eta_{-lam}) is the rotated chart about the tip (a, 0),
+    built once per point by geometry.rotated_pair.  At lambda = 0
     both have zero imaginary part, so a real kappa takes specfun's
     Fresnel route.  k is real, so the second y-phase is the conjugate
     of the first.  On both faces of the ray xi_lam = eta_{-lam} for
     every lambda, so with sign = -1 the two terms cancel there.  The tip
     gives F(0) - F(0) = 0.
     """
-    rc, rs = half_chart(*polar(X, Y, a))
-    p, q = rotation(lam)
-    prc, qrs = p * rc, q * rs
+    xi, eta = rotated_pair(*polar(X, Y, a), lam)
     phase = np.exp(-1j * k * np.asarray(Y, dtype=float))
-    return (phase * fresnel_F_array(kappa, prc + qrs)
-            + sign * phase.conj() * fresnel_F_array(kappa, prc - qrs))
+    return (phase * fresnel_F_array(kappa, xi)
+            + sign * phase.conj() * fresnel_F_array(kappa, eta))
 
 
-def field_values(k: float, geom: EdgeGeometry, X, Y, C0: complex = 1.0) -> np.ndarray:
+def field_values(k: float, geom: EdgeGeometry, X, Y) -> np.ndarray:
     """Vectorized field evaluation (tip included; the value there is 0)."""
     if not 0 < k < np.inf:
         raise ValueError(f"k must be positive and finite, got {k!r}")
-    return C0 * two_term(k, k, 0.0, geom.a, X, Y,
-                         -1 if geom.bc == _DIRICHLET else 1)
+    return two_term(k, k, 0.0, geom.a, X, Y, -1 if geom.bc == _DIRICHLET else 1)
 
 
 def field_on_grid(k: float, geom: EdgeGeometry, x0: float, y0: float,
-                  dx: float, dy: float, nx: int, ny: int,
-                  C0: complex = 1.0) -> FieldGrid:
+                  dx: float, dy: float, nx: int, ny: int) -> FieldGrid:
     """Tabulate the field: Dirichlet barrier nodes are exact zeros (the
     analytic value there), Neumann ones keep the upper-face value.  A
     barrier ray off the lattice raises ``ValueError`` (from build_mask)."""
-    return tabulate(lambda X, Y: field_values(k, geom, X, Y, C0),
+    return tabulate(lambda X, Y: field_values(k, geom, X, Y),
                     x0, y0, dx, dy, nx, ny, edge_a=geom.a, delta_line=False,
                     dirichlet=geom.bc == _DIRICHLET)
 

@@ -280,6 +280,8 @@ def test_exact_solver_rejects_bad_input(exact):
     for alpha, k in ((0.0, 0.5), (-1.0, 0.5), (1.0, 0.0), (1.0, -0.5)):
         with pytest.raises(ValueError):
             be.solve_scattering(alpha, k)
+    with pytest.raises(ValueError, match="^alpha must be positive and finite, got nan"):
+        be.solve_scattering(math.nan, 0.5)
     with pytest.raises(ValueError):
         be.solve_scattering(1.0, 0.5, panels=3)
     with pytest.raises(ValueError, match="tip"):

@@ -164,10 +164,29 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                                    f"--out={tmp_path / 'never.csv'}")
             assert code == 2
             assert err.startswith(f"usage error: {key} must be ")
+    # each command takes only the keys it reads, and mode and bc only
+    # their named values
+    for argv in (("verify", "--mode=bogus"), ("verify", "--bc=absorbing"),
+                 ("verify", "--nx=7"), ("tail", "--dx=9"),
+                 ("field", "--c0=2")):
+        code, _, err = run_cli(capsys, *argv, f"--out={tmp_path / 'never.csv'}")
+        assert code == 2
+        assert "unrecognized arguments" in err
+    for argv, key in ((("field", "--bc=absorbing"), "bc"),
+                      (("oracle", "--mode=bogus"), "mode")):
+        code, _, err = run_cli(capsys, *argv, f"--out={tmp_path / 'never.csv'}")
+        assert code == 2
+        assert err.startswith(f"usage error: {key} must be one of ")
     assert not (tmp_path / "never.csv").exists()
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("unknown_key=3\n")
     assert run_cli(capsys, "field", f"--config={cfg}")[0] == 2
+    cfg.write_text("nx=41\n")
+    code, _, err = run_cli(capsys, "verify", f"--config={cfg}")
+    assert code == 2
+    assert err.startswith("usage error: unknown config key 'nx'")
+    cfg.write_text("bc=absorbing\n")
+    assert run_cli(capsys, "residual", f"--config={cfg}")[0] == 2
 
 
 def test_numerical_failure_exits_1(capsys):

@@ -12,7 +12,7 @@ from edgewave.geometry import PlanePoint
 def _real_chart(x, y, a=0.0):
     # the real chart is the rotated one at lambda = 0
     r, phi = geometry.polar(x, y, a)
-    xi, eta = geometry.bound_pair(r, phi, 0.0)
+    xi, eta = geometry.rotated_pair(r, phi, 0.0)
     return float(r), float(phi), float(xi.real), float(eta.real)
 
 
@@ -60,7 +60,7 @@ def test_rotated_chart_reduces_to_real_chart():
     for _ in range(100):
         r = rng.uniform(1e-3, 9.0)
         phi = rng.uniform(0.0, 2 * math.pi)
-        xi, eta = geometry.bound_pair(r, phi, 0.0)
+        xi, eta = geometry.rotated_pair(r, phi, 0.0)
         chi = phi - 0.5 * math.pi
         assert abs(xi - math.sqrt(r) * math.cos(chi / 2)) < 1e-12
         assert abs(eta - (-math.sqrt(r) * math.sin(chi / 2))) < 1e-12
@@ -74,7 +74,9 @@ def test_rotated_chart_product_identities():
         r = rng.uniform(1e-3, 9.0)
         phi = rng.uniform(0.0, 2 * math.pi)
         lam = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        xi, eta = geometry.bound_pair(r, phi, lam)
+        # eta_lam is the second half of the pair at -lam
+        xi, _ = geometry.rotated_pair(r, phi, lam)
+        _, eta = geometry.rotated_pair(r, phi, -lam)
         d = xi * xi - eta * eta
         assert abs(d - r * np.sin(phi - 1j * lam)) < 1e-10 * (1 + r) * np.cosh(2.0)
         assert abs(4 * xi * xi * eta * eta + d * d - r * r) < 1e-9 * (1 + r * r) * np.cosh(4.0)
@@ -87,7 +89,8 @@ def test_conjugation_on_both_faces():
         r = rng.uniform(1e-3, 10.0)
         lam = rng.uniform(-2.0, 2.0)
         for phi in (0.0, 2 * math.pi):
-            xi, eta = geometry.bound_pair(r, phi, lam)
+            xi, _ = geometry.rotated_pair(r, phi, lam)
+            _, eta = geometry.rotated_pair(r, phi, -lam)
             assert abs(xi - np.conj(eta)) <= 1e-12 * (1 + math.sqrt(r))
 
 
@@ -99,7 +102,6 @@ def test_cross_branch_matching_on_faces():
         r = rng.uniform(1e-3, 10.0)
         lam = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         for phi in (0.0, 2 * math.pi):
-            xi_p, _ = geometry.bound_pair(r, phi, lam)
-            _, eta_m = geometry.bound_pair(r, phi, -lam)
+            xi_p, eta_m = geometry.rotated_pair(r, phi, lam)
             assert abs(xi_p - eta_m) < 1e-11 * (1 + math.sqrt(r)) * np.cosh(2.0)
 
