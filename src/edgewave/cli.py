@@ -6,10 +6,10 @@ identical configs produce byte-identical artifacts.  Flags use the
 ``--key=value`` form with the key spelled out (no abbreviations); the
 same keys may be given in a plain ``key=value`` config file (one per
 line, ``#`` comments), with precedence flag > file > default.  Each
-command takes only the keys it reads.  Exit status: 0 all checks
-passed, 1 numerical failure, 2 usage error (an unknown command, a flag
-or key the command does not read, or a value that does not parse or is
-not one of its choices).
+command takes only the keys it reads, and each key admits the values its
+parser states.  Exit status: 0 all checks passed, 1 numerical failure,
+2 usage error (an unknown command, a flag or key the command does not
+read, or a value outside its key's values).
 """
 
 from __future__ import annotations
@@ -26,52 +26,85 @@ from .geometry import PlanePoint
 from .grid import FieldGrid, tabulate, write_csv
 from .grid import _fmt as fmt
 
-# each command's keys, with their defaults
-_GRID_KEYS = {
-    "mode": "sommerfeld",
-    "alpha": 1.0,
-    "k": 2.0,
-    "a": 0.0,
-    "bc": "dirichlet",
-    "x0": -3.0,
-    "y0": -3.0,
-    "dx": 0.03,
-    "dy": 0.03,
-    "nx": 201,
-    "ny": 201,
-    "out": None,
-}
-_TAIL_KEYS = {
-    "alpha": 1.0,
-    "k": None,          # alpha/2: the scan lives in the trapped regime
-    "lam": 1.0,
-    "a_list": "1:0.5:3",
-    "probe_x": 0.0,
-    "probe_y": None,    # -12/alpha
-    "out": None,
-}
-_VERIFY_KEYS = {"alpha": 1.0, "k": 2.0, "a": 0.0, "out": None}
-
-_TYPES = {"a_list": str, "out": str, "nx": int, "ny": int}
-_CHOICES = {"mode": ("sommerfeld", "bound"), "bc": ("dirichlet", "neumann")}
-
 _A_RANGE_STEPS = 1000   # steps one start:step:stop range of a_list may span
 
 
-def _coerce(key: str, raw: str):
-    if key in _CHOICES:
-        if raw not in _CHOICES[key]:
-            raise SystemExit(f"usage error: {key} must be one of "
-                             f"{', '.join(_CHOICES[key])}, got {raw!r}")
-        return raw
-    ty = _TYPES.get(key, float)
+def _parse_a_list(spec: str) -> list[float]:
+    """Accept 'start:step:stop' (inclusive) or a comma-separated list of
+    finite numbers; ValueError for anything else."""
+    is_range = ":" in spec
+    values = [float(p) for p in spec.split(":" if is_range else ",")]
+    if not all(map(math.isfinite, values)):
+        raise ValueError(spec)
+    if not is_range:
+        return values
+    start, step, stop = values            # ValueError unless three
+    # counted before it is built; the span is inf for a subnormal step
+    if not (step > 0 and stop >= start
+            and (stop - start) / step <= _A_RANGE_STEPS):
+        raise ValueError(spec)
+    n = int((stop - start) / step + 1e-9) + 1
+    return [start + i * step for i in range(n)]
+
+
+# the values a key admits: (what they are, conversion, test of the result)
+_FINITE = ("a finite number", float, math.isfinite)
+_POSITIVE = ("a positive finite number", float, lambda v: 0 < v < math.inf)
+_NON_NEGATIVE = ("a finite number >= 0", float, lambda v: 0 <= v < math.inf)
+_COUNT = ("an integer >= 2", int, lambda n: n >= 2)
+_PATH = ("a file name", str, lambda s: True)
+_OFFSETS = (f"finite numbers, as start:step:stop (step > 0, stop >= start, "
+            f"at most {_A_RANGE_STEPS} steps) or a comma list",
+            _parse_a_list, lambda v: True)
+
+
+def _one_of(*names: str):
+    return f"one of {', '.join(names)}", str, names.__contains__
+
+
+# each command's keys: (default, values); a None default is derived by
+# the command or means "not given"
+_GRID_KEYS = {
+    "mode": ("sommerfeld", _one_of("sommerfeld", "bound")),
+    "alpha": ("1", _FINITE),        # positive in bound mode: _closed_form
+    "k": ("2", _POSITIVE),
+    "a": ("0", _NON_NEGATIVE),
+    "bc": ("dirichlet", _one_of("dirichlet", "neumann")),
+    "x0": ("-3", _FINITE),
+    "y0": ("-3", _FINITE),
+    "dx": ("0.03", _POSITIVE),
+    "dy": ("0.03", _POSITIVE),
+    "nx": ("201", _COUNT),
+    "ny": ("201", _COUNT),
+    "out": (None, _PATH),
+}
+_TAIL_KEYS = {
+    "alpha": ("1", _POSITIVE),
+    "k": (None, _POSITIVE),         # alpha/2: the scan lives in the trapped regime
+    "lam": ("1", _FINITE),
+    "a_list": ("1:0.5:3", _OFFSETS),
+    "probe_x": ("0", _FINITE),
+    "probe_y": (None, _FINITE),     # -12/alpha
+    "out": (None, _PATH),
+}
+_VERIFY_KEYS = {"alpha": ("1", _POSITIVE), "k": ("2", _POSITIVE),
+                "a": ("0", _NON_NEGATIVE), "out": (None, _PATH)}
+
+
+def _coerce(key: str, raw: str, values):
+    """``raw`` as a value of ``key``, or a usage error naming the key."""
+    what, convert, admits = values
     try:
-        return ty(raw)
-    except ValueError as exc:
-        raise SystemExit(f"usage error: bad value for {key}: {raw!r}") from exc
+        val = convert(raw)
+        if admits(val):
+            return val
+    except ValueError:
+        pass
+    raise SystemExit(f"usage error: {key} must be {what}, got {raw!r}")
 
 
 def _read_config_file(path: str, keys) -> dict:
+    """The raw ``key=value`` strings of a config file."""
     cfg = {}
     try:
         with open(path) as fh:
@@ -85,44 +118,24 @@ def _read_config_file(path: str, keys) -> dict:
                 key, raw = (s.strip() for s in line.split("=", 1))
                 if key not in keys:
                     raise SystemExit(f"usage error: unknown config key {key!r}")
-                cfg[key] = _coerce(key, raw)
+                cfg[key] = raw
     except OSError as exc:
         raise SystemExit(f"usage error: cannot read config {path}: {exc}") from exc
     return cfg
 
 
-def _parse_a_list(spec: str) -> list[float]:
-    """Accept 'start:step:stop' (inclusive) or a comma-separated list."""
-    is_range = ":" in spec
-    try:
-        values = [float(p) for p in spec.split(":" if is_range else ",")]
-        ok = all(map(math.isfinite, values))
-    except ValueError:
-        ok = False
-    if not ok:
-        raise SystemExit(f"usage error: a_list needs finite numbers: {spec!r}")
-    if not is_range:
-        return values
-    if len(values) != 3:
-        raise SystemExit("usage error: a range must be start:step:stop")
-    start, step, stop = values
-    if step <= 0 or stop < start:
-        raise SystemExit("usage error: need step > 0 and stop >= start")
-    span = (stop - start) / step          # inf for a subnormal step
-    if not span <= _A_RANGE_STEPS:
-        raise SystemExit(f"usage error: a range may span at most {_A_RANGE_STEPS} steps")
-    n = int(math.floor(span + 1e-9)) + 1
-    return [start + i * step for i in range(n)]
-
-
 def _merge(args: argparse.Namespace) -> dict:
-    cfg = dict(_COMMANDS[args.command][1])
+    """Defaults, then the config file, then flags; every value given is
+    checked, a file value that a flag overrides included."""
+    keys = _COMMANDS[args.command][1]
+    layers = [{key: default for key, (default, _) in keys.items()}]
     if args.config:
-        cfg.update(_read_config_file(args.config, cfg))
-    for key in cfg:
-        val = getattr(args, key)
-        if val is not None:
-            cfg[key] = _coerce(key, val)
+        layers.append(_read_config_file(args.config, keys))
+    layers.append({key: getattr(args, key) for key in keys})
+    cfg = dict.fromkeys(keys)
+    for layer in layers:
+        cfg.update((key, _coerce(key, raw, keys[key][1]))
+                   for key, raw in layer.items() if raw is not None)
     return cfg
 
 
@@ -190,7 +203,7 @@ def _cmd_tail(cfg: dict) -> int:
     probe_y = cfg["probe_y"] if cfg["probe_y"] is not None else -12.0 / alpha
     probe = PlanePoint(cfg["probe_x"], probe_y)
     res = green_perturbation.tail_scan(
-        alpha, k, cfg["lam"], _parse_a_list(cfg["a_list"]), probe)
+        alpha, k, cfg["lam"], cfg["a_list"], probe)
     out = cfg["out"] or "tail.csv"
     with open(out, "w") as fh:
         fh.write(green_perturbation.tail_scan_csv(res))
@@ -274,22 +287,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(command: str, cfg: dict) -> int:
-    """Dispatch a merged, validated config; returns the exit status."""
-    # alpha must be positive only where it is read: the bound closed form
-    # (checked there), tail scans and verify; tail's unset k is alpha/2
-    for key in ("k", "dx", "dy", "alpha"):
-        if cfg.get(key) is None:
-            continue
-        if not math.isfinite(cfg[key]):
-            raise SystemExit(f"usage error: {key} must be finite")
-        if not cfg[key] > 0 and (key != "alpha" or command in ("tail", "verify")):
-            raise SystemExit(f"usage error: {key} must be positive")
-    if "nx" in cfg and (cfg["nx"] < 2 or cfg["ny"] < 2):
-        raise SystemExit("usage error: nx, ny must be >= 2")
-    return _COMMANDS[command][0](cfg)
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -297,7 +294,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return run(args.command, _merge(args))
+        return _COMMANDS[args.command][0](_merge(args))
     except SystemExit as exc:
         # our usage errors carry their message in the code attribute
         print(exc.code if isinstance(exc.code, str) else str(exc),

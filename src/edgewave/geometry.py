@@ -40,11 +40,11 @@ __all__ = [
 class PlanePoint:
     x: float
     y: float
-    a: float = 0.0
 
     def __post_init__(self):
-        if self.a < 0:
-            raise ValueError("tip abscissa a must be >= 0")
+        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+            raise ValueError(f"a plane point needs finite x and y, "
+                             f"got ({self.x!r}, {self.y!r})")
 
 
 def polar(X, Y, a: float = 0.0):

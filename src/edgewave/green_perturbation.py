@@ -80,11 +80,13 @@ class ChannelGreen:
     E: float
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
-        if self.E >= 0:
-            raise ValueError("only energies below the continuum threshold "
-                             "(E < 0) are supported")
+        # a non-finite alpha or E gives a NaN integrand, and the continuum
+        # quadrature would double its nodes toward the cap
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha!r}")
+        if not -math.inf < self.E < 0:
+            raise ValueError("E must be finite and below the continuum "
+                             f"threshold (E < 0), got {self.E!r}")
 
 
 def make_green(alpha: float, E: float) -> ChannelGreen:
@@ -200,6 +202,9 @@ def born_correction(alpha: float, k: float, lambda_imp: float, a: float,
         # a NaN offset would otherwise drive the continuum quadrature to
         # its node cap on a NaN integrand
         raise ValueError(f"the impurity offset a must be positive and finite, got {a!r}")
+    if not math.isfinite(lambda_imp):
+        raise ValueError(f"the impurity strength lambda_imp must be finite, "
+                         f"got {lambda_imp!r}")
     if p.x == a and p.y == 0.0:
         raise ValueError("probe coincides with the impurity")
     E = k * k - alpha * alpha

@@ -140,13 +140,12 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                 "1:1e-300:2"):
         code, _, err = run_cli(capsys, "tail", f"--a_list={bad}")
         assert code == 2
-        assert err.startswith("usage error: ")
+        assert err.startswith("usage error: a_list must be ")
     # flags are whole keys: no abbreviation, and no key h
     for flag in ("--h=0.5", "--h", "--alph=1"):
         code, _, err = run_cli(capsys, "field", flag)
         assert code == 2
         assert "unrecognized arguments" in err
-    assert run_cli(capsys, "field", "--nx=oops")[0] == 2
     assert run_cli(capsys, "field", "--mode=bound", "--a=0.5")[0] == 2
     # the bound closed form is the Dirichlet field: no Neumann comparison
     for cmd in ("field", "oracle"):
@@ -164,6 +163,20 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                                    f"--out={tmp_path / 'never.csv'}")
             assert code == 2
             assert err.startswith(f"usage error: {key} must be ")
+    # a value outside its key's values exits 2 naming the key, before any
+    # grid, scan or quadrature runs; a NaN probe used to hang the quadrature
+    # and a NaN lam to print a NaN slope with exit 0
+    for argv, key in ((("field", "--a=-1"), "a"), (("verify", "--a=-1"), "a"),
+                      (("oracle", "--a=nan"), "a"), (("field", "--x0=inf"), "x0"),
+                      (("field", "--y0=nan"), "y0"), (("tail", "--lam=nan"), "lam"),
+                      (("tail", "--lam=inf"), "lam"),
+                      (("tail", "--probe_x=inf"), "probe_x"),
+                      (("tail", "--probe_y=nan"), "probe_y"),
+                      (("field", "--nx=oops"), "nx")):
+        code, _, err = run_cli(capsys, *argv, f"--out={tmp_path / 'never.csv'}")
+        assert code == 2
+        assert err.startswith(f"usage error: {key} must be ")
+        assert "invalid literal" not in err and "could not convert" not in err
     # each command takes only the keys it reads, and mode and bc only
     # their named values
     for argv in (("verify", "--mode=bogus"), ("verify", "--bc=absorbing"),
@@ -187,6 +200,14 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert err.startswith("usage error: unknown config key 'nx'")
     cfg.write_text("bc=absorbing\n")
     assert run_cli(capsys, "residual", f"--config={cfg}")[0] == 2
+    # a bad file value is an error even where a flag overrides it
+    cfg.write_text("lam=nan\n")
+    for flags in ((), ("--lam=1",)):
+        code, _, err = run_cli(capsys, "tail", f"--config={cfg}", *flags,
+                               f"--out={tmp_path / 'never.csv'}")
+        assert code == 2
+        assert err.startswith("usage error: lam must be ")
+    assert not (tmp_path / "never.csv").exists()
 
 
 def test_numerical_failure_exits_1(capsys):

@@ -34,11 +34,12 @@ def test_round_trip():
     # inverse of the real chart: y = xi^2 - eta^2, x - a = 2 xi eta
     rng = np.random.default_rng(5)
     for _ in range(200):
-        p = PlanePoint(rng.uniform(-5, 5), rng.uniform(-5, 5), a=rng.uniform(0, 2))
-        if p.x == p.a and p.y == 0.0:
+        p = PlanePoint(rng.uniform(-5, 5), rng.uniform(-5, 5))
+        a = rng.uniform(0, 2)
+        if p.x == a and p.y == 0.0:
             continue
-        r, _, xi, eta = _real_chart(p.x, p.y, p.a)
-        x, y = 2.0 * xi * eta + p.a, xi * xi - eta * eta
+        r, _, xi, eta = _real_chart(p.x, p.y, a)
+        x, y = 2.0 * xi * eta + a, xi * xi - eta * eta
         assert math.hypot(x - p.x, y - p.y) < 1e-12 * (1 + r)
 
 
@@ -50,9 +51,10 @@ def test_signed_zero_selects_the_face():
     assert top_xi == pytest.approx(-bot_xi)
 
 
-def test_tip_rejected():
-    with pytest.raises(ValueError):
-        PlanePoint(0.0, 0.0, a=-0.5)
+def test_non_finite_point_rejected():
+    for x, y in ((0.0, math.nan), (math.inf, 0.0)):
+        with pytest.raises(ValueError, match="finite"):
+            PlanePoint(x, y)
 
 
 def test_rotated_chart_reduces_to_real_chart():

@@ -39,6 +39,11 @@ def test_validation():
         gp.make_green(1.0, 0.25)           # continuum open
     with pytest.raises(ValueError):
         gp.make_green(-1.0, -0.5)
+    # non-finite alpha or E built, and green_eval then never returned
+    for alpha, E, name in ((math.nan, -0.75, "alpha"), (math.inf, -0.75, "alpha"),
+                           (1.0, math.nan, "E"), (1.0, -math.inf, "E")):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            gp.make_green(alpha, E)
     g = gp.make_green(1.0, -0.75)
     with pytest.raises(ValueError):
         gp.green_eval(g, PlanePoint(0.3, 0.2), PlanePoint(0.3, 0.2))
@@ -151,6 +156,20 @@ def test_non_finite_offset_is_rejected_before_the_quadrature():
             gp.born_correction(1.0, 0.5, 1.0, bad, probe)
         with pytest.raises(ValueError, match="finite"):
             gp.tail_scan(1.0, 0.5, 1.0, [1.0, 1.5, 2.0, 3.0, bad], probe)
+
+
+def test_non_finite_strength_and_probe_are_rejected():
+    # a NaN probe drove the continuum quadrature toward its node cap, and
+    # a NaN strength gave NaN amplitudes and a NaN slope
+    a_list = [1.0, 1.5, 2.0, 2.5, 3.0]
+    for lam in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="lambda_imp must be finite"):
+            gp.born_correction(1.0, 0.5, lam, 1.2, PlanePoint(0.0, -12.0))
+        with pytest.raises(ValueError, match="lambda_imp must be finite"):
+            gp.tail_scan(1.0, 0.5, lam, a_list, PlanePoint(0.0, -12.0))
+    for x, y in ((0.0, math.nan), (math.inf, -12.0)):
+        with pytest.raises(ValueError, match="finite"):
+            gp.tail_scan(1.0, 0.5, 1.0, a_list, PlanePoint(x, y))
 
 
 def test_tail_scan_frozen_slopes():
