@@ -103,9 +103,9 @@ def _coerce(key: str, raw: str, values):
     raise SystemExit(f"usage error: {key} must be {what}, got {raw!r}")
 
 
-def _read_config_file(path: str, keys) -> dict:
-    """The raw ``key=value`` strings of a config file."""
-    cfg = {}
+def _read_config_file(path: str, keys) -> list[tuple[str, str]]:
+    """The raw ``(key, value)`` pairs of a config file, in file order."""
+    pairs = []
     try:
         with open(path) as fh:
             for lineno, line in enumerate(fh, 1):
@@ -118,24 +118,23 @@ def _read_config_file(path: str, keys) -> dict:
                 key, raw = (s.strip() for s in line.split("=", 1))
                 if key not in keys:
                     raise SystemExit(f"usage error: unknown config key {key!r}")
-                cfg[key] = raw
+                pairs.append((key, raw))
     except OSError as exc:
         raise SystemExit(f"usage error: cannot read config {path}: {exc}") from exc
-    return cfg
+    return pairs
 
 
 def _merge(args: argparse.Namespace) -> dict:
     """Defaults, then the config file, then flags; every value given is
-    checked, a file value that a flag overrides included."""
+    checked, one that a later line or a flag overrides included."""
     keys = _COMMANDS[args.command][1]
-    layers = [{key: default for key, (default, _) in keys.items()}]
+    pairs = [(key, default) for key, (default, _) in keys.items()]
     if args.config:
-        layers.append(_read_config_file(args.config, keys))
-    layers.append({key: getattr(args, key) for key in keys})
+        pairs += _read_config_file(args.config, keys)
+    pairs += [(key, getattr(args, key)) for key in keys]
     cfg = dict.fromkeys(keys)
-    for layer in layers:
-        cfg.update((key, _coerce(key, raw, keys[key][1]))
-                   for key, raw in layer.items() if raw is not None)
+    cfg.update((key, _coerce(key, raw, keys[key][1]))
+               for key, raw in pairs if raw is not None)
     return cfg
 
 

@@ -200,9 +200,11 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert err.startswith("usage error: unknown config key 'nx'")
     cfg.write_text("bc=absorbing\n")
     assert run_cli(capsys, "residual", f"--config={cfg}")[0] == 2
-    # a bad file value is an error even where a flag overrides it
-    cfg.write_text("lam=nan\n")
-    for flags in ((), ("--lam=1",)):
+    # a bad file value is an error even where a later line or a flag
+    # overrides it
+    for text, flags in (("lam=nan\n", ()), ("lam=nan\n", ("--lam=1",)),
+                        ("lam=nan\nlam=1\n", ())):
+        cfg.write_text(text)
         code, _, err = run_cli(capsys, "tail", f"--config={cfg}", *flags,
                                f"--out={tmp_path / 'never.csv'}")
         assert code == 2
