@@ -7,9 +7,9 @@ identical configs produce byte-identical artifacts.  Flags use the
 same keys may be given in a plain ``key=value`` config file (one per
 line, ``#`` comments), with precedence flag > file > default.  Each
 command takes only the keys it reads, and each key admits the values its
-parser states.  Exit status: 0 all checks passed, 1 numerical failure,
-2 usage error (an unknown command, a flag or key the command does not
-read, or a value outside its key's values).
+parser states.  Exit status: 0 all checks passed, 1 numerical failure
+or out of memory, 2 usage error (an unknown command, a flag or key the
+command does not read, or a value outside its key's values).
 """
 
 from __future__ import annotations
@@ -301,6 +301,10 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, RuntimeError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"out of memory: {str(exc) or 'allocation failed'}",
+              file=sys.stderr)
         return 1
 
 

@@ -37,7 +37,9 @@ mode psi0 = exp(-alpha|x| + iky) produces, to first order,
 
 and the bound-channel factor of G contributes a second exp(-alpha*a), so
 |psi1| at a fixed probe falls off as exp(-2*alpha*a).  tail_scan measures
-that slope by least squares over a list of impurity offsets.
+that slope by least squares over a list of impurity offsets, and refuses
+a fit whose rms residual exceeds 0.02 (probes near the guide stay below
+7.1e-3; a probe far from it leaves quadrature noise, rms 0.05 to 0.45).
 """
 
 from __future__ import annotations
@@ -70,6 +72,7 @@ __all__ = [
 _N_START = 64
 _N_MAX = 65536
 _QUAD_TOL = 1e-8         # absolute move of the last node doubling
+_TAIL_RMS_MAX = 0.02     # tail_scan: rms residual of a fit that still measures
 
 
 @dataclass(frozen=True)
@@ -248,7 +251,11 @@ def fit_log_slope(xs, values) -> tuple[float, float]:
 
 def tail_scan(alpha: float, k: float, lambda_imp: float, a_list,
               probe: PlanePoint) -> TailScanResult:
-    """Born amplitude |psi1(probe)| against impurity offset, with log fit."""
+    """Born amplitude |psi1(probe)| against impurity offset, with log fit.
+
+    Raises ``RuntimeError`` naming the rms residual of the fit when it
+    exceeds 0.02: the amplitudes then do not follow one exponential.
+    """
     a_arr = np.asarray(sorted(a_list), dtype=float)
     if len(a_arr) < 4:
         raise ValueError("need at least 4 impurity offsets for the fit")
@@ -261,6 +268,11 @@ def tail_scan(alpha: float, k: float, lambda_imp: float, a_list,
     if np.all(amps < 1e-300):
         raise ValueError("all amplitudes underflowed; fit is degenerate")
     slope, resid = fit_log_slope(a_arr, amps)
+    if not resid <= _TAIL_RMS_MAX:
+        raise RuntimeError(
+            f"tail fit rms residual {resid:.3e} exceeds {_TAIL_RMS_MAX}: "
+            f"|psi1| at the probe does not decay as one exponential "
+            f"(slope {slope:.3e})")
     return TailScanResult(a_values=a_arr, amplitudes=amps, slope=slope,
                           residual=resid, alpha=alpha, k=k)
 

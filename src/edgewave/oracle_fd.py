@@ -12,8 +12,8 @@ The assembled operator rows read
 so applying a row to the constant field returns E.  ``assemble`` keeps
 the full system, pinned identity rows included.  Every coefficient is
 real (``E``, the spacings and ``alpha`` are real), so ``assemble``
-stores them as float64.  ``solve`` does no sparse factorisation and
-runs no eigensolver: it inverts the separable interior-box operator with
+stores them as float64, with int32 node numbers.  ``solve`` does no
+sparse factorisation and runs no eigensolver: it inverts the separable interior-box operator with
 the fast sine transform (``scipy.fft.dst``, type I, orthonormal), takes
 the delta column as a rank-one update per transverse mode, and meets the
 barrier rows through a small dense capacitance matrix, so solves are
@@ -110,6 +110,13 @@ class FdProblem:
 
 @dataclass(frozen=True)
 class SparseSystem:
+    """The assembled rows of one ``FdProblem`` as COO triplets.
+
+    ``rows`` and ``cols`` are int32 node numbers (node j * nx + i for
+    column i, row j), ``vals`` the float64 coefficients, ``rhs`` the
+    complex right-hand side and ``mask`` the node tags of ``build_mask``.
+    """
+
     n: int
     rows: np.ndarray = field(repr=False)
     cols: np.ndarray = field(repr=False)
@@ -123,55 +130,62 @@ def assemble(p: FdProblem) -> SparseSystem:
     """Build the sparse rows for the discrete operator (raises if the
     waveguide axis or the barrier is not grid-aligned).
 
-    ``vals`` is float64; ``rhs`` is complex.
+    The triplets are allocated once at their exact count, 5 per bulk
+    node, 1 per frame node and 1 per EDGE node (2 for Neumann), and
+    filled in this order: the bulk centres, their x-1, x+1, y-1 and y+1
+    neighbours, the frame identity rows, the EDGE identity rows, then the
+    Neumann links to the node above.  ``rows`` and ``cols`` are int32, so
+    a grid of nx * ny >= 2**31 nodes raises ``ValueError`` before any
+    allocation; ``vals`` is float64; ``rhs`` is complex.
     """
-    mask = build_mask(p.x0, p.y0, p.dx, p.dy, p.nx, p.ny,
-                      edge_a=p.edge_a, delta_line=p.alpha != 0.0)
     nx, ny = p.nx, p.ny
     n_nodes = nx * ny
-    node = np.arange(n_nodes).reshape(ny, nx)
+    if n_nodes >= 2 ** 31:
+        raise ValueError(f"grid of {nx} x {ny} nodes has 2**31 or more "
+                         f"unknowns; node numbers are int32")
+    mask = build_mask(p.x0, p.y0, p.dx, p.dy, nx, ny,
+                      edge_a=p.edge_a, delta_line=p.alpha != 0.0)
+    node = np.arange(n_nodes, dtype=np.int32).reshape(ny, nx)
     X, Y = np.meshgrid(p.x0 + p.dx * np.arange(nx), p.y0 + p.dy * np.arange(ny))
-
-    rows, cols, vals = [], [], []
     rhs = np.zeros(n_nodes, dtype=complex)
 
     bulk = (mask == INTERIOR) | (mask == DELTA_LINE)
     cen = node[bulk]
-    coef = np.full(cen.shape, p.E - 2.0 / p.dx ** 2 - 2.0 / p.dy ** 2,
-                   dtype=float)
-    coef[mask[bulk] == DELTA_LINE] += 2.0 * p.alpha / p.dx
-    rows.append(cen); cols.append(cen); vals.append(coef)
-    wx = np.full(cen.shape, 1.0 / p.dx ** 2, dtype=float)
-    wy = np.full(cen.shape, 1.0 / p.dy ** 2, dtype=float)
-    rows.append(cen); cols.append(cen - 1); vals.append(wx)
-    rows.append(cen); cols.append(cen + 1); vals.append(wx)
-    rows.append(cen); cols.append(cen - nx); vals.append(wy)
-    rows.append(cen); cols.append(cen + nx); vals.append(wy)
+    frame = mask == OUTER
+    outer = node[frame]
+    edge = node[mask == EDGE]
+    neumann = p.bc == "neumann"
+    nnz = 5 * cen.size + outer.size + edge.size * (2 if neumann else 1)
+    rows = np.empty(nnz, dtype=np.int32)
+    cols = np.empty(nnz, dtype=np.int32)
+    vals = np.empty(nnz)
+    at = 0
+
+    def put(r, c, v):
+        nonlocal at
+        rows[at:at + r.size], cols[at:at + r.size] = r, c
+        vals[at:at + r.size] = v
+        at += r.size
+
+    put(cen, cen, p.E - 2.0 / p.dx ** 2 - 2.0 / p.dy ** 2)
+    vals[:cen.size][mask[bulk] == DELTA_LINE] += 2.0 * p.alpha / p.dx
+    for shift, w in ((-1, p.dx), (1, p.dx), (-nx, p.dy), (nx, p.dy)):
+        put(cen, cen + shift, 1.0 / w ** 2)
     if p.forcing is not None:
         rhs[cen] = np.asarray(p.forcing(X, Y), dtype=complex)[bulk]
 
-    frame = mask == OUTER
-    outer = node[frame]
-    rows.append(outer); cols.append(outer)
-    vals.append(np.ones(outer.shape))
+    put(outer, outer, 1.0)
     if p.boundary is not None:
         rhs[outer] = p.boundary(X[frame], Y[frame])
 
-    edge = node[mask == EDGE]
-    if edge.size:
-        rows.append(edge); cols.append(edge)
-        vals.append(np.ones(edge.shape))
-        if p.bc == "neumann":
-            # one-sided mirror toward the upper face; a single-valued grid
-            # cannot carry independent data on the two faces of the cut
-            rows.append(edge); cols.append(edge + nx)
-            vals.append(np.full(edge.shape, -1.0))
+    put(edge, edge, 1.0)
+    if neumann:
+        # one-sided mirror toward the upper face; a single-valued grid
+        # cannot carry independent data on the two faces of the cut
+        put(edge, edge + nx, -1.0)
 
-    return SparseSystem(
-        n=n_nodes,
-        rows=np.concatenate(rows), cols=np.concatenate(cols),
-        vals=np.concatenate(vals), rhs=rhs, problem=p, mask=mask,
-    )
+    return SparseSystem(n=n_nodes, rows=rows, cols=cols, vals=vals, rhs=rhs,
+                        problem=p, mask=mask)
 
 
 def solve(s: SparseSystem) -> FieldGrid:
@@ -201,15 +215,17 @@ def solve(s: SparseSystem) -> FieldGrid:
     is iterative refinement (Moler, J. ACM 14, 1967) of at most two
     steps.  Each step adds the box solve L~^-1 r to x, sets the Dirichlet
     EDGE nodes to their pinned values and each Neumann EDGE node to its
-    upper neighbour's, bit for bit, then forms r = rhs - A x once, for
-    the gate and as the next step's right-hand side, and stops as soon
-    as ||r|| <= 1e-10 ||rhs||.  One step usually passes with a 10-100x
-    margin; the 601^2 grid on [-3, 3]^2 needs the second.  Raises
-    ``ValueError`` for non-finite ``rhs`` or coefficients,
-    ``RuntimeError`` if the residual on the full complex system is not
-    finite or exceeds the gate after the last step; the message gives
-    min|mu + lam| / max|mu + lam| and, with a delta column,
-    min|1 + c W[j, e]|, small near an eigenvalue of the barrier-free box.
+    upper neighbour's, bit for bit, then forms r = rhs - A x once (A
+    applied to the float view [Re x | Im x], so its values are never
+    copied to complex), for the gate and as the next step's right-hand
+    side, and stops as soon as ||r|| <= 1e-10 ||rhs||.  One step usually
+    passes with a 10-100x margin; the 601^2 grid on [-3, 3]^2 needs the
+    second.  Raises ``ValueError`` for non-finite ``rhs`` or
+    coefficients, ``RuntimeError`` if the residual on the full complex
+    system is not finite or exceeds the gate after the last step; the
+    message gives min|mu + lam| / max|mu + lam| and, with a delta
+    column, min|1 + c W[j, e]|, small near an eigenvalue of the
+    barrier-free box.
     """
     if not np.isfinite(s.rhs).all():
         raise ValueError("rhs holds non-finite values (boundary or forcing data)")
@@ -228,12 +244,12 @@ def solve(s: SparseSystem) -> FieldGrid:
     with np.errstate(all="ignore"):
         box_solve, spectrum = _box_solver(s, edge)
         scale = np.linalg.norm(s.rhs)
-        r = s.rhs - A @ x
+        r = _residual(A, x, s.rhs)
         for _ in range(_MAX_BOX_SOLVES):
             box(x)[...] += box_solve(box(r))
             if edge.size:
                 x[edge] = s.rhs[edge] if p.bc == "dirichlet" else x[edge + nx]
-            r = s.rhs - A @ x
+            r = _residual(A, x, s.rhs)
             res = np.linalg.norm(r)
             if res <= _SOLVE_TOL * scale:
                 break
@@ -244,6 +260,13 @@ def solve(s: SparseSystem) -> FieldGrid:
             f"one of its eigenvalues")
     return FieldGrid(x0=p.x0, y0=p.y0, dx=p.dx, dy=p.dy, nx=nx, ny=ny,
                      values=x.reshape(ny, nx), mask=s.mask)
+
+
+def _residual(A, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """rhs - A x for the real ``A`` and complex ``x``, without a complex
+    copy of A's values: A acts on the (n, 2) float view [Re x | Im x]."""
+    ax = (A @ x.view(float).reshape(-1, 2)).view(complex).ravel()
+    return np.subtract(rhs, ax, out=ax)
 
 
 def _sine_rows(m: int, idx) -> np.ndarray:

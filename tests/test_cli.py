@@ -255,6 +255,32 @@ def test_overflow_exits_1(tmp_path, capsys):
     assert err.startswith("numerical failure: ")
 
 
+def test_degraded_tail_fit_exits_1(tmp_path, capsys):
+    # a probe far from the guide leaves quadrature noise in the Born
+    # amplitude; the fit's rms residual, 0.45, is refused
+    out = tmp_path / "t.csv"
+    code, stdout, err = run_cli(capsys, "tail", "--probe_x=1e300",
+                                f"--out={out}")
+    assert code == 1
+    assert err.startswith("numerical failure: tail fit rms residual ")
+    assert stdout == ""
+    assert not out.exists()
+
+
+def test_out_of_memory_exits_1(tmp_path, capsys, monkeypatch):
+    def huge(*args, **kwargs):
+        raise MemoryError("Unable to allocate 9.31 GiB for an array with "
+                          "shape (100000, 100000) and data type uint8")
+
+    monkeypatch.setattr(cli, "tabulate", huge)
+    code, _, err = run_cli(capsys, "field", "--nx=100000", "--ny=100000",
+                           f"--out={tmp_path / 'f.csv'}")
+    assert code == 1
+    assert err == ("out of memory: Unable to allocate 9.31 GiB for an array "
+                   "with shape (100000, 100000) and data type uint8\n")
+    assert "Traceback" not in err
+
+
 def test_alpha_checked_only_where_used(tmp_path, capsys):
     grid = ["--nx=21", "--ny=21", "--dx=0.3", "--dy=0.3"]
     zero = tmp_path / "zero.csv"

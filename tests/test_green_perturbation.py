@@ -217,6 +217,17 @@ def test_tail_scan_span_guard_tolerates_rounding(monkeypatch):
                          [t / alpha for t in (1.0, 1.5, 2.0, 2.9)], probe)
 
 
+def test_tail_scan_refuses_a_degraded_fit():
+    # the sane probe with the largest rms residual (k/alpha = 0.7, probe
+    # (3, -8)/alpha) passes at 7.1e-3; a probe at x = 30 is far enough
+    # from the guide that its slope reads +0.04 * 2 alpha, rms 0.046
+    a_list = [1.0, 1.5, 2.0, 2.5, 3.0]
+    res = gp.tail_scan(1.0, 0.7, 1.0, a_list, PlanePoint(3.0, -8.0))
+    assert 5e-3 < res.residual < 0.02
+    with pytest.raises(RuntimeError, match=r"rms residual 4\.568e-02 exceeds 0\.02"):
+        gp.tail_scan(1.0, 0.5, 1.0, a_list, PlanePoint(30.0, -12.0))
+
+
 def test_tail_scan_csv_and_summary():
     res = gp.tail_scan(1.0, 0.5, 1.0, [1.0, 1.5, 2.0, 2.5, 3.0],
                        PlanePoint(0.0, -12.0))
