@@ -38,8 +38,9 @@ mode psi0 = exp(-alpha|x| + iky) produces, to first order,
 and the bound-channel factor of G contributes a second exp(-alpha*a), so
 |psi1| at a fixed probe falls off as exp(-2*alpha*a).  tail_scan measures
 that slope by least squares over a list of impurity offsets, and refuses
-a fit whose rms residual exceeds 0.02 (probes near the guide stay below
-7.1e-3; a probe far from it leaves quadrature noise, rms 0.05 to 0.45).
+a fit whose rms residual exceeds 0.02 (probes near the guide stay at or
+below 7.1e-3; a probe far from it leaves quadrature noise, rms 0.046 to
+0.45).
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ __all__ = [
 _N_START = 64
 _N_MAX = 65536
 _QUAD_TOL = 1e-8         # absolute move of the last node doubling
-_TAIL_RMS_MAX = 0.02     # tail_scan: rms residual of a fit that still measures
+_TAIL_RMS_MAX = 0.02     # tail_scan: largest rms residual of a usable log fit
 
 
 @dataclass(frozen=True)
