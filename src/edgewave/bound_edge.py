@@ -174,8 +174,9 @@ def branch_field_values(f: BoundEdgeField, X, Y, eps: int) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     alpha, k = f.params.alpha, f.params.k
     kap, lam = kappa_lambda(alpha, k, eps)
-    envelope = np.exp(-alpha * np.abs(X))
-    return envelope * two_term(k, kap, lam, 0.0, X, Y, -1)
+    out = two_term(k, kap, lam, 0.0, X, Y, -1)
+    out *= np.exp(-alpha * np.abs(X))
+    return out
 
 
 def field_values(f: BoundEdgeField, X, Y) -> np.ndarray:

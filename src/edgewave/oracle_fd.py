@@ -381,7 +381,8 @@ def compare(analytic: FieldGrid, fd: FieldGrid, E: float | None = None) -> dict:
             return float("nan")
         return float(np.linalg.norm(diff[sel]) / ref)
 
-    X, Y = fd.meshes()
+    # the 1-D axes broadcast in the masks: no full coordinate meshes
+    X, Y = fd.xs()[None, :], fd.ys()[:, None]
     b = _EXCLUDE_CELLS * fd.dx
     quads = {
         "x<0,y>0": (X < -b) & (Y > b),

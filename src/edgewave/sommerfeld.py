@@ -37,7 +37,7 @@ import numpy as np
 
 from .geometry import polar, rotated_pair
 from .grid import EDGE, DELTA_LINE, FieldGrid, dilate, tabulate
-from .specfun import fresnel_F_array
+from .specfun import _blocks, fresnel_F_array
 
 __all__ = [
     "EdgeGeometry",
@@ -76,11 +76,26 @@ def two_term(k: float, kappa: complex, lam: complex, a: float, X, Y,
     of the first.  On both faces of the ray xi_lam = eta_{-lam} for
     every lambda, so with sign = -1 the two terms cancel there.  The tip
     gives F(0) - F(0) = 0.
+
+    X and Y are broadcast together, without copies; the chart, the
+    phases and both F terms run in consecutive blocks of a fixed number
+    of points written into one complex output.  field_on_grid thus peaks
+    near 38 bytes per point at 401^2 (129 on the whole array at once),
+    of which the output is 16 and its coordinate meshes another 16.
+    0-d input gives a scalar.
     """
-    xi, eta = rotated_pair(*polar(X, Y, a), lam)
-    phase = np.exp(-1j * k * np.asarray(Y, dtype=float))
-    return (phase * fresnel_F_array(kappa, xi)
-            + sign * phase.conj() * fresnel_F_array(kappa, eta))
+    X, Y = np.broadcast_arrays(np.asarray(X, dtype=float),
+                               np.asarray(Y, dtype=float))
+    out = np.empty(X.shape, dtype=complex)
+    flat = out.reshape(-1)
+    for sl in _blocks(flat.size):
+        x, y = X.flat[sl], Y.flat[sl]
+        xi, eta = rotated_pair(*polar(x, y, a), lam)
+        phase = np.exp(-1j * k * y)
+        second = sign * phase.conj() * fresnel_F_array(kappa, eta)
+        np.multiply(phase, fresnel_F_array(kappa, xi), out=flat[sl])
+        flat[sl] += second
+    return out[()]
 
 
 def field_values(k: float, geom: EdgeGeometry, X, Y) -> np.ndarray:
@@ -122,32 +137,47 @@ def helmholtz_residual(grid: FieldGrid, k,
     local truncation error blow up as the mesh refines; with a
     mesh-independent disk the residual converges at the stencil's second
     order.  ``k`` may be complex (k^2 = E for the trapped regime).
+
+    The stencil runs on the interior only, accumulated in place in the
+    order of the formula, with |.| written into one float array, and the
+    tip disk is taken from the broadcast 1-D axes: about 33 bytes per
+    node beyond the grid itself (65 with full-size temporaries).
     """
     if grid.nx < 3 or grid.ny < 3:
         raise ValueError("grid too small for the five-point stencil")
     v = grid.values
     hx2 = grid.dx * grid.dx
     hy2 = grid.dy * grid.dy
-    lap = np.zeros_like(v)
-    lap[1:-1, 1:-1] = (
-        (v[1:-1, 2:] - 2.0 * v[1:-1, 1:-1] + v[1:-1, :-2]) / hx2
-        + (v[2:, 1:-1] - 2.0 * v[1:-1, 1:-1] + v[:-2, 1:-1]) / hy2
-    )
-    res = np.abs(lap + (complex(k) ** 2) * v)
+    # interior nodes only, accumulated in place in the order of
+    # (v[x+1] - 2v + v[x-1]) / hx2 + (v[y+1] - 2v + v[y-1]) / hy2 + k^2 v
+    c = v[1:-1, 1:-1]
+    lap = c * -2.0
+    lap += v[1:-1, 2:]
+    lap += v[1:-1, :-2]
+    lap /= hx2
+    term = c * -2.0
+    term += v[2:, 1:-1]
+    term += v[:-2, 1:-1]
+    term /= hy2
+    lap += term
+    np.multiply(c, complex(k) ** 2, out=term)
+    lap += term
+    del term
+    res = np.abs(lap)
+    del lap
 
-    keep = np.zeros(v.shape, dtype=bool)
-    keep[1:-1, 1:-1] = True
+    keep = np.ones(res.shape, dtype=bool)
     special = (grid.mask == EDGE) | (grid.mask == DELTA_LINE)
     if special.any():
-        keep &= ~dilate(special, _EXCLUDE_CELLS, square=False)
+        keep &= ~dilate(special, _EXCLUDE_CELLS, square=False)[1:-1, 1:-1]
     if exclude_radius > 0.0:
         jj, ii = np.nonzero(grid.mask == EDGE)
         if ii.size == 0:
             raise ValueError("exclude_radius needs a barrier tip on the grid")
         tip = ii.argmin()
-        X, Y = grid.meshes()
-        keep &= np.hypot(X - (grid.x0 + grid.dx * ii[tip]),
-                         Y - (grid.y0 + grid.dy * jj[tip])) > exclude_radius
+        xs = grid.xs()[None, 1:-1] - (grid.x0 + grid.dx * ii[tip])
+        ys = grid.ys()[1:-1, None] - (grid.y0 + grid.dy * jj[tip])
+        keep &= np.hypot(xs, ys) > exclude_radius
 
     included = res[keep]
     if included.size == 0:

@@ -11,6 +11,7 @@ under refinement and flux conservation.
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,6 +110,43 @@ def test_two_branch_evaluator_consistency(field):
     assert two[1] == left[1]
     assert two[2] == right[2]      # the axis itself uses the +1 branch
     assert two[3] == left[3]
+
+
+def test_branch_blocks_keep_the_ray_zero(field):
+    # the tip and the top face of the ray are exact zeros on both sides
+    # of every block boundary; the envelope multiplies in place
+    from edgewave.specfun import _BLOCK as B
+    for n in (B - 1, B, B + 1, 2 * B + 1):
+        rng = np.random.default_rng(n)
+        X = rng.uniform(-3.0, 3.0, n)
+        Y = rng.uniform(-3.0, 3.0, n)
+        at = np.array([0, n - 1] + [i for e in range(B, n, B)
+                                    for i in (e - 1, e)])
+        X[at] = np.linspace(0.0, 2.0, at.size)
+        Y[at] = 0.0
+        for eps in (1, -1):
+            vals = be.branch_field_values(field, X, Y, eps)
+            assert vals.shape == (n,)
+            assert np.all(vals[at] == 0.0)
+    assert isinstance(be.branch_field_values(field, 1.0, 2.0, 1), complex)
+    xs = np.linspace(-2.0, 2.0, 40)
+    assert be.branch_field_values(field, xs[None, :], xs[:, None], 1).shape == (40, 40)
+    assert be.branch_field_values(field, np.empty(0), np.empty(0), 1).shape == (0,)
+
+
+def test_branch_memory_per_point(field):
+    # two_term's blocks plus the envelope multiplied into its output:
+    # about 35 B per point (was 212)
+    n = 321
+    X, Y = np.meshgrid(np.linspace(-3.0, 3.0, n), np.linspace(-3.0, 3.0, n))
+    be.branch_field_values(field, X, Y, 1)
+    tracemalloc.start()
+    try:
+        be.branch_field_values(field, X, Y, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * n * n
 
 
 def test_interior_pde_residual_off_seam_and_ray(field):

@@ -15,7 +15,7 @@ from scipy.sparse.linalg import spsolve
 from edgewave import bound_edge as be
 from edgewave import oracle_fd as ofd
 from edgewave import sommerfeld
-from edgewave.grid import DELTA_LINE, EDGE, FieldGrid, INTERIOR, OUTER
+from edgewave.grid import DELTA_LINE, EDGE, FieldGrid, INTERIOR, OUTER, dilate
 
 
 def _matrix(sys):
@@ -482,6 +482,51 @@ def test_compare_trivia():
                       values=grid.values, mask=grid.mask)
     with pytest.raises(ValueError):
         ofd.compare(grid, other)
+
+
+def _quadrants_from_meshes(ana, fd):
+    """compare's quadrant breakdown with its masks built on full meshes."""
+    keep = fd.mask == INTERIOR
+    keep &= ~dilate((fd.mask == EDGE) | (fd.mask == DELTA_LINE), 2, square=True)
+    X, Y = fd.meshes()
+    b = 2 * fd.dx
+    out = {}
+    for name, sel in (("x<0,y>0", (X < -b) & (Y > b)), ("x>0,y>0", (X > b) & (Y > b)),
+                      ("x<0,y<0", (X < -b) & (Y < -b)), ("x>0,y<0", (X > b) & (Y < -b))):
+        ref = np.linalg.norm(ana.values[keep & sel])
+        out[name] = (float(np.linalg.norm((fd.values - ana.values)[keep & sel]) / ref)
+                     if ref else float("nan"))
+    return out
+
+
+def test_compare_quadrants_match_the_mesh_selection():
+    # the masks come from the broadcast 1-D axes; the selection, and so
+    # the report, is the one full coordinate meshes give
+    alpha, k = 1.0, 0.5
+    f = be.make_field(alpha, k)
+    h = 3.0 / 100
+    p = ofd.FdProblem(x0=0.0, y0=-3.0, dx=h, dy=h, nx=101, ny=201,
+                      E=k * k - alpha * alpha, edge_a=0.0,
+                      boundary=lambda X, Y: be.branch_field_values(f, X, Y, 1))
+    half = ofd.solve(ofd.assemble(p))
+    X, Y = half.meshes()
+    cases = [(dataclasses.replace(half, values=be.branch_field_values(f, X, Y, 1)),
+              half)]
+    g = sommerfeld.EdgeGeometry(a=0.0)
+    h = 6.0 / 140
+    ana = sommerfeld.field_on_grid(2.0, g, -3.0, -3.0, h, h, 141, 141)
+    p = ofd.FdProblem(x0=-3.0, y0=-3.0, dx=h, dy=h, nx=141, ny=141, E=4.0,
+                      edge_a=0.0,
+                      boundary=lambda X, Y: sommerfeld.field_values(2.0, g, X, Y))
+    cases.append((ana, ofd.solve(ofd.assemble(p))))
+    reports = [ofd.compare(ana, fd)["quadrants"] for ana, fd in cases]
+    for (ana, fd), got in zip(cases, reports):
+        want = _quadrants_from_meshes(ana, fd)
+        assert got.keys() == want.keys()
+        assert all(np.array_equal(got[q], want[q], equal_nan=True) for q in want)
+    # the half domain has no x < 0 nodes; the full one fills all four
+    assert math.isnan(reports[0]["x<0,y>0"])
+    assert all(math.isfinite(v) for v in reports[1].values())
 
 
 def test_bound_edge_full_domain_frozen_mismatch():

@@ -1,12 +1,26 @@
 """Half-line barrier diffraction field and the stencil-residual check."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from edgewave import sommerfeld
+from edgewave import sommerfeld, specfun
 from edgewave.grid import EDGE
+
+B = specfun._BLOCK
+
+
+def traced_peak(fn):
+    """Traced peak bytes of fn(), after one untraced warm-up call."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_frozen_field_values():
@@ -104,3 +118,74 @@ def test_residual_flags_and_errors():
     above = sommerfeld.field_on_grid(0.4, g, -3.0, 0.75, 0.75, 0.75, 9, 9)
     with pytest.raises(ValueError, match="barrier tip"):
         sommerfeld.helmholtz_residual(above, 0.4, exclude_radius=0.5)
+
+
+def _ray_points(n, a):
+    """n points in the plane, with the tip and top-face points of the ray
+    {y = +0.0, x > a} on both sides of every block boundary."""
+    rng = np.random.default_rng(n)
+    X = rng.uniform(-3.0, 3.0, n)
+    Y = rng.uniform(-3.0, 3.0, n)
+    at = [i for e in range(B, n, B) for i in (e - 2, e - 1, e, e + 1)]
+    at = np.array([0, n - 1] + [i for i in at if i < n])
+    X[at] = a + np.linspace(0.0, 2.5, at.size)     # the tip first
+    Y[at] = 0.0
+    return X, Y, at
+
+
+@pytest.mark.parametrize("n", [B - 1, B, B + 1, 2 * B + 1])
+def test_two_term_blocks_keep_the_ray_zero(n):
+    # the tip and the top face are exact zeros of the Dirichlet bracket
+    # wherever they sit in the blocks, in the free-edge and the rotated
+    # chart alike; the values do not depend on the split into calls
+    a = 0.3
+    X, Y, at = _ray_points(n, a)
+    for kappa, lam in ((2.0, 0.0), (1.5j, 0.4 - 0.2j)):
+        vals = sommerfeld.two_term(2.0, kappa, lam, a, X, Y, -1)
+        assert vals.shape == (n,)
+        assert np.all(vals[at] == 0.0)
+        cut = n // 3
+        parts = np.concatenate([
+            sommerfeld.two_term(2.0, kappa, lam, a, X[:cut], Y[:cut], -1),
+            sommerfeld.two_term(2.0, kappa, lam, a, X[cut:], Y[cut:], -1)])
+        assert np.abs(parts - vals).max() <= 4e-16 * np.abs(vals).max()
+
+
+def test_two_term_shapes():
+    g = sommerfeld.EdgeGeometry(a=0.0)
+    v = sommerfeld.field_values(2.0, g, 1.3, 0.7)
+    assert np.ndim(v) == 0 and isinstance(v, complex)
+    assert sommerfeld.field_values(2.0, g, 0.0, 0.0) == 0.0   # the tip
+    n = 150
+    xs = np.linspace(-3.0, 3.0, n)
+    got = sommerfeld.field_values(2.0, g, xs[None, :], xs[:, None])
+    assert got.shape == (n, n)
+    X, Y = np.meshgrid(xs, xs)
+    want = sommerfeld.field_values(2.0, g, X, Y)
+    assert np.abs(got - want).max() <= 4e-16 * np.abs(want).max()
+    empty = sommerfeld.field_values(2.0, g, np.empty(0), np.empty(0))
+    assert empty.shape == (0,) and empty.dtype == complex
+
+
+def test_field_on_grid_memory_per_point():
+    # the closed form runs in blocks into one output: with the two
+    # coordinate meshes and the mask, about 41 B per point (was 129)
+    g = sommerfeld.EdgeGeometry(a=0.0)
+    n = 401
+    h = 6.0 / (n - 1)
+    peak = traced_peak(
+        lambda: sommerfeld.field_on_grid(2.0, g, -3.0, -3.0, h, h, n, n))
+    assert peak <= 56 * n * n
+
+
+@pytest.mark.parametrize("radius", [0.0, 0.5])
+def test_residual_memory_per_point(radius):
+    # the stencil on the interior, accumulated in place: about 33 B per
+    # point (was 65), the tip disk from the 1-D axes
+    g = sommerfeld.EdgeGeometry(a=0.0)
+    n = 401
+    h = 6.0 / (n - 1)
+    grid = sommerfeld.field_on_grid(2.0, g, -3.0, -3.0, h, h, n, n)
+    peak = traced_peak(
+        lambda: sommerfeld.helmholtz_residual(grid, 2.0, exclude_radius=radius))
+    assert peak <= 40 * n * n

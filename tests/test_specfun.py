@@ -1,6 +1,7 @@
 """Complex error function and the Fresnel-type integral."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,3 +149,63 @@ def test_quadrature_tol_validation():
         specfun.fresnel_F_quadrature(1.0, 0.5, tol=1e-15)
     with pytest.raises(ValueError):
         specfun.fresnel_F_quadrature(1.0, 0.5, tol=1e-3)
+
+
+B = specfun._BLOCK
+
+
+@pytest.mark.parametrize("n", [B - 1, B, B + 1, 2 * B + 1])
+def test_erf_blocks_keep_the_symmetries(n):
+    rng = np.random.default_rng(n)
+    z = rng.uniform(-6.0, 6.0, n) + 1j * rng.uniform(-6.0, 6.0, n)
+    w = specfun.erf_cx(z)
+    assert w.shape == (n,)
+    assert np.array_equal(specfun.erf_cx(-z), -w)
+    assert np.array_equal(specfun.erf_cx(np.conj(z)), np.conj(w))
+    for i in [i for i in (0, B - 1, B, n - 1) if i < n]:
+        assert abs(w[i] - specfun.erf_cx(z[i])) <= 4e-16 * abs(w[i])
+
+
+def test_erf_shapes():
+    assert isinstance(specfun.erf_cx(0.5 + 0.5j), complex)
+    z = np.linspace(-2.0, 2.0, 7)[None, :] + 1j * np.linspace(-1.0, 1.0, 5)[:, None]
+    assert specfun.erf_cx(z).shape == (5, 7)
+    assert specfun.erf_cx(z.T).shape == (7, 5)       # not contiguous
+    empty = specfun.erf_cx(np.empty((0, 3), dtype=complex))
+    assert empty.shape == (0, 3) and empty.dtype == complex
+
+
+def test_erf_checks_the_whole_array_first():
+    z = np.full(2 * B + 1, 0.5 + 0.5j)
+    bad = z.copy()
+    bad[-1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        specfun.erf_cx(bad)
+    # the checks keep their order across blocks: non-finite, then
+    # |z| > 1e6, then the overflow screen
+    bad[0] = 0.2 + 40j
+    bad[-1] = 0.5
+    bad[2 * B] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        specfun.erf_cx(bad)
+    bad[2 * B] = 2e6
+    with pytest.raises(ValueError, match="1e6"):
+        specfun.erf_cx(bad)
+    bad[2 * B] = 0.5
+    with pytest.raises(OverflowError):
+        specfun.erf_cx(bad)
+
+
+def test_erf_memory_per_point():
+    # blocks into one output after the whole-array checks: about 23 B
+    # per point (was 108); the output itself is 16
+    rng = np.random.default_rng(2)
+    z = rng.uniform(-4.0, 4.0, 120_000) + 1j * rng.uniform(-4.0, 4.0, 120_000)
+    specfun.erf_cx(z)
+    tracemalloc.start()
+    try:
+        specfun.erf_cx(z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * z.size
