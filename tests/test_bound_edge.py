@@ -120,9 +120,10 @@ def test_branch_blocks_keep_the_ray_zero(field):
         rng = np.random.default_rng(n)
         X = rng.uniform(-3.0, 3.0, n)
         Y = rng.uniform(-3.0, 3.0, n)
-        at = np.array([0, n - 1] + [i for e in range(B, n, B)
-                                    for i in (e - 1, e)])
-        X[at] = np.linspace(0.0, 2.0, at.size)
+        at = [i for e in range(B, n, B) for i in (e - 2, e - 1, e, e + 1)]
+        at = np.array([0, n - 1] + [i for i in at if i < n])
+        X[at] = np.linspace(0.1, 2.0, at.size)
+        X[at[::2]] = 0.0    # every other one is the tip
         Y[at] = 0.0
         for eps in (1, -1):
             vals = be.branch_field_values(field, X, Y, eps)

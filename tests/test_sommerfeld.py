@@ -128,7 +128,8 @@ def _ray_points(n, a):
     Y = rng.uniform(-3.0, 3.0, n)
     at = [i for e in range(B, n, B) for i in (e - 2, e - 1, e, e + 1)]
     at = np.array([0, n - 1] + [i for i in at if i < n])
-    X[at] = a + np.linspace(0.0, 2.5, at.size)     # the tip first
+    X[at] = a + np.linspace(0.1, 2.5, at.size)
+    X[at[::2]] = a          # every other one is the tip
     Y[at] = 0.0
     return X, Y, at
 
