@@ -78,6 +78,8 @@ _GRID_KEYS = {
     "ny": ("201", _COUNT),
     "out": (None, _PATH),
 }
+# the FD oracle solves the Dirichlet barrier only
+_ORACLE_KEYS = {**_GRID_KEYS, "bc": ("dirichlet", _one_of("dirichlet"))}
 _TAIL_KEYS = {
     "alpha": ("1", _POSITIVE),
     "k": (None, _POSITIVE),         # alpha/2: the scan lives in the trapped regime
@@ -221,7 +223,7 @@ def _cmd_oracle(cfg: dict) -> int:
     prob = oracle_fd.FdProblem(
         x0=cfg["x0"], y0=cfg["y0"], dx=cfg["dx"], dy=cfg["dy"],
         nx=cfg["nx"], ny=cfg["ny"], E=E, alpha=alpha, edge_a=cfg["a"],
-        bc=cfg["bc"], boundary=values)
+        boundary=values)
     fd = oracle_fd.solve(oracle_fd.assemble(prob))
     rep = oracle_fd.compare(ana, fd, E=E)
     flat = {k2: v for k2, v in rep.items() if k2 != "quadrants"}
@@ -265,7 +267,7 @@ _COMMANDS = {
     "residual": (_cmd_residual, _GRID_KEYS),
     "verify": (_cmd_verify, _VERIFY_KEYS),
     "tail": (_cmd_tail, _TAIL_KEYS),
-    "oracle": (_cmd_oracle, _GRID_KEYS),
+    "oracle": (_cmd_oracle, _ORACLE_KEYS),
 }
 
 

@@ -3,8 +3,8 @@
 Independent brute-force solver used to cross-check every closed form in
 the package: five-point Laplacian, the attractive delta line folded in
 as a 1/dx potential column (first-order accurate), the barrier ray
-{y = 0, x >= a} as pinned Dirichlet rows (or a one-sided mirror stencil
-for the Neumann variant), outer frame pinned to supplied analytic data.
+{y = 0, x >= a} as pinned Dirichlet rows, outer frame pinned to supplied
+analytic data.
 The assembled operator rows read
 
     (E + Laplacian_h + (2*alpha/dx) on the x = 0 column) psi = f,
@@ -86,7 +86,6 @@ class FdProblem:
     E: float
     alpha: float = 0.0
     edge_a: float | None = None
-    bc: str = "dirichlet"
     boundary: Callable | None = None
     forcing: Callable | None = None
 
@@ -95,8 +94,6 @@ class FdProblem:
             v = getattr(self, name)
             if np.iscomplexobj(v) or not math.isfinite(v):
                 raise ValueError(f"{name} must be real and finite, got {v!r}")
-        if self.bc not in ("dirichlet", "neumann"):
-            raise ValueError("bc must be 'dirichlet' or 'neumann'")
         if self.alpha < 0:
             raise ValueError("alpha must be >= 0")
         if self.nx < 3 or self.ny < 3:
@@ -131,10 +128,9 @@ def assemble(p: FdProblem) -> SparseSystem:
     waveguide axis or the barrier is not grid-aligned).
 
     The triplets are allocated once at their exact count, 5 per bulk
-    node, 1 per frame node and 1 per EDGE node (2 for Neumann), and
-    filled in this order: the bulk centres, their x-1, x+1, y-1 and y+1
-    neighbours, the frame identity rows, the EDGE identity rows, then the
-    Neumann links to the node above.  ``rows`` and ``cols`` are int32, so
+    node and 1 per frame or EDGE node, and filled in this order: the
+    bulk centres, their x-1, x+1, y-1 and y+1 neighbours, the frame
+    identity rows, then the EDGE identity rows.  ``rows`` and ``cols`` are int32, so
     a grid of nx * ny >= 2**31 nodes raises ``ValueError`` before any
     allocation; ``vals`` is float64; ``rhs`` is complex.
     """
@@ -154,8 +150,7 @@ def assemble(p: FdProblem) -> SparseSystem:
     frame = mask == OUTER
     outer = node[frame]
     edge = node[mask == EDGE]
-    neumann = p.bc == "neumann"
-    nnz = 5 * cen.size + outer.size + edge.size * (2 if neumann else 1)
+    nnz = 5 * cen.size + outer.size + edge.size
     rows = np.empty(nnz, dtype=np.int32)
     cols = np.empty(nnz, dtype=np.int32)
     vals = np.empty(nnz)
@@ -179,10 +174,6 @@ def assemble(p: FdProblem) -> SparseSystem:
         rhs[outer] = p.boundary(X[frame], Y[frame])
 
     put(edge, edge, 1.0)
-    if neumann:
-        # one-sided mirror toward the upper face; a single-valued grid
-        # cannot carry independent data on the two faces of the cut
-        put(edge, edge + nx, -1.0)
 
     return SparseSystem(n=n_nodes, rows=rows, cols=cols, vals=vals, rhs=rhs,
                         problem=p, mask=mask)
@@ -207,17 +198,16 @@ def solve(s: SparseSystem) -> FieldGrid:
     applied as the fast sine transform ``scipy.fft.dst(type=1,
     norm="ortho")`` (Hockney, J. ACM 12, 1965), which takes the complex
     right-hand side one real part at a time; the few rows of S the
-    corrections need are transforms of unit vectors.  The EDGE rows B psi
-    = g are built from ``bc`` (identity for Dirichlet, e - e_above for
-    Neumann) and met by one source per EDGE node through the dense m x m
-    capacitance matrix B L^-1 P (Buzbee, Dorr, George & Golub, SIAM J.
-    Numer. Anal. 8, 1971); the gate checks them against ``A``.  The solve
-    is iterative refinement (Moler, J. ACM 14, 1967) of at most two
-    steps.  Each step adds the box solve L~^-1 r to x, sets the Dirichlet
-    EDGE nodes to their pinned values and each Neumann EDGE node to its
-    upper neighbour's, bit for bit, then forms r = rhs - A x once (A
-    applied to the float view [Re x | Im x], so its values are never
-    copied to complex), for the gate and as the next step's right-hand
+    corrections need are transforms of unit vectors.  The Dirichlet EDGE
+    rows B psi = g, B the identity on the EDGE nodes, are met by one
+    source per EDGE node through the dense m x m capacitance matrix
+    B L^-1 P (Buzbee, Dorr, George & Golub, SIAM J. Numer. Anal. 8,
+    1971); the gate checks them against ``A``.  The solve is iterative
+    refinement (Moler, J. ACM 14, 1967) of at most two steps.  Each step
+    adds the box solve L~^-1 r to x, sets the EDGE nodes to their pinned
+    values, bit for bit, then forms r = rhs - A x once (A applied to the
+    float view [Re x | Im x], so its values are never copied to
+    complex), for the gate and as the next step's right-hand
     side, and stops as soon as ||r|| <= 1e-10 ||rhs||.  One step usually
     passes with a 10-100x margin; the 601^2 grid on [-3, 3]^2 needs the
     second.  Raises ``ValueError`` for non-finite ``rhs`` or
@@ -248,7 +238,7 @@ def solve(s: SparseSystem) -> FieldGrid:
         for _ in range(_MAX_BOX_SOLVES):
             box(x)[...] += box_solve(box(r))
             if edge.size:
-                x[edge] = s.rhs[edge] if p.bc == "dirichlet" else x[edge + nx]
+                x[edge] = s.rhs[edge]
             r = _residual(A, x, s.rhs)
             res = np.linalg.norm(r)
             if res <= _SOLVE_TOL * scale:
@@ -273,8 +263,7 @@ def _sine_rows(m: int, idx) -> np.ndarray:
     """Rows ``idx`` of the orthonormal DST-I matrix S on m nodes.
 
     S[k, j] = sqrt(2/(m+1)) sin(pi (k+1)(j+1)/(m+1)) is symmetric, so row
-    i is the transform of the unit vector e_i; the formula's row m is
-    zero, and so is the row returned for idx = m.
+    i is the transform of the unit vector e_i.
     """
     unit = (np.arange(m) == np.reshape(idx, (-1, 1))).astype(float)
     return dst(unit, type=1, norm="ortho", overwrite_x=True)
@@ -290,7 +279,8 @@ def _second_difference_eigs(m: int, h: float) -> np.ndarray:
 def _box_solver(s: SparseSystem, edge: np.ndarray):
     """Solver for the interior-box rows of ``s``, the frame moved out.
 
-    The barrier rows come from ``bc``, not from the assembled entries.
+    The barrier rows are the Dirichlet identity, not read from the
+    assembled entries.
     Returns (box_solve, spectrum).  ``box_solve`` maps a complex
     right-hand side on the interior box, whose EDGE entries are the
     constraint data g, to the solution there; it zeroes those entries of
@@ -316,15 +306,12 @@ def _box_solver(s: SparseSystem, edge: np.ndarray):
                      f"{np.abs(secular).min():.1e}")
     if edge.size:
         # the EDGE nodes sit on box row jb, box columns ib; in y-modes B
-        # reads S_y[jb] (Dirichlet) or S_y[jb] - S_y[jb + 1] (Neumann).
-        # Below the top frame _sine_rows gives row jb + 1 = my as zero:
-        # the frame value already sits in g
+        # reads S_y[jb]
         jb, ib = edge[0] // p.nx - 1, edge % p.nx - 1
-        sy, above = _sine_rows(my, [jb, jb + 1])
-        by = sy - above if p.bc == "neumann" else sy
+        sy = _sine_rows(my, jb)[0]
         qi = _sine_rows(mx, ib)
         # capacitance matrix B L^-1 P, P injecting one source per EDGE node
-        gamma = by * sy
+        gamma = sy * sy
         cap = ((gamma @ inv) * qi) @ qi.T
         if delta.size:
             wb = W[:, ib]
@@ -340,9 +327,9 @@ def _box_solver(s: SparseSystem, edge: np.ndarray):
         h *= inv
         if edge.size:
             # sources sigma with B L^-1 (f + P sigma) = g
-            b_psi = (by @ h) @ qi.T
+            b_psi = (sy @ h) @ qi.T
             if delta.size:
-                b_psi -= (by * (beta * (h @ s0))) @ wb
+                b_psi -= (sy * (beta * (h @ s0))) @ wb
             sigma = lu_solve(cap, g - b_psi, check_finite=False)
             h += (sy[:, None] * inv) * (sigma @ qi)
         t = dst(h, type=1, norm="ortho", axis=1, overwrite_x=True)

@@ -148,13 +148,16 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         assert "unrecognized arguments" in err
     assert run_cli(capsys, "field", "--mode=bound", "--a=0.5")[0] == 2
     # the bound closed form is the Dirichlet field: no Neumann comparison
-    for cmd in ("field", "oracle"):
-        code, _, err = run_cli(capsys, cmd, "--mode=bound", "--bc=neumann",
-                               "--alpha=1", "--k=0.5", "--nx=101", "--ny=101",
-                               "--dx=0.06", "--dy=0.06",
-                               f"--out={tmp_path / 'never.csv'}")
+    bound = ("--mode=bound", "--alpha=1", "--k=0.5", "--nx=101", "--ny=101",
+             "--dx=0.06", "--dy=0.06", f"--out={tmp_path / 'never.csv'}")
+    code, _, err = run_cli(capsys, "field", "--bc=neumann", *bound)
+    assert code == 2
+    assert "bc = dirichlet" in err
+    # the FD oracle solves the Dirichlet barrier only, in either mode
+    for argv in (("--bc=neumann",), ("--bc=neumann", *bound)):
+        code, _, err = run_cli(capsys, "oracle", *argv)
         assert code == 2
-        assert "bc = dirichlet" in err
+        assert err.startswith("usage error: bc must be one of ")
     # non-finite numbers are usage errors naming the key, alpha included
     # where it is not read
     for key in ("k", "dx", "dy", "alpha"):

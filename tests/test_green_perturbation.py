@@ -228,6 +228,17 @@ def test_tail_scan_refuses_a_degraded_fit():
         gp.tail_scan(1.0, 0.5, 1.0, a_list, PlanePoint(30.0, -12.0))
 
 
+def test_log_slope_fit_refuses_two_exponentials():
+    # the one refusal rule of every log-slope fit: the Born tail scan,
+    # the FD reflection scan and the guided tail check
+    xs = np.linspace(1.0, 3.0, 5)
+    slope, rms = gp.fit_log_slope(xs, np.exp(-2.0 * xs))
+    assert slope == pytest.approx(-2.0, rel=1e-12) and rms < 1e-12
+    with pytest.raises(RuntimeError,
+                       match=r"^tail fit rms residual 8\.312e-02 exceeds 0\.02"):
+        gp.fit_log_slope(xs, np.exp(-4.0 * xs) + 0.1 * np.exp(-xs))
+
+
 def test_tail_scan_csv_and_summary():
     res = gp.tail_scan(1.0, 0.5, 1.0, [1.0, 1.5, 2.0, 2.5, 3.0],
                        PlanePoint(0.0, -12.0))

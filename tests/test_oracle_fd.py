@@ -38,9 +38,6 @@ def test_problem_validation():
         ofd.FdProblem(x0=0, y0=0, dx=0.5, dy=0.5, nx=9, ny=9, E=9.0)  # coarse
     with pytest.raises(ValueError):
         ofd.FdProblem(x0=0, y0=0, dx=0.1, dy=0.1, nx=2, ny=9, E=1.0)
-    with pytest.raises(ValueError):
-        ofd.FdProblem(x0=0, y0=0, dx=0.1, dy=0.1, nx=9, ny=9, E=1.0,
-                      bc="robin")
     with pytest.raises(ValueError, match="alpha"):
         # sqrt(|E|)*dx = 0.02 passes; alpha*dx = 0.6 does not
         ofd.FdProblem(x0=0, y0=0, dx=0.03, dy=0.03, nx=9, ny=9,
@@ -88,12 +85,13 @@ def test_boundary_sampled_once_on_the_frame():
     assert np.array_equal(sys.rhs.reshape(9, 9)[frame], (X + 2j * Y)[frame])
 
 
-@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
-@pytest.mark.parametrize("alpha", [0.0, 1.0])
-def test_assemble_fills_int32_triplets_in_order(bc, alpha):
+# the ids name the barrier condition, Dirichlet, the one the oracle solves
+@pytest.mark.parametrize("alpha", [0.0, 1.0],
+                         ids=["0.0-dirichlet", "1.0-dirichlet"])
+def test_assemble_fills_int32_triplets_in_order(alpha):
     nx, ny = 13, 11
     p = ofd.FdProblem(x0=-1.5, y0=-1.25, dx=0.25, dy=0.25, nx=nx, ny=ny,
-                      E=1.0, alpha=alpha, edge_a=0.0, bc=bc)
+                      E=1.0, alpha=alpha, edge_a=0.0)
     sys = ofd.assemble(p)
     assert sys.rows.dtype == sys.cols.dtype == np.int32
     assert sys.vals.dtype == np.float64
@@ -102,14 +100,10 @@ def test_assemble_fills_int32_triplets_in_order(bc, alpha):
     outer, edge = node[sys.mask == OUTER], node[sys.mask == EDGE]
     assert (sys.mask == DELTA_LINE).any() == (alpha != 0.0)
     assert edge.size == 6
-    # centre, x-1, x+1, y-1, y+1, frame, edge, then the Neumann links
+    # centre, x-1, x+1, y-1, y+1, frame, then edge
     want_rows = [cen] * 5 + [outer, edge]
     want_cols = [cen, cen - 1, cen + 1, cen - nx, cen + nx, outer, edge]
-    if bc == "neumann":
-        want_rows.append(edge)
-        want_cols.append(edge + nx)
-    assert sys.vals.size == 5 * cen.size + outer.size \
-        + edge.size * (2 if bc == "neumann" else 1)
+    assert sys.vals.size == 5 * cen.size + outer.size + edge.size
     assert np.array_equal(sys.rows, np.concatenate(want_rows))
     assert np.array_equal(sys.cols, np.concatenate(want_cols))
 
@@ -168,18 +162,6 @@ def test_reduced_solve_matches_full_system_dirichlet():
     assert np.all(grid.values[edge] == 0.0)
 
 
-def test_reduced_solve_matches_full_system_neumann():
-    g = sommerfeld.EdgeGeometry(a=0.0, bc="neumann")
-    p = ofd.FdProblem(x0=-3.0, y0=-3.0, dx=0.1, dy=0.1, nx=61, ny=61,
-                      E=4.0, edge_a=0.0, bc="neumann",
-                      boundary=lambda X, Y: sommerfeld.field_values(2.0, g, X, Y))
-    grid = _reduced_vs_full(p)
-    j, i = np.nonzero(grid.mask == EDGE)
-    assert j.size
-    # the mirror node takes its upper neighbour's value bit for bit
-    assert np.array_equal(grid.values[j, i], grid.values[j + 1, i])
-
-
 def test_reduced_solve_matches_full_system_without_barrier():
     p = ofd.FdProblem(x0=-3.0, y0=-3.0, dx=0.1, dy=0.1, nx=61, ny=61,
                       E=0.25 - 1.0, alpha=1.0,
@@ -188,9 +170,9 @@ def test_reduced_solve_matches_full_system_without_barrier():
     assert not (grid.mask == EDGE).any()
 
 
-@pytest.mark.parametrize("bc,edge_a,alpha", [
-    ("dirichlet", 0.0, 1.0), ("neumann", 0.0, 0.0), ("dirichlet", None, 1.0)])
-def test_reduced_solve_matches_full_system_with_complex_forcing(bc, edge_a, alpha):
+@pytest.mark.parametrize("edge_a,alpha", [(0.0, 1.0), (None, 1.0)],
+                         ids=["dirichlet-0.0-1.0", "dirichlet-None-1.0"])
+def test_reduced_solve_matches_full_system_with_complex_forcing(edge_a, alpha):
     # Re and Im of the right-hand side are both nonzero inside the grid,
     # so the two real solves are each exercised there
     px, py, E = 0.7, 1.1, 2.3
@@ -202,7 +184,7 @@ def test_reduced_solve_matches_full_system_with_complex_forcing(bc, edge_a, alph
         return (E - px * px - py * py) * exact(X, Y) + (0.3 - 0.8j) * X * Y
 
     p = ofd.FdProblem(x0=-3.0, y0=-3.0, dx=0.1, dy=0.1, nx=61, ny=61, E=E,
-                      alpha=alpha, edge_a=edge_a, bc=bc,
+                      alpha=alpha, edge_a=edge_a,
                       boundary=exact, forcing=forcing)
     sys = ofd.assemble(p)
     inside = sys.rhs[sys.mask.ravel() != OUTER]
@@ -214,7 +196,6 @@ _STRUCTURE_BOX = dict(x0=-1.0, y0=-1.0, dx=0.1, dy=0.1, nx=21, ny=21,
                       E=2.0, alpha=1.0, edge_a=0.3)
 
 
-@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
 @pytest.mark.parametrize("change", [
     dict(y0=-1.9),                         # barrier row below the top frame
     dict(edge_a=-5.0),                     # tip left of the grid: whole row
@@ -224,21 +205,19 @@ _STRUCTURE_BOX = dict(x0=-1.0, y0=-1.0, dx=0.1, dy=0.1, nx=21, ny=21,
     dict(edge_a=-0.4),                     # delta line crosses the barrier
     dict(nx=4, ny=3, x0=-0.1, y0=-0.1, edge_a=0.1),
     dict(nx=3, ny=3, x0=-0.1, y0=-0.1, edge_a=0.0),
-], ids=["top-row", "whole-row", "dx-ne-dy", "no-delta", "tip-on-delta",
-        "delta-crosses", "4x3", "3x3"])
-def test_fast_solve_matches_full_system_structure(bc, change):
+], ids=[f"{name}-dirichlet" for name in (
+    "top-row", "whole-row", "dx-ne-dy", "no-delta", "tip-on-delta",
+    "delta-crosses", "4x3", "3x3")])
+def test_fast_solve_matches_full_system_structure(change):
     # the capacitance rows, the delta column and the box transforms meet
     # every placement of the barrier row and the axis
-    p = ofd.FdProblem(**{**_STRUCTURE_BOX, **change}, bc=bc,
+    p = ofd.FdProblem(**{**_STRUCTURE_BOX, **change},
                       boundary=lambda X, Y: np.exp(1j * (0.7 * X + 1.1 * Y)),
                       forcing=lambda X, Y: (0.3 - 0.8j) * X * Y + 1.0)
     grid = _reduced_vs_full(p)
     j, i = np.nonzero(grid.mask == EDGE)
     assert j.size
-    if bc == "dirichlet":
-        assert np.all(grid.values[j, i] == 0.0)
-    else:
-        assert np.array_equal(grid.values[j, i], grid.values[j + 1, i])
+    assert np.all(grid.values[j, i] == 0.0)
 
 
 def test_near_resonance_gate_names_the_box_spectrum():
@@ -316,20 +295,21 @@ def test_refinement_stops_once_the_gate_holds(monkeypatch):
 
 
 def test_gate_ties_the_fast_solve_to_the_assembled_operator():
-    # the fast solve takes its barrier rows from bc, not from the
-    # assembled entries; a Neumann link changed from -1 to -0.5 in A
-    # alone is caught by the residual gate
-    g = sommerfeld.EdgeGeometry(a=0.0, bc="neumann")
+    # the fast solve builds its operator from the problem, not from the
+    # assembled entries; the x+1 coupling of one node just above the
+    # barrier halved in A alone is caught by the residual gate
+    g = sommerfeld.EdgeGeometry(a=0.0)
     p = ofd.FdProblem(x0=-3.0, y0=-3.0, dx=0.1, dy=0.1, nx=61, ny=61,
-                      E=4.0, edge_a=0.0, bc="neumann",
+                      E=4.0, edge_a=0.0,
                       boundary=lambda X, Y: sommerfeld.field_values(2.0, g, X, Y))
     sys = ofd.assemble(p)
     ofd.solve(sys)
-    tag = sys.mask.ravel()
-    link = np.flatnonzero((tag[sys.rows] == EDGE) & (sys.cols == sys.rows + p.nx))
-    assert link.size and np.all(sys.vals[link] == -1.0)
+    edge = np.flatnonzero(sys.mask.ravel() == EDGE)
+    above = edge[edge.size // 2] + p.nx
+    link = np.flatnonzero((sys.rows == above) & (sys.cols == above + 1))
+    assert link.size == 1 and sys.vals[link[0]] == 1.0 / p.dx ** 2
     vals = sys.vals.copy()
-    vals[link[link.size // 2]] = -0.5
+    vals[link] *= 0.5
     with pytest.raises(RuntimeError, match="exceeds"):
         ofd.solve(dataclasses.replace(sys, vals=vals))
 
