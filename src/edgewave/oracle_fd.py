@@ -4,8 +4,7 @@ Independent brute-force solver used to cross-check every closed form in
 the package: five-point Laplacian, the attractive delta line folded in
 as a 1/dx potential column (first-order accurate), the barrier ray
 {y = 0, x >= a} as pinned Dirichlet rows, outer frame pinned to supplied
-analytic data.
-The assembled operator rows read
+analytic data.  The assembled operator rows read
 
     (E + Laplacian_h + (2*alpha/dx) on the x = 0 column) psi = f,
 
@@ -130,9 +129,9 @@ def assemble(p: FdProblem) -> SparseSystem:
     The triplets are allocated once at their exact count, 5 per bulk
     node and 1 per frame or EDGE node, and filled in this order: the
     bulk centres, their x-1, x+1, y-1 and y+1 neighbours, the frame
-    identity rows, then the EDGE identity rows.  ``rows`` and ``cols`` are int32, so
-    a grid of nx * ny >= 2**31 nodes raises ``ValueError`` before any
-    allocation; ``vals`` is float64; ``rhs`` is complex.
+    identity rows, then the EDGE identity rows.  ``rows`` and ``cols``
+    are int32, so a grid of nx * ny >= 2**31 nodes raises ``ValueError``
+    before any allocation; ``vals`` is float64; ``rhs`` is complex.
     """
     nx, ny = p.nx, p.ny
     n_nodes = nx * ny
@@ -280,12 +279,11 @@ def _box_solver(s: SparseSystem, edge: np.ndarray):
     """Solver for the interior-box rows of ``s``, the frame moved out.
 
     The barrier rows are the Dirichlet identity, not read from the
-    assembled entries.
-    Returns (box_solve, spectrum).  ``box_solve`` maps a complex
-    right-hand side on the interior box, whose EDGE entries are the
-    constraint data g, to the solution there; it zeroes those entries of
-    its argument.  ``spectrum`` names min|mu + lam| / max|mu + lam| and,
-    with a delta column, min|1 + c W[j, e]|.
+    assembled entries.  Returns (box_solve, spectrum).  ``box_solve``
+    maps a complex right-hand side on the interior box, whose EDGE
+    entries are the constraint data g, to the solution there; it zeroes
+    those entries of its argument.  ``spectrum`` names min|mu + lam| /
+    max|mu + lam| and, with a delta column, min|1 + c W[j, e]|.
     """
     p = s.problem
     mx, my = p.nx - 2, p.ny - 2
