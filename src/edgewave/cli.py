@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from . import bound_edge, criteria, green_perturbation, sommerfeld
+from . import bound_edge, criteria, green_perturbation, oracle_fd, sommerfeld
 from .geometry import PlanePoint
 from .grid import FieldGrid, tabulate, write_csv
 from .grid import _fmt as fmt
@@ -214,10 +214,6 @@ def _cmd_tail(cfg: dict) -> int:
 
 
 def _cmd_oracle(cfg: dict) -> int:
-    # imported here: scipy.linalg, scipy.fft and scipy.sparse cost every
-    # other command 0.2 s
-    from . import oracle_fd
-
     E, alpha, values = _closed_form(cfg)
     ana = _analytic_grid(cfg, alpha, values)
     prob = oracle_fd.FdProblem(

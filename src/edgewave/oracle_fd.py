@@ -30,6 +30,10 @@ reflected amplitude and ruins the decay fit.  Hence: the transverse
 profile is the ground eigenvector of the discrete 1-D
 operator (not exp(-alpha|x|)) and the energy uses the lattice dispersion
 E = mu_h + 2(1 - cos(k dx))/dx^2 (not mu_h + k^2).
+
+scipy.fft, scipy.linalg and scipy.sparse are imported by the functions
+that call them, so a program that imports this module and never solves
+does not load them.
 """
 
 from __future__ import annotations
@@ -39,9 +43,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.fft import dst
-from scipy.linalg import eigh_tridiagonal, lu_factor, lu_solve
-from scipy.sparse import coo_matrix
 
 from .grid import DELTA_LINE, EDGE, INTERIOR, OUTER, FieldGrid, build_mask, dilate
 from .green_perturbation import TailScanResult, fit_log_slope
@@ -220,6 +221,8 @@ def solve(s: SparseSystem) -> FieldGrid:
         raise ValueError("rhs holds non-finite values (boundary or forcing data)")
     if not np.isfinite(s.vals).all():
         raise ValueError("system coefficients hold non-finite values")
+    from scipy.sparse import coo_matrix
+
     p = s.problem
     nx, ny = p.nx, p.ny
     A = coo_matrix((s.vals, (s.rows, s.cols)), shape=(s.n, s.n))
@@ -264,6 +267,8 @@ def _sine_rows(m: int, idx) -> np.ndarray:
     S[k, j] = sqrt(2/(m+1)) sin(pi (k+1)(j+1)/(m+1)) is symmetric, so row
     i is the transform of the unit vector e_i.
     """
+    from scipy.fft import dst
+
     unit = (np.arange(m) == np.reshape(idx, (-1, 1))).astype(float)
     return dst(unit, type=1, norm="ortho", overwrite_x=True)
 
@@ -281,10 +286,14 @@ def _box_solver(s: SparseSystem, edge: np.ndarray):
     The barrier rows are the Dirichlet identity, not read from the
     assembled entries.  Returns (box_solve, spectrum).  ``box_solve``
     maps a complex right-hand side on the interior box, whose EDGE
-    entries are the constraint data g, to the solution there; it zeroes
-    those entries of its argument.  ``spectrum`` names min|mu + lam| /
-    max|mu + lam| and, with a delta column, min|1 + c W[j, e]|.
+    entries are the constraint data g, to the solution there; its first
+    sine transform runs in place, so it overwrites its argument.
+    ``spectrum`` names min|mu + lam| / max|mu + lam| and, with a delta
+    column, min|1 + c W[j, e]|.
     """
+    from scipy.fft import dst
+    from scipy.linalg import lu_factor, lu_solve
+
     p = s.problem
     mx, my = p.nx - 2, p.ny - 2
     denom = _second_difference_eigs(my, p.dy)[:, None] \
@@ -320,7 +329,7 @@ def _box_solver(s: SparseSystem, edge: np.ndarray):
         if edge.size:
             g = f[jb, ib]
             f[jb, ib] = 0.0
-        h = dst(dst(f, type=1, norm="ortho", axis=1),
+        h = dst(dst(f, type=1, norm="ortho", axis=1, overwrite_x=True),
                 type=1, norm="ortho", axis=0, overwrite_x=True)
         h *= inv
         if edge.size:
@@ -399,6 +408,8 @@ def discrete_mode(alpha: float, xs: np.ndarray) -> tuple[float, np.ndarray]:
     i0 = int(np.argmin(np.abs(xs)))
     if abs(xs[i0]) > 1e-12:
         raise ValueError("x = 0 must be a grid node")
+    from scipy.linalg import eigh_tridiagonal
+
     diag = np.full(n - 2, 2.0 / h ** 2)
     diag[i0 - 1] -= 2.0 * alpha / h
     off = np.full(n - 3, -1.0 / h ** 2)

@@ -1,12 +1,15 @@
 """Half-line edge diffraction of a free plane wave, in closed form.
 
-The field for a unit-amplitude wave incident along the -y direction on
-the barrier {y = 0, x >= a} is
+The field for a wave incident along the -y direction on the barrier
+{y = 0, x >= a} is
 
     psi(x, y) = exp(-iky) F(xi) - exp(+iky) F(eta)     (Dirichlet)
 
 with F the half-line Fresnel-type integral (specfun) and (xi, eta) the
-parabolic coordinates about the tip (geometry).  On the barrier ray the
+parabolic coordinates about the tip (geometry).  The incident wave has
+amplitude |F(inf)| = sqrt(pi/2k), not 1: |psi| at (-400, 5) is 1.817 at
+k = 0.5 and 0.869 at k = 2.  Every frozen number assumes this
+normalisation.  On the barrier ray the
 two coordinates coincide, xi = eta, and the y-phases both collapse to 1,
 so the Dirichlet combination cancels exactly - this is the mechanism
 behind the boundary condition, not a numerical tolerance.

@@ -296,10 +296,11 @@ def test_alpha_checked_only_where_used(tmp_path, capsys):
     assert run_cli(capsys, "verify", "--alpha=0")[0] == 2
 
 
-def test_cli_import_leaves_out_the_oracle_and_ndimage():
-    # only the oracle command needs oracle_fd and its scipy modules
-    code = ("import sys, edgewave.cli; print([m for m in "
-            "('edgewave.oracle_fd', 'scipy.ndimage') if m in sys.modules])")
+def test_cli_import_leaves_out_the_solver_scipy_and_ndimage():
+    # the FD solve loads its scipy modules; no other command pays for them
+    code = ("import sys, edgewave.cli; print([m for m in ('scipy.fft', "
+            "'scipy.linalg', 'scipy.sparse', 'scipy.ndimage') "
+            "if m in sys.modules])")
     env = dict(os.environ, PYTHONPATH=str(Path(edgewave.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
