@@ -9,10 +9,10 @@ with F the half-line Fresnel-type integral (specfun) and (xi, eta) the
 parabolic coordinates about the tip (geometry).  The incident wave has
 amplitude |F(inf)| = sqrt(pi/2k), not 1: |psi| at (-400, 5) is 1.817 at
 k = 0.5 and 0.869 at k = 2.  Every frozen number assumes this
-normalisation.  On the barrier ray the
-two coordinates coincide, xi = eta, and the y-phases both collapse to 1,
-so the Dirichlet combination cancels exactly - this is the mechanism
-behind the boundary condition, not a numerical tolerance.
+normalisation.  On the barrier ray the two coordinates coincide,
+xi = eta, and the y-phases both collapse to 1, so the Dirichlet
+combination cancels exactly - this is the mechanism behind the
+boundary condition, not a numerical tolerance.
 
 The Neumann variant replaces the difference by a sum.  That choice makes
 d(xi)/dy + d(eta)/dy vanish on the ray (xi and eta are conjugate

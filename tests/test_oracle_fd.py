@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 from pathlib import Path
 
@@ -157,7 +158,7 @@ def test_import_defers_the_solver_scipy_modules_to_first_use():
     # importing the oracle loads none of scipy.fft, scipy.linalg and
     # scipy.sparse; a solve with a barrier and a delta column and one
     # discrete_mode call load all three
-    code = """if True:
+    code = textwrap.dedent("""
         import sys
         import numpy as np
         from edgewave import oracle_fd as ofd
@@ -172,11 +173,11 @@ def test_import_defers_the_solver_scipy_modules_to_first_use():
         ofd.solve(system)
         ofd.discrete_mode(1.0, np.linspace(-1.0, 1.0, 9))
         print([m for m in mods if m not in sys.modules])
-    """
+    """)
     env = dict(os.environ, PYTHONPATH=str(Path(ofd.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.split("\n")[:2] == ["[]", "[]"]
+    assert out.splitlines() == ["[]", "[]"]
 
 
 def _reduced_vs_full(p):
