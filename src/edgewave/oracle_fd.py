@@ -12,11 +12,12 @@ so applying a row to the constant field returns E.  ``assemble`` keeps
 the full system, pinned identity rows included.  Every coefficient is
 real (``E``, the spacings and ``alpha`` are real), so ``assemble``
 stores them as float64, with int32 node numbers.  ``solve`` does no
-sparse factorisation and runs no eigensolver: it inverts the separable interior-box operator with
-the fast sine transform (``scipy.fft.dst``, type I, orthonormal), takes
-the delta column as a rank-one update per transverse mode, and meets the
-barrier rows through a small dense capacitance matrix, so solves are
-direct and deterministic.  Every solve must meet the residual gate
+sparse factorisation and runs no eigensolver: it inverts the separable
+interior-box operator with the fast sine transform (``scipy.fft.dst``,
+type I, orthonormal), takes the delta column as a rank-one update per
+transverse mode, and meets the barrier rows through a small dense
+capacitance matrix (``numpy.linalg.solve``), so solves are direct and
+deterministic.  Every solve must meet the residual gate
 ||A x - rhs|| <= 1e-10 ||rhs|| on the assembled system, which ties the
 fast solve to the independently assembled operator.  ``compare`` drops
 a fixed band of two cells around the barrier ray and the waveguide
@@ -27,13 +28,14 @@ experiment needs.  For the scattering run the incident wave must be an
 exact solution of the *discrete* interior equations -- otherwise its
 O(dx) defect radiates a spurious scattered field that floors the
 reflected amplitude and ruins the decay fit.  Hence: the transverse
-profile is the ground eigenvector of the discrete 1-D
-operator (not exp(-alpha|x|)) and the energy uses the lattice dispersion
-E = mu_h + 2(1 - cos(k dx))/dx^2 (not mu_h + k^2).
+profile is the ground eigenvector of the discrete 1-D operator (not
+exp(-alpha|x|)), found as the root of its secular equation, and the
+energy uses the lattice dispersion E = mu_h + 2(1 - cos(k dx))/dx^2
+(not mu_h + k^2).
 
-scipy.fft, scipy.linalg and scipy.sparse are imported by the functions
-that call them, so a program that imports this module and never solves
-does not load them.
+scipy.fft and scipy.sparse are imported by the functions that call
+them, so a program that imports this module and never solves does not
+load them; no function here loads scipy.linalg.
 """
 
 from __future__ import annotations
@@ -63,6 +65,8 @@ _SOLVE_TOL = 1e-10       # residual gate, relative to ||rhs||
 _MAX_BOX_SOLVES = 2      # refinement steps before the gate is final
 _EXCLUDE_CELLS = 2       # compare() band around the barrier and the axis
 _GUIDED_H = 0.1          # grid step of the guided-mode reflection experiment
+_MAX_SECULAR_STEPS = 100  # discrete_mode's Newton-bisection cap
+_ROW_BLOCK = 4096        # points per row block of box_solve's corrections
 
 
 @dataclass(frozen=True)
@@ -142,7 +146,7 @@ def assemble(p: FdProblem) -> SparseSystem:
     mask = build_mask(p.x0, p.y0, p.dx, p.dy, nx, ny,
                       edge_a=p.edge_a, delta_line=p.alpha != 0.0)
     node = np.arange(n_nodes, dtype=np.int32).reshape(ny, nx)
-    X, Y = np.meshgrid(p.x0 + p.dx * np.arange(nx), p.y0 + p.dy * np.arange(ny))
+    xs, ys = p.x0 + p.dx * np.arange(nx), p.y0 + p.dy * np.arange(ny)
     rhs = np.zeros(n_nodes, dtype=complex)
 
     bulk = (mask == INTERIOR) | (mask == DELTA_LINE)
@@ -167,11 +171,14 @@ def assemble(p: FdProblem) -> SparseSystem:
     for shift, w in ((-1, p.dx), (1, p.dx), (-nx, p.dy), (nx, p.dy)):
         put(cen, cen + shift, 1.0 / w ** 2)
     if p.forcing is not None:
+        X, Y = np.meshgrid(xs, ys)
         rhs[cen] = np.asarray(p.forcing(X, Y), dtype=complex)[bulk]
 
     put(outer, outer, 1.0)
     if p.boundary is not None:
-        rhs[outer] = p.boundary(X[frame], Y[frame])
+        # the frame's coordinates from the 1-D axes, in the mask's order
+        rhs[outer] = p.boundary(np.broadcast_to(xs, (ny, nx))[frame],
+                                np.broadcast_to(ys[:, None], (ny, nx))[frame])
 
     put(edge, edge, 1.0)
 
@@ -192,9 +199,11 @@ def solve(s: SparseSystem) -> FieldGrid:
     diagonalises both: D_x = S_x diag(lam) S_x and T_y = S_y diag(mu) S_y
     with lam = E - 4/dx^2 sin^2(pi k / 2(m+1)), mu likewise without E
     (Lynch, Rice & Thomas, Numer. Math. 6, 1964), so no eigensolver
-    runs.  Per y-mode j the delta column is a rank-one update of
-    D_x + mu_j, folded in by Sherman-Morrison with W = (S_x[e] * inv) S_x,
-    inv = 1 / (mu + lam), and beta_j = c / (1 + c W[j, e]).  S is
+    runs.  Per y-mode j the delta column is the rank-one term c s0 s0^T
+    of D_x + mu_j in x-mode space, s0 = S_x e, folded into the mode
+    coefficients h_j = inv_j * (S_y f S_x)_j, inv = 1 / (mu + lam), by
+    Sherman-Morrison: h_j -= beta_j (h_j . s0) inv_j s0, with
+    beta_j = c / (1 + c W_j) and W_j = (S_x (inv_j s0))[e].  S is
     applied as the fast sine transform ``scipy.fft.dst(type=1,
     norm="ortho")`` (Hockney, J. ACM 12, 1965), which takes the complex
     right-hand side one real part at a time; the few rows of S the
@@ -202,7 +211,9 @@ def solve(s: SparseSystem) -> FieldGrid:
     rows B psi = g, B the identity on the EDGE nodes, are met by one
     source per EDGE node through the dense m x m capacitance matrix
     B L^-1 P (Buzbee, Dorr, George & Golub, SIAM J. Numer. Anal. 8,
-    1971); the gate checks them against ``A``.  The solve is iterative
+    1971), solved by ``numpy.linalg.solve``; the gate checks them
+    against ``A``.  Both corrections act on h in row blocks, so no
+    full-size product is formed.  The solve is iterative
     refinement (Moler, J. ACM 14, 1967) of at most two steps.  Each step
     adds the box solve L~^-1 r to x, sets the EDGE nodes to their pinned
     values, bit for bit, then forms r = rhs - A x once (A applied to the
@@ -214,7 +225,7 @@ def solve(s: SparseSystem) -> FieldGrid:
     coefficients, ``RuntimeError`` if the residual on the full complex
     system is not finite or exceeds the gate after the last step; the
     message gives min|mu + lam| / max|mu + lam| and, with a delta
-    column, min|1 + c W[j, e]|, small near an eigenvalue of the
+    column, min|1 + c W_j|, small near an eigenvalue of the
     barrier-free box.
     """
     if not np.isfinite(s.rhs).all():
@@ -239,6 +250,7 @@ def solve(s: SparseSystem) -> FieldGrid:
         r = _residual(A, x, s.rhs)
         for _ in range(_MAX_BOX_SOLVES):
             box(x)[...] += box_solve(box(r))
+            del r                        # before the next one is formed
             if edge.size:
                 x[edge] = s.rhs[edge]
             r = _residual(A, x, s.rhs)
@@ -288,42 +300,55 @@ def _box_solver(s: SparseSystem, edge: np.ndarray):
     maps a complex right-hand side on the interior box, whose EDGE
     entries are the constraint data g, to the solution there; its first
     sine transform runs in place, so it overwrites its argument.
+    Between the transforms it works in mode space: h = inv * S_y f S_x,
+    the capacitance sources added, then the delta column's
+    Sherman-Morrison correction, both in row blocks of about
+    ``_ROW_BLOCK`` points, so no full-size product is formed.
     ``spectrum`` names min|mu + lam| / max|mu + lam| and, with a delta
-    column, min|1 + c W[j, e]|.
+    column, min|1 + c W|.
     """
     from scipy.fft import dst
-    from scipy.linalg import lu_factor, lu_solve
 
     p = s.problem
     mx, my = p.nx - 2, p.ny - 2
     denom = _second_difference_eigs(my, p.dy)[:, None] \
         + (p.E + _second_difference_eigs(mx, p.dx))[None, :]
-    inv = 1.0 / denom
     spectrum = (f"min|mu+lam|/max|mu+lam| is "
                 f"{np.abs(denom).min() / np.abs(denom).max():.1e}")
+    inv = np.reciprocal(denom, out=denom)
+    rows = max(1, _ROW_BLOCK // mx)
+    blocks = [slice(j, j + rows) for j in range(0, my, rows)]
+    # the EDGE nodes sit on box row jb, box columns ib
+    ib = edge % p.nx - 1
     delta = np.flatnonzero((s.mask[1:-1, 1:-1] == DELTA_LINE).any(axis=0))
     if delta.size:
-        # row j of W is (D_x + mu_j)^-1 e, e the delta column i0
+        # in x-modes the delta column adds c s0 s0^T, s0 = S_x e_i0; row j
+        # of W = S_x (inv * s0) is (D_x + mu_j)^-1 e.  Only its columns i0
+        # and ib are kept, read off the sine transform that carries h to x
+        # space rather than summed: near a box eigenvalue beta is large and
+        # the capacitance must match that transform's rounding (summed, the
+        # residual 1e-9 from one grew 7x, past the gate)
         i0, c = int(delta[0]), 2.0 * p.alpha / p.dx
         s0 = _sine_rows(mx, i0)[0]
-        W = dst(s0 * inv, type=1, norm="ortho", overwrite_x=True)
-        secular = 1.0 + c * W[:, i0]
+        cols = np.r_[i0, ib]
+        wcols = np.concatenate([
+            dst(inv[b] * s0, type=1, norm="ortho", axis=1,
+                overwrite_x=True)[:, cols] for b in blocks])
+        secular = 1.0 + c * wcols[:, 0]
         beta = c / secular
         spectrum += (f" and min|1 + c W| of its delta column "
                      f"{np.abs(secular).min():.1e}")
     if edge.size:
-        # the EDGE nodes sit on box row jb, box columns ib; in y-modes B
-        # reads S_y[jb]
-        jb, ib = edge[0] // p.nx - 1, edge % p.nx - 1
+        # in y-modes B reads S_y[jb]
+        jb = edge[0] // p.nx - 1
         sy = _sine_rows(my, jb)[0]
         qi = _sine_rows(mx, ib)
         # capacitance matrix B L^-1 P, P injecting one source per EDGE node
         gamma = sy * sy
         cap = ((gamma @ inv) * qi) @ qi.T
         if delta.size:
-            wb = W[:, ib]
+            wb = wcols[:, 1:]
             cap -= ((gamma * beta) * wb.T) @ wb
-        cap = lu_factor(cap, check_finite=False)
 
     def box_solve(f):
         if edge.size:
@@ -337,11 +362,15 @@ def _box_solver(s: SparseSystem, edge: np.ndarray):
             b_psi = (sy @ h) @ qi.T
             if delta.size:
                 b_psi -= (sy * (beta * (h @ s0))) @ wb
-            sigma = lu_solve(cap, g - b_psi, check_finite=False)
-            h += (sy[:, None] * inv) * (sigma @ qi)
+            src = np.linalg.solve(cap, g - b_psi) @ qi
+        if edge.size or delta.size:
+            for blk in blocks:
+                hb, invb = h[blk], inv[blk]
+                if edge.size:
+                    hb += (sy[blk, None] * invb) * src
+                if delta.size:
+                    hb -= (beta[blk] * (hb @ s0))[:, None] * (invb * s0)
         t = dst(h, type=1, norm="ortho", axis=1, overwrite_x=True)
-        if delta.size:
-            t -= (beta * t[:, i0])[:, None] * W
         return dst(t, type=1, norm="ortho", axis=0, overwrite_x=True)
 
     return box_solve, spectrum
@@ -400,26 +429,56 @@ def discrete_mode(alpha: float, xs: np.ndarray) -> tuple[float, np.ndarray]:
     """Ground state of the discrete transverse operator on nodes xs.
 
     Dirichlet ends; the delta well contributes -2*alpha/h at the x = 0
-    node, which must be on the grid.  Returns (energy, mode) with the
-    mode normalized to sum(phi^2) * h = 1 and phi(0) > 0.
+    node, which must be an interior grid node.  In the DST-I basis S of
+    the m interior nodes the operator is diag(nu) - c s0 s0^T, with
+    nu_k = 4/h^2 sin^2(pi k / 2(m+1)) the negated Dirichlet second
+    difference, c = 2 alpha/h and s0 = S e the basis read at x = 0.  The
+    ground energy w is the root below nu_1 of the secular equation
+    1 = g(w) = c sum_k s0_k^2 / (nu_k - w) (Bunch, Nielsen & Sorensen,
+    Numer. Math. 31, 1978), which lies in [nu_1 - c, nu_1 - c s0_1^2]
+    because sum_k s0_k^2 = 1.  Newton's method on 1/g - 1 runs from the
+    upper end, with a bisection step whenever it leaves the bracket; the
+    mode is S (s0 / (nu - w)), one sine transform, so no eigensolver
+    runs.  At alpha = 0 it is the first sine mode.  Returns (energy,
+    mode) with the mode normalized to sum(phi^2) * h = 1 and phi(0) > 0.
     """
+    if alpha < 0:
+        raise ValueError("alpha must be >= 0")
     n = len(xs)
     h = xs[1] - xs[0]
     i0 = int(np.argmin(np.abs(xs)))
-    if abs(xs[i0]) > 1e-12:
-        raise ValueError("x = 0 must be a grid node")
-    from scipy.linalg import eigh_tridiagonal
+    if abs(xs[i0]) > 1e-12 or not 0 < i0 < n - 1:
+        raise ValueError("x = 0 must be an interior grid node")
+    from scipy.fft import dst
 
-    diag = np.full(n - 2, 2.0 / h ** 2)
-    diag[i0 - 1] -= 2.0 * alpha / h
-    off = np.full(n - 3, -1.0 / h ** 2)
-    w, v = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
+    m = n - 2
+    nu = -_second_difference_eigs(m, h)
+    if alpha == 0.0:
+        w, y = nu[0], np.eye(1, m)[0]
+    else:
+        c = 2.0 * alpha / h
+        s0 = _sine_rows(m, i0 - 1)[0]
+        s0sq = s0 * s0
+        lo, hi = nu[0] - c, nu[0] - c * s0sq[0]
+        w = hi
+        for _ in range(_MAX_SECULAR_STEPS):
+            q = s0sq / (nu - w)
+            g = c * q.sum()
+            if g < 1.0:
+                lo = w
+            else:
+                hi = w
+            nxt = w + (g - g * g) / (c * (q / (nu - w)).sum())
+            if nxt == w:
+                break
+            w = nxt if lo < nxt < hi else 0.5 * (lo + hi)
+        y = s0 / (nu - w)
     phi = np.zeros(n)
-    phi[1:-1] = v[:, 0]
+    # phi(0) > 0 needs no sign flip: S y reads g / c > 0 at x = 0, and
+    # the first sine mode is positive everywhere
+    phi[1:-1] = dst(y, type=1, norm="ortho")
     phi /= math.sqrt(float(np.sum(phi ** 2)) * h)
-    if phi[i0] < 0:
-        phi = -phi
-    return float(w[0]), phi
+    return float(w), phi
 
 
 # --- guided-mode reflection experiment -------------------------------------

@@ -154,10 +154,20 @@ def test_box_solve_transforms_the_residual_in_place():
     assert _guided_peak_per_unknown() <= 192
 
 
+def test_box_solve_forms_no_full_size_products():
+    # the delta column's Sherman-Morrison correction and the capacitance
+    # sources act on the x-mode coefficients in row blocks, with no
+    # stored W, and each residual is dropped before the next is formed:
+    # 155 B per unknown measured, 182 with W and its full-size products
+    assert _guided_peak_per_unknown() <= 164
+
+
 def test_import_defers_the_solver_scipy_modules_to_first_use():
     # importing the oracle loads none of scipy.fft, scipy.linalg and
     # scipy.sparse; a solve with a barrier and a delta column and one
-    # discrete_mode call load all three
+    # discrete_mode call load scipy.fft and scipy.sparse and never
+    # scipy.linalg: the capacitance solve is numpy's and the transverse
+    # mode a secular root, not an eigensolver
     code = textwrap.dedent("""
         import sys
         import numpy as np
@@ -172,12 +182,12 @@ def test_import_defers_the_solver_scipy_modules_to_first_use():
         assert {DELTA_LINE, EDGE} <= set(system.mask.ravel().tolist())
         ofd.solve(system)
         ofd.discrete_mode(1.0, np.linspace(-1.0, 1.0, 9))
-        print([m for m in mods if m not in sys.modules])
+        print([m for m in mods if m in sys.modules])
     """)
     env = dict(os.environ, PYTHONPATH=str(Path(ofd.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.splitlines() == ["[]", "[]"]
+    assert out.splitlines() == ["[]", "['scipy.fft', 'scipy.sparse']"]
 
 
 def _reduced_vs_full(p):
@@ -617,6 +627,42 @@ def test_discrete_mode_shape():
     assert np.abs(phi / phi[80] - np.exp(-np.abs(xs))).max() < 0.02
     with pytest.raises(ValueError):
         ofd.discrete_mode(1.0, np.linspace(-8.05, 8.0, 161))
+
+
+@pytest.mark.parametrize("alpha,xs", [
+    (1.0, np.linspace(-8.0, 8.0, 161)),
+    (0.5, np.linspace(-16.0, 16.0, 321)),
+    (1.0, np.linspace(-3.0, 5.0, 81)),
+    (0.0, np.linspace(-8.0, 8.0, 161)),
+    (1.0, np.linspace(-1.0, 1.0, 9)),
+], ids=["guided-29k", "guided-116k", "off-centre", "alpha-0", "weak"])
+def test_discrete_mode_matches_a_dense_eigensolver(alpha, xs):
+    # the secular root and its one-transform mode against the dense
+    # tridiagonal operator; "weak" has no state below 0 (the tent
+    # 1 - |x| has w = 0 exactly) and "off-centre" puts x = 0 on node 30
+    # of 81
+    h = xs[1] - xs[0]
+    m, i0 = xs.size - 2, int(np.argmin(np.abs(xs)))
+    H = (2.0 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1)) / h ** 2
+    H[i0 - 1, i0 - 1] -= 2.0 * alpha / h
+    ev, vec = np.linalg.eigh(H)
+    want = np.zeros(xs.size)
+    want[1:-1] = vec[:, 0] / math.sqrt(np.sum(vec[:, 0] ** 2) * h)
+    want *= np.sign(want[i0])
+    w, phi = ofd.discrete_mode(alpha, xs)
+    assert abs(w - ev[0]) <= 1e-12
+    assert phi[0] == phi[-1] == 0.0 and phi[i0] > 0
+    assert np.abs(phi - want).max() <= 1e-12
+    assert np.abs(H @ phi[1:-1] - w * phi[1:-1]).max() <= 1e-12 * np.abs(H).max()
+
+
+def test_discrete_mode_rejects_a_negative_well_or_an_end_node():
+    # the secular root lies below nu_1 only for an attractive well on an
+    # interior node
+    with pytest.raises(ValueError, match="alpha"):
+        ofd.discrete_mode(-1.0, np.linspace(-1.0, 1.0, 9))
+    with pytest.raises(ValueError, match="interior"):
+        ofd.discrete_mode(1.0, np.linspace(0.0, 1.0, 9))
 
 
 def test_scatter_consistency_without_barrier():
