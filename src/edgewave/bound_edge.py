@@ -84,7 +84,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import k0
 
+from .geometry import polar, rotated_pair
 from .sommerfeld import two_term
+from .specfun import _rotation_root
 
 __all__ = [
     "WaveguideParams",
@@ -175,13 +177,46 @@ def branch_field_values(f: BoundEdgeField, X, Y, eps: int) -> np.ndarray:
     eps across the whole plane.  It is what a solver needs for boundary
     data on a subdomain that touches the axis from one side, where the
     two-branch evaluator would pick the wrong face at x = 0.
+
+    Where erf_cx overflows, a point whose :func:`_log_bound` lies below
+    log 2^-1075 gets exactly 0, the double its field rounds to; if any
+    other point overflows, the OverflowError stands.  An array without
+    overflow takes the unchanged path.
     """
     X = np.asarray(X, dtype=float)
     alpha, k = f.params.alpha, f.params.k
     kap, lam = kappa_lambda(alpha, k, eps)
-    out = two_term(k, kap, lam, 0.0, X, Y, -1)
+    try:
+        out = two_term(k, kap, lam, 0.0, X, Y, -1)
+    except OverflowError:
+        # erf_cx refuses a point where e^{-Re z^2} overflows; where the
+        # field's own bound lies below the double range, the field is 0
+        X, Y = np.broadcast_arrays(X, np.asarray(Y, dtype=float))
+        keep = _log_bound(alpha, kap, lam, X, Y) >= _LOG_HALF_SUBNORMAL
+        out = np.zeros(X.shape, dtype=complex)
+        out[keep] = two_term(k, kap, lam, 0.0, X[keep], Y[keep], -1)
     out *= np.exp(-alpha * np.abs(X))
     return out
+
+
+# log 2^-1075: a field of smaller modulus rounds to 0 in double precision
+_LOG_HALF_SUBNORMAL = -1075.0 * math.log(2.0)
+
+
+def _log_bound(alpha: float, kap: complex, lam: complex, X, Y) -> np.ndarray:
+    """Upper bound on log |psi| of one branch at each point.
+
+    Each term of the bracket is F(w) = pref (1 + erf(s w)) with |e^{-iky}|
+    = 1.  In the folded quadrant erf(z) = 1 - e^{-z^2} w(iz) with |w| <= 1,
+    and Re z^2 is unchanged by the fold, so |F| <= |pref| (2 +
+    e^{-Re z^2}) and |psi| <= e^{-alpha|x|} |pref| (4 + e^{-Re z1^2} +
+    e^{-Re z2^2}) for z1 = s xi and z2 = s eta.
+    """
+    s = _rotation_root(kap)
+    xi, eta = rotated_pair(*polar(X, Y), lam)
+    decay = np.logaddexp(-((s * xi) ** 2).real, -((s * eta) ** 2).real)
+    return (-alpha * np.abs(X) + math.log(math.sqrt(math.pi) / (2.0 * abs(s)))
+            + np.logaddexp(math.log(4.0), decay))
 
 
 def field_values(f: BoundEdgeField, X, Y) -> np.ndarray:

@@ -24,7 +24,6 @@ import numpy as np
 from . import bound_edge, criteria, green_perturbation, oracle_fd, sommerfeld
 from .geometry import PlanePoint
 from .grid import FieldGrid, tabulate, write_csv
-from .grid import _fmt as fmt
 
 _A_RANGE_STEPS = 1000   # steps one start:step:stop range of a_list may span
 
@@ -147,7 +146,7 @@ def _kv(record: dict) -> str:
         if isinstance(val, bool):
             parts.append(f'"{key}": {"true" if val else "false"}')
         elif isinstance(val, float):
-            parts.append(f'"{key}": {fmt(val)}')
+            parts.append(f'"{key}": {val:.16e}')
         elif val is None:
             parts.append(f'"{key}": null')
         else:
@@ -225,7 +224,7 @@ def _cmd_oracle(cfg: dict) -> int:
     flat = {k2: v for k2, v in rep.items() if k2 != "quadrants"}
     print(_kv(flat))
     for name, val in rep["quadrants"].items():
-        print(f'  quadrant {name}: {fmt(val)}')
+        print(f'  quadrant {name}: {val:.16e}')
     if cfg["out"]:
         write_csv(fd, cfg["out"])
         print(f"wrote {cfg['out']}")

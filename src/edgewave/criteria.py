@@ -14,7 +14,7 @@ import numpy as np
 
 from . import bound_edge, delta_1d, green_perturbation, sommerfeld, specfun
 from .geometry import PlanePoint, rotated_pair
-from .grid import _fmt as fmt
+
 
 @dataclass(frozen=True)
 class Check:
@@ -37,7 +37,7 @@ def flux_conservation(alphas, tol: float) -> Check:
             co = delta_1d.scattering_coeffs(well, p)
             worst = max(worst, abs(abs(co.A) ** 2 + abs(co.B) ** 2 - 1.0))
     return Check("flux-conservation", worst, tol, worst <= tol,
-                 f"max flux defect {fmt(worst)} (tol {tol:.1e})")
+                 f"max flux defect {worst:.16e} (tol {tol:.1e})")
 
 
 def bound_pole_location(alphas, tol: float) -> Check:
@@ -45,7 +45,7 @@ def bound_pole_location(alphas, tol: float) -> Check:
     worst = max(abs(delta_1d.pole_residue(delta_1d.DeltaWell(alpha=a)) - 1j * a)
                 for a in alphas)
     return Check("bound-pole-location", worst, tol, worst <= tol,
-                 f"max pole residue defect {fmt(worst)} (tol {tol:.1e})")
+                 f"max pole residue defect {worst:.16e} (tol {tol:.1e})")
 
 
 def fresnel_cross_validation(draws, quad_tol: float, tol: float) -> Check:
@@ -56,7 +56,7 @@ def fresnel_cross_validation(draws, quad_tol: float, tol: float) -> Check:
         b = specfun.fresnel_F_quadrature(k, xi, tol=quad_tol).value
         worst = max(worst, abs(a - b) / max(1.0, abs(b)))
     return Check("fresnel-cross-validation", worst, tol, worst <= tol,
-                 f"max scaled |closed - quadrature| {fmt(worst)} (tol {tol:.1e})")
+                 f"max scaled |closed - quadrature| {worst:.16e} (tol {tol:.1e})")
 
 
 def edge_ray_zero(k: float, a: float, tol: float) -> Check:
@@ -70,7 +70,7 @@ def edge_ray_zero(k: float, a: float, tol: float) -> Check:
         k, geom, a + np.cos(th), np.sin(th))).max()
     worst = float(max(np.abs(top).max(), np.abs(bot).max()) / scale)
     return Check("edge-ray-zero", worst, tol, worst <= tol,
-                 f"max ray |psi|/scale {fmt(worst)} (tol {tol:.1e})")
+                 f"max ray |psi|/scale {worst:.16e} (tol {tol:.1e})")
 
 
 def stencil_residual_order(k: float, sizes, tol: float) -> Check:
@@ -84,7 +84,7 @@ def stencil_residual_order(k: float, sizes, tol: float) -> Check:
             grid, k, exclude_radius=0.5).l2_res)
     orders = tuple(math.log2(r0 / r1) for r0, r1 in zip(res, res[1:]))
     return Check("stencil-residual-order", min(orders), tol, min(orders) >= tol,
-                 f"observed orders {', '.join(fmt(o) for o in orders)} "
+                 f"observed orders {', '.join(f'{o:.16e}' for o in orders)} "
                  f"(need >= {tol:g})", orders)
 
 
@@ -100,7 +100,7 @@ def coordinate_conjugation(seed: int, tol: float) -> Check:
             xi, eta_m = rotated_pair(r, phi, lam)
             worst = max(worst, abs(xi - eta_m))
     return Check("coordinate-conjugation", worst, tol, worst <= tol,
-                 f"max |xi - conj(eta)| {fmt(worst)} (tol {tol:.1e})")
+                 f"max |xi - conj(eta)| {worst:.16e} (tol {tol:.1e})")
 
 
 def guided_products(alphas, tol: float) -> Check:
@@ -114,7 +114,7 @@ def guided_products(alphas, tol: float) -> Check:
                             abs(kap * np.exp(lam) - (k + alpha * eps)),
                             abs(kap * np.exp(-lam) - (k - alpha * eps)))
     return Check("guided-products", worst, tol, worst <= tol,
-                 f"max product defect {fmt(worst)} (tol {tol:.1e})")
+                 f"max product defect {worst:.16e} (tol {tol:.1e})")
 
 
 def guided_tail_slope(alpha: float, tol: float) -> Check:
@@ -125,8 +125,8 @@ def guided_tail_slope(alpha: float, tol: float) -> Check:
     slope, _ = green_perturbation.fit_log_slope(np.abs(xs), vals)
     rel = abs(slope + alpha) / alpha
     return Check("guided-tail-slope", slope, tol, rel <= tol,
-                 f"tail slope {fmt(slope)} vs {fmt(-alpha)} "
-                 f"(rel {fmt(rel)}, tol {tol:.0%})")
+                 f"tail slope {slope:.16e} vs {-alpha:.16e} "
+                 f"(rel {rel:.16e}, tol {tol:.0%})")
 
 
 def impurity_tail_slope(alpha: float, tol: float) -> Check:
@@ -137,5 +137,5 @@ def impurity_tail_slope(alpha: float, tol: float) -> Check:
         PlanePoint(0.0, -12.0 / alpha))
     rel = abs(res.slope + 2.0 * alpha) / (2.0 * alpha)
     return Check("impurity-tail-slope", res.slope, tol, rel <= tol,
-                 f"slope {fmt(res.slope)} vs {fmt(-2.0 * alpha)} "
-                 f"(rel {fmt(rel)}, tol {tol:.0%})")
+                 f"slope {res.slope:.16e} vs {-2.0 * alpha:.16e} "
+                 f"(rel {rel:.16e}, tol {tol:.0%})")

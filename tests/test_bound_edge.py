@@ -233,6 +233,25 @@ def test_quadrant_saturation_shape(field):
     assert abs(v - model) / abs(model) < 2e-2
 
 
+
+def test_field_below_the_double_range_is_zero_not_overflow():
+    # alpha = 50, k = 40: erf_cx overflows at the first three points,
+    # where log |psi| <= -12730, -9002 and -12730, so the field is 0
+    f = be.make_field(50.0, 40.0)
+    X = np.array([-300.0, -300.0, 300.0, 0.0])
+    Y = np.array([-300.0, 0.5, -300.0, -300.0])
+    got = be.field_values(f, X, Y)
+    assert got[:3].tobytes() == np.zeros(3, complex).tobytes()
+    # on the axis e^{-alpha|x|} = 1 and the bound proves nothing; erf_cx
+    # does not overflow there, and the value is the one computed alone
+    alone = be.field_values(f, X[3:], Y[3:])
+    assert abs(alone[0]) > 0.1 and got[3:].tobytes() == alone.tobytes()
+    # k > alpha, below the ray far from the tip: erf_cx overflows where
+    # the bound is about e^-0.3, so the error stays
+    with pytest.raises(OverflowError):
+        be.field_values(be.make_field(1.0, 3.0), np.array([800.0]),
+                        np.array([-1e-3]))
+
 # --- exact field from the barrier integral equation -------------------------
 
 @pytest.fixture(scope="module")

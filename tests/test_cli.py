@@ -248,14 +248,22 @@ def test_unaligned_barrier_exits_1(tmp_path, capsys):
 
 
 def test_overflow_exits_1(tmp_path, capsys):
-    # erf_cx overflows far out on the bound-mode grid: a numerical
-    # failure, reported without a traceback
-    code, _, err = run_cli(capsys, "field", "--mode=bound", "--k=40",
-                           "--alpha=50", "--x0=-300", "--y0=-300",
-                           "--dx=30", "--dy=30", "--nx=21", "--ny=21",
+    # erf_cx overflows just below the ray far from the tip at k > alpha,
+    # where the field's bound does not put it below the double range: a
+    # numerical failure, reported without a traceback
+    code, _, err = run_cli(capsys, "field", "--mode=bound", "--k=3",
+                           "--alpha=1", "--x0=760", "--y0=-0.004",
+                           "--dx=10", "--dy=0.001", "--nx=5", "--ny=3",
                            f"--out={tmp_path / 'b.csv'}")
     assert code == 1
     assert err.startswith("numerical failure: ")
+    # far out at alpha = 50, k = 40 erf_cx overflows too, but there the
+    # bound proves the field is 0
+    code, _, _ = run_cli(capsys, "field", "--mode=bound", "--k=40",
+                         "--alpha=50", "--x0=-300", "--y0=-300",
+                         "--dx=30", "--dy=30", "--nx=21", "--ny=21",
+                         f"--out={tmp_path / 'b.csv'}")
+    assert code == 0
 
 
 def test_degraded_tail_fit_exits_1(tmp_path, capsys):

@@ -1,9 +1,12 @@
 """Grid container, node classification and the CSV exchange format."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 
 from edgewave import grid as gr
@@ -84,9 +87,22 @@ def test_csv_round_trip(tmp_path):
     assert header == "x,y,re,im"
 
 
+def _neighbours(v):
+    return [np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf)]
+
+
 # values whose spelling a formatter change would alter; a 1x1 grid
-# gets the last two
-SPECIALS = [np.nan, 5e-324, 1e300, -1e-17, -np.inf, -0.0, np.inf]
+# gets the last two.  2**-25 and 3*2**-25 are exact 17-digit ties that
+# round down and up to even; so are 1 + 2**-17 and 1 + 3*2**-17, whose
+# scale factor 10^16 * 2 is an exact double.  The three after them lie
+# within 1e-15 of a tie, inside the error of the double-double scaling.
+SPECIALS = [np.nan, 5e-324, 1e300, -1e-17, 2.0 ** -25, 3 * 2.0 ** -25, 1e23,
+            1 + 2.0 ** -17, 1 + 3 * 2.0 ** -17, 2.711176770832212e+160,
+            6.324027154591757e-75, 1.7706146115181413e+137,
+            *_neighbours(1e-300),
+            np.nextafter(np.finfo(float).max, 0.0), np.finfo(float).max,
+            *_neighbours(np.finfo(float).tiny), -np.nan,
+            -np.inf, -0.0, np.inf]
 
 
 def _reference_csv(xs, ys, values) -> str:
@@ -129,7 +145,50 @@ def test_csv_round_trip_is_bit_exact_for_special_values(tmp_path, ny, nx):
     gr.write_csv(g, path)
     back = gr.read_csv(path)
     assert (back.nx, back.ny, back.x0, back.y0) == (nx, ny, g.x0, g.y0)
-    assert back.values.tobytes() == g.values.tobytes()
+    # "%.16e" spells every nan "nan", so only a nan's sign bit is lost
+    want = g.values.copy().view(float)
+    want[np.isnan(want)] = np.nan
+    assert back.values.tobytes() == want.tobytes()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       drawn=st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=64),
+       x0=st.floats(-1e300, 1e300), dx=st.floats(1e-300, 1e300),
+       ny=st.integers(2, 4))
+def test_csv_bytes_match_reference_for_any_bit_pattern(tmp_path_factory, seed,
+                                                       drawn, x0, dx, ny):
+    # nx does not divide the nodes of a write block, so rows straddle
+    # block boundaries; the drawn bit patterns sit across the first one
+    block = gr._SPELL_BLOCK // 2
+    nx = block // ny + 3
+    bits = np.random.default_rng(seed).integers(
+        0, 2 ** 64, 2 * nx * ny, dtype=np.uint64, endpoint=False)
+    start = 2 * block - len(drawn) // 2
+    bits[start:start + len(drawn)] = drawn
+    g = gr.FieldGrid(x0=x0, y0=-x0, dx=dx, dy=dx, nx=nx, ny=ny,
+                     values=bits.view(complex).reshape(ny, nx),
+                     mask=np.zeros((ny, nx), np.uint8))
+    path = tmp_path_factory.mktemp("csv") / "bits.csv"
+    gr.write_csv(g, path)
+    assert path.read_bytes() == _reference_csv(
+        g.xs(), g.ys(), g.values).encode()
+
+
+def test_write_csv_peak_memory_is_bounded(tmp_path):
+    # numbers are spelled a fixed count at a time: 261^2 nodes stay
+    # under 1 MB traced, a small part of the 1.1 MB of values
+    n = 261
+    g = gr.FieldGrid(x0=-3.0, y0=-3.0, dx=0.02, dy=0.02, nx=n, ny=n,
+                     values=np.full((n, n), -1.25e-3 + 4.5e-7j),
+                     mask=np.zeros((n, n), np.uint8))
+    tracemalloc.start()
+    try:
+        gr.write_csv(g, tmp_path / "field.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 ** 20
 
 
 def test_read_csv_accepts_written_lattices(tmp_path):
