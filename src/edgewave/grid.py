@@ -16,9 +16,8 @@ for byte, but without formatting each value in Python: the 17 digits
 come from an exact scaling by double-double powers of ten (see the
 comment above :func:`_spell_block`), and only nan, inf and products
 within 1e-6 of a decimal tie are spelled by Python.  It works through a
-fixed number of values at a time; its traced peak is about 0.6 MB at
-261^2 (the per-row ``%`` writer it replaced peaked at 94 KB and took
-3-4 times as long).
+fixed number of values at a time, so its traced peak, about 0.6 MB at
+261^2, is mostly one block's temporaries.
 """
 
 from __future__ import annotations
@@ -210,7 +209,7 @@ def _ascii_words(words) -> np.ndarray:
 
 
 # "0000" to "9999" by uint16 arithmetic: faster at import than f-strings,
-# and its temporaries leave no megabyte behind in the heap as int64 ones do
+# and small temporaries, which leave no megabyte of heap behind
 _QUADS = (np.arange(10000, dtype=np.uint16)[:, None]
           // np.array([1000, 100, 10, 1], np.uint16) % 10
           + ord("0")).astype(np.uint8).view(np.uint32).ravel()
