@@ -9,7 +9,16 @@ are stored row-major by y then x (``values[j, i]`` sits at
 the exact header ``x,y,re,im``, then at least one row of four numbers,
 the rows repeating one x axis at a constant y, with finite, strictly
 increasing and uniformly spaced x and y.  Anything else raises
-``ValueError``.
+``ValueError``; that includes blank lines, ``#`` comments and fields
+that Python's ``float`` refuses or that hold ``_``.  A CR before a
+newline is whitespace, so CRLF files read, and the last newline may be
+missing.  Every field reads as the double ``float(field)`` returns:
+those in the writer's spelling by array arithmetic (an exact scaling by
+double-double powers of ten, see the comment above :func:`_tabulate_power`),
+the rest, and products within 1e-9 ulp of a midpoint between two doubles,
+by ``float`` itself.  Rows are parsed a fixed number of bytes at a time
+into the output, so the traced peak, about 3.2 MB at 261^2, is the
+output's 32 bytes per node and one block's temporaries.
 
 :func:`write_csv` writes every number as ``f"{v:.16e}"`` spells it, byte
 for byte, but without formatting each value in Python: the 17 digits
@@ -22,7 +31,6 @@ fixed number of values at a time, so its traced peak, about 0.6 MB at
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -233,12 +241,17 @@ def _split(x):
     return hi, x - hi
 
 
-def _tabulate(e: int) -> None:
-    """Fill the scale table's entries for frexp exponent ``e``.
+def _double_double(num: int, den: int) -> tuple[float, float]:
+    """num / den as hi + lo: Python's int / int is correctly rounded, so
+    hi is the quotient rounded and lo the remainder rounded; lo is 0
+    exactly when hi is exact."""
+    hi = num / den
+    a, b = hi.as_integer_ratio()
+    return hi, (num * b - a * den) / (den * b)
 
-    Python's int / int is correctly rounded, so hi is 10^k 2^e rounded
-    and lo the remainder rounded; lo is 0 exactly when hi is exact.
-    """
+
+def _tabulate(e: int) -> None:
+    """Fill the scale table's entries for frexp exponent ``e``."""
     def at_least(d):                      # 10^d <= 2^(e-1)
         num, den = _ratio(-d, e - 1)
         return num >= den
@@ -255,10 +268,7 @@ def _tabulate(e: int) -> None:
         upper = math.nextafter(upper, math.inf)
     i = e + _E_OFFSET
     for col, k in ((2 * i, 16 - d), (2 * i + 1, 15 - d)):
-        num, den = _ratio(k, e)
-        hi = num / den
-        a, b = hi.as_integer_ratio()
-        lo = (num * b - a * den) / (den * b)
+        hi, lo = _double_double(*_ratio(k, e))
         _SCALE[:, col] = (hi, *_split(hi), lo)
     _DECADE[i], _UPPER[i] = d, upper
 
@@ -358,6 +368,182 @@ def write_csv(grid: FieldGrid, path) -> None:
             fh.write(line.tobytes().translate(None, b"\0"))
 
 
+# --- reading it back -------------------------------------------------------
+#
+# A field in the writer's spelling, [-]d.dddddddddddddddde(+|-)dd[d], is
+# read by array arithmetic; every other field by Python's float (a fast
+# lane and a fallback, as in Lemire, Softw. Pract. Exp. 51, 2021).  Its
+# 17 digits are an integer D < 10^17 < 2^57, and q is its exponent less
+# 16.  The 32 bytes from 6 before the lead digit are four little-endian
+# uint64 words: [.., lead digit, "."], two words of 8 digits, turned into
+# integers by SWAR multiplies, and ["e", sign, exponent digits, ..].
+# 10^q 2^-b, b = floor(q log2 10), is kept as a double-double hi + lo
+# exact to about 2^-106, tabulated on first use of each q.  D is split
+# exactly as dh + dl (dh = D rounded, |dl| <= 8), Dekker's error-free
+# product turns dh hi into p + err, and c = err + dh lo + dl hi makes
+# p + c the product to about 2^-100 of it.  r = p + c is rounded once,
+# and the remainder p + c - r is exact (Fast2Sum, as p >> c), so r is
+# D 10^q 2^-b correctly rounded unless the remainder lies within a small
+# window of half the gap to r's neighbour on its side (the test of
+# Clinger, PLDI 1990).  That gap is the ulp of r - |remainder|, whose
+# binade is the neighbour's (above a power of two, the one below: a
+# smaller gap, so a safe test).  For -307 <= q <= 291 every nonzero
+# D 10^q is a normal double, so scaling by 2^b is exact.  Any other
+# spelling or exponent, nan and inf, and near-midpoints are read by
+# float, which rounds correctly.
+
+_READ_BLOCK = 1 << 17     # bytes of rows parsed per block: bounds the reader's peak
+_WINDOW = 32
+_PAD = bytes(_WINDOW)     # around a block, so every field has a whole window
+_ROW = np.frombuffer(b",,,\n", np.uint8)
+_MIDPOINT_WINDOW = 1e-9
+# the q for which every D 10^q, 1 <= D < 10^17, is a normal double
+_Q_MIN, _Q_MAX = -307, 291
+_EXPONENT_BITS = 0x7FF0000000000000
+# tabulated on first use of each q (nan until then): hi, hi's high and
+# low halves, lo and 2^b of 10^q = (hi + lo) 2^b in column q - _Q_MIN
+_POWERS = np.full((5, _Q_MAX - _Q_MIN + 1), np.nan)
+
+_FOUR_NUMBERS = "CSV rows must hold four numbers: x,y,re,im"
+
+
+def _tabulate_power(q: int) -> None:
+    """Fill the power table's column for 10^q."""
+    b = math.floor(q * math.log2(10.0))
+    hi, lo = _double_double(*_ratio(q, -b))
+    _POWERS[:, q - _Q_MIN] = (hi, *_split(hi), lo, math.ldexp(1.0, b))
+
+
+def _eight_digits(w: np.ndarray):
+    """The integers that uint64 words of 8 ASCII bytes (in memory order)
+    spell, and whether all 8 bytes are digits."""
+    ok = ((w & 0xF0F0F0F0F0F0F0F0)
+          | (((w + 0x0606060606060606) & 0xF0F0F0F0F0F0F0F0) >> 4)
+          ) == 0x3333333333333333
+    w = (w & 0x0F0F0F0F0F0F0F0F) * 2561 >> 8
+    w = (w & 0x00FF00FF00FF00FF) * 6553601 >> 16
+    return (w & 0x0000FFFF0000FFFF) * 42949672960001 >> 32, ok
+
+
+def _read_spelling(u: np.ndarray, lead: np.ndarray, size: np.ndarray):
+    """``(D, q - _Q_MIN, ok)`` for the fields of ``size`` bytes from the
+    lead digits ``lead`` in ``u``: ok where a field has the writer's
+    spelling and _Q_MIN <= q <= _Q_MAX, D = 0 and column 0 where not."""
+    windows = np.ndarray((u.size - _WINDOW + 1,), f"V{_WINDOW}", u, strides=(1,))
+    gathered = windows[lead - 6]
+    words = gathered.view("<u8").reshape(-1, 4)
+    first = (words[:, 0] >> 48) - 0x2E30          # [lead digit, "."] less "0."
+    high, ok = _eight_digits(words[:, 1])
+    low, ok_low = _eight_digits(words[:, 2])
+    ok &= ok_low
+    ok &= first < 10
+    mark = words[:, 3] & 0xFFFF
+    exp_neg = mark == 0x2D65                      # "e-"
+    ok &= exp_neg | (mark == 0x2B65)              # or "e+"
+    e1, e2, e3 = (gathered.view(np.uint8).reshape(-1, _WINDOW)[:, 26:29]
+                  - np.uint8(ord("0"))).T
+    three = size == 23                            # a three-digit exponent
+    ok &= (e1 < 10) & (e2 < 10)
+    ok &= np.where(three, e3 < 10, size == 22)
+    q = e1 * np.int64(10) + e2
+    q += three * (9 * q + e3)
+    q *= 1 - 2 * exp_neg
+    q -= 16 + _Q_MIN
+    ok &= (q >= 0) & (q <= _Q_MAX - _Q_MIN)
+    q *= ok
+    digits = first * 10 ** 16 + high * 10 ** 8 + low
+    digits *= ok
+    return digits.view(np.int64), q, ok
+
+
+def _times_power(digits: np.ndarray, powers: np.ndarray):
+    """``(D 10^q rounded, whether it may misround)`` for ``digits`` D and
+    the power table's columns for their q (see the comment above)."""
+    hi, hh, hl, lo, scale = powers
+    dh = digits.astype(float)
+    p = dh * hi
+    c = (digits - dh.astype(np.int64)) * hi       # dl hi, dl = D - dh exactly
+    c += dh * lo
+    sh, sl = _split(dh)
+    err = sh * hh                                 # Dekker: dh hi - p, exactly
+    err -= p
+    err += sh * hl
+    err += sl * hh
+    err += sl * hl
+    c += err
+    r = p + c
+    rest = c - (r - p)                            # p + c = r + rest exactly
+    np.abs(rest, out=rest)
+    unit = ((r - rest).view(np.int64) & _EXPONENT_BITS).view(float)
+    slow = rest > (0.5 - _MIDPOINT_WINDOW) * 2.0 ** -52 * unit
+    r *= scale
+    return r, slow
+
+
+def _float_field(text: bytes) -> float:
+    """``float(text)``, but refusing digit separators, with a
+    ``ValueError`` naming the field."""
+    if b"_" not in text:
+        try:
+            return float(text)
+        except ValueError:
+            pass
+    raise ValueError(f"CSV field {text.decode(errors='replace')!r} is not a number")
+
+
+def _parse_fields(u: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """``float(u[s:e])`` for the fields from ``starts`` to ``ends`` in the
+    padded bytes ``u``, the writer's spelling read by arithmetic."""
+    neg = u[starts] == ord("-")
+    lead = starts + neg
+    digits, q, ok = _read_spelling(u, lead, ends - lead)
+    del lead
+    powers = np.take(_POWERS, q, axis=1)
+    new = ok & np.isnan(powers[0])
+    if new.any():
+        for qi in np.unique(q[new]).tolist():
+            _tabulate_power(qi + _Q_MIN)
+        powers = np.take(_POWERS, q, axis=1)
+    out, slow = _times_power(digits, powers)
+    del powers
+    slow |= ~ok
+    np.negative(out, out=out, where=neg)
+    for i in np.flatnonzero(slow).tolist():
+        out[i] = _float_field(u[starts[i]:ends[i]].tobytes())
+    return out
+
+
+def _parse_rows(block: bytes) -> np.ndarray:
+    """``(rows, 4)`` doubles of the newline-ended rows in ``block``, with
+    ``_PAD`` around them; each row must be three commas, then a newline."""
+    u = np.frombuffer(block, np.uint8)
+    ends = np.flatnonzero((u == ord(",")) | (u == ord("\n")))
+    if ends.size % 4 or not (u[ends].reshape(-1, 4) == _ROW).all():
+        raise ValueError(_FOUR_NUMBERS)
+    starts = np.empty_like(ends)
+    starts[0] = len(_PAD)
+    np.add(ends[:-1], 1, out=starts[1:])
+    return _parse_fields(u, starts, ends).reshape(-1, 4)
+
+
+def _row_blocks(fh):
+    """The rest of ``fh`` in blocks of whole rows, about ``_READ_BLOCK``
+    bytes each, with ``_PAD`` around; a last row gets its newline."""
+    rest = b""
+    while chunk := fh.read(_READ_BLOCK):
+        cut = chunk.rfind(b"\n") + 1
+        if not cut:
+            rest += chunk
+            continue
+        with memoryview(chunk) as view:
+            block = b"".join((_PAD, rest, view[:cut], _PAD))
+        rest = chunk[cut:]
+        del chunk
+        yield block
+    if rest:
+        yield b"".join((_PAD, rest, b"\n", _PAD))
+
+
 def _check_axis(v: np.ndarray, name: str) -> None:
     """Raise unless ``v`` is finite, strictly increasing and uniformly spaced.
 
@@ -381,37 +567,60 @@ def read_csv(path) -> FieldGrid:
 
     Raises ``ValueError`` unless the first line is the header
     ``x,y,re,im`` and the rows below it describe a full uniform grid in
-    the writer's order.  The mask is not stored in the CSV; it is
-    rebuilt as all-INTERIOR with the OUTER frame, which is enough for
-    round-trip checks.
+    the writer's order: every row three commas and a newline (the last
+    newline may be missing, a CR before it is whitespace), with no blank
+    or comment lines.  Each field reads as the double ``float(field)``
+    returns; a field ``float`` refuses, or one holding ``_``, raises a
+    ``ValueError`` naming it.  Fields in the writer's ``"%.16e"``
+    spelling are read by array arithmetic (see the comment above
+    :func:`_tabulate_power`), all others by ``float``.  The file is read
+    twice, once to count its rows and once in blocks of a fixed
+    ``_READ_BLOCK`` bytes, whose numbers go straight into the output;
+    the traced peak is the output's 32 bytes per node plus one block's
+    temporaries, about 3.2 MB at 261^2.
+
+    The mask is not stored in the CSV; it is rebuilt as all-INTERIOR
+    with the OUTER frame, which is enough for round-trip checks.
     """
-    with open(path) as fh:
-        if fh.readline().rstrip("\n") != _CSV_HEADER:
+    with open(path, "rb") as fh:
+        if fh.readline().rstrip(b"\n").removesuffix(b"\r") != _CSV_HEADER.encode():
             raise ValueError(f"CSV must start with the header {_CSV_HEADER}")
-        first = fh.readline()
-        if not first.strip():
+        body = fh.tell()
+        if not fh.readline().strip():
             raise ValueError("CSV holds no rows below its header")
-        data = np.loadtxt(itertools.chain([first], fh), delimiter=",", ndmin=2)
-    if data.shape[1] != 4:
-        raise ValueError("CSV rows must hold four numbers: x,y,re,im")
+        fh.seek(body)
+        rows, last = 0, b""
+        while chunk := fh.read(_READ_BLOCK):
+            rows += np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord("\n"))
+            last = chunk[-1:]
+        rows += last != b"\n"
+        fh.seek(body)
+        coords = np.empty((rows, 2))
+        values = np.empty(rows, complex)
+        pairs = values.view(float).reshape(rows, 2)
+        done = 0
+        for block in _row_blocks(fh):
+            fields = _parse_rows(block)
+            coords[done:done + len(fields)] = fields[:, :2]
+            pairs[done:done + len(fields)] = fields[:, 2:]
+            done += len(fields)
     # nx is the first run of equal y (a nan y0 gives nx = 1, caught below)
-    breaks = np.flatnonzero(data[1:, 1] != data[0, 1])
-    nx = int(breaks[0]) + 1 if breaks.size else data.shape[0]
-    ny, rest = divmod(data.shape[0], nx)
+    moved = coords[1:, 1] != coords[0, 1]
+    nx = int(moved.argmax()) + 1 if moved.any() else rows
+    ny, rest = divmod(rows, nx)
     if rest:
         raise ValueError("CSV does not describe a full rectangular grid")
-    X = data[:, 0].reshape(ny, nx)
-    Y = data[:, 1].reshape(ny, nx)
+    X = coords[:, 0].reshape(ny, nx)
+    Y = coords[:, 1].reshape(ny, nx)
     xs, ys = X[0], Y[:, 0]
     if not ((X == xs).all() and (Y == ys[:, None]).all()):
         raise ValueError("CSV rows must repeat one x axis at constant y")
     _check_axis(xs, "x")
     _check_axis(ys, "y")
-    values = np.ascontiguousarray(data[:, 2:]).view(complex).reshape(ny, nx)
     dx = xs[1] - xs[0] if nx > 1 else 1.0
     dy = ys[1] - ys[0] if ny > 1 else 1.0
     mask = build_mask(xs[0], ys[0], dx, dy, nx, ny)
     return FieldGrid(
         x0=float(xs[0]), y0=float(ys[0]), dx=float(dx), dy=float(dy),
-        nx=nx, ny=ny, values=values, mask=mask,
+        nx=nx, ny=ny, values=values.reshape(ny, nx), mask=mask,
     )

@@ -1,7 +1,9 @@
 """Grid container, node classification and the CSV exchange format."""
 
+import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -208,6 +210,153 @@ def test_read_csv_accepts_written_lattices(tmp_path):
         assert back.dx == g.xs()[1] - g.xs()[0]
 
 
+def _fields(text):
+    """Each row's numbers below the header, by Python's float."""
+    return np.array([[float(v) for v in row.split(",")]
+                     for row in text.splitlines()[1:]])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=10)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       drawn=st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=64),
+       x0=st.floats(-1e6, 1e6), dx=st.floats(1e-3, 1e3), ny=st.integers(3, 5))
+def test_read_csv_matches_float_for_any_bit_pattern(tmp_path_factory, seed, drawn,
+                                                    x0, dx, ny):
+    # rows of about 96 bytes fill three read blocks and part of a fourth;
+    # nx does not divide the rows of a block, and the drawn bit patterns
+    # sit near the end of the first
+    nx = 7 * gr._READ_BLOCK // 192 // ny + 7
+    bits = np.random.default_rng(seed).integers(
+        0, 2 ** 64, 2 * nx * ny, dtype=np.uint64, endpoint=False)
+    start = 2 * (gr._READ_BLOCK // 96) - len(drawn) // 2
+    bits[start:start + len(drawn)] = drawn
+    g = gr.FieldGrid(x0=x0, y0=-x0, dx=dx, dy=dx, nx=nx, ny=ny,
+                     values=bits.view(complex).reshape(ny, nx),
+                     mask=np.zeros((ny, nx), np.uint8))
+    path = tmp_path_factory.mktemp("csv") / "bits.csv"
+    gr.write_csv(g, path)
+    assert path.stat().st_size > 3 * gr._READ_BLOCK
+    want = _fields(path.read_text())
+    back = gr.read_csv(path)
+    assert (back.nx, back.ny, back.x0, back.y0) == (nx, ny, want[0, 0], want[0, 1])
+    assert back.values.view(float).tobytes() == np.ascontiguousarray(want[:, 2:]).tobytes()
+    # the writer spells every nan "nan", so -nan reads back as nan
+    assert np.array_equal(np.isnan(back.values.view(float)),
+                          np.isnan(g.values.view(float)))
+
+
+def _near_midpoints(limit):
+    """17-digit decimals D 10^q within ``limit`` ulp of the midpoint of
+    two doubles: D/N is a convergent of 2^(e-1)/10^q (or an odd multiple
+    of one), with N odd, so N 2^(e-1) is a midpoint."""
+    found = []
+    for q in range(-306, 275, 3):
+        e = math.floor((q + 16) * math.log2(10)) - 52
+        x = Fraction(2) ** (e - 1) / Fraction(10) ** q
+        h0, h1, k0, k1 = 0, 1, 1, 0
+        while k1 < 2 ** 54:
+            a = math.floor(x)
+            h0, h1, k0, k1 = h1, a * h1 + h0, k1, a * k1 + k0
+            for m in range(1, min(2 ** 54 // k1, 64) + 1, 2):
+                n, d = m * k1, m * h1
+                if n >= 2 ** 53 and n % 2 and 10 ** 16 <= d < 10 ** 17:
+                    gap = abs(d * Fraction(10) ** q - n * Fraction(2) ** (e - 1))
+                    if 0 < gap < limit * Fraction(2) ** e:
+                        found.append(f"{d // 10 ** 16}.{d % 10 ** 16:016d}e{q + 16:+03d}")
+            if x == a:
+                break
+            x = 1 / (x - a)
+    return found
+
+
+def test_read_csv_rounds_near_midpoints_correctly(tmp_path):
+    # near a midpoint the double-double product cannot tell which way to
+    # round; without the midpoint window 34 of these misround
+    near = _near_midpoints(1e-15)
+    assert len(near) > 150
+    path = tmp_path / "near.csv"
+    text = "x,y,re,im\n" + "".join(f"{i},0,{v},-{v}\n" for i, v in enumerate(near))
+    path.write_text(text)
+    back = gr.read_csv(path)
+    assert back.values.view(float).tobytes() == np.ascontiguousarray(
+        _fields(text)[:, 2:]).tobytes()
+
+
+# what the np.loadtxt reader accepted, and as what, and what it refused;
+# each field sits in the re column of a one-row grid.  The writer's shape
+# with one byte changed must go to float too.
+ACCEPTED = ["0.0", "1", " 1.5 ", "+1.5", "1.", ".5", "1E5", "Infinity", "-nan",
+            "-0.0", "1e-320", "1.0000000000000000e+400", "9.9999999999999999e-01",
+            "-1.0000000000000000e-400", "1.2345678901234567e+000",
+            "+1.0000000000000000e+00", "1.0000000000000000E+00",
+            "9.9999999999999999e+307", "1.7976931348623157e+308",
+            "1.7976931348623159e+308", "1.0000000000000000e-291",
+            "0.0000000000000001e-291", "9.9999999999999999e-292",
+            "2.2250738585072014e-308", "4.9406564584124654e-324"]
+REFUSED = ["1_0", "0x10", "1d5", "", " ", "1.5 # note", "nan(1)",
+           ":.0000000000000000e+00", "1;0000000000000000e+00",
+           "1.000000:000000000e+00", "1.00000000000/0000e+00",
+           "1.0000000000000000f+00", "1.0000000000000000e*00",
+           "1.0000000000000000e+0:", "1.0000000000000000e+/0",
+           "1.0000000000000000e+10:"]
+
+
+@pytest.mark.parametrize("field", ACCEPTED)
+def test_read_csv_reads_what_float_reads(tmp_path, field):
+    path = tmp_path / "one.csv"
+    path.write_text(f"x,y,re,im\n0,0,{field},0\n")
+    got = gr.read_csv(path).values[0, 0].real
+    assert np.array([got]).tobytes() == np.array([float(field)]).tobytes()
+
+
+@pytest.mark.parametrize("field", REFUSED)
+def test_read_csv_refuses_what_loadtxt_refused(tmp_path, field):
+    path = tmp_path / "one.csv"
+    path.write_text(f"x,y,re,im\n0,0,{field},0\n")
+    with pytest.raises(ValueError, match="CSV field"):
+        gr.read_csv(path)
+
+
+def test_read_csv_line_ends(tmp_path):
+    # CRLF rows and a missing final newline read as the plain file does;
+    # a row with an empty field does not read
+    path = tmp_path / "rows.csv"
+    _write_rows(path, np.array([0.0, 0.5, 1.0]), np.array([-1.0, 2.0]))
+    plain = path.read_bytes()
+    want = gr.read_csv(path)
+    for text in (plain.replace(b"\n", b"\r\n"), plain[:-1],
+                 plain.replace(b"\n", b"\r\n")[:-2]):
+        path.write_bytes(text)
+        back = gr.read_csv(path)
+        assert (back.nx, back.ny, back.x0, back.y0, back.dx, back.dy) == (
+            want.nx, want.ny, want.x0, want.y0, want.dx, want.dy)
+        assert back.values.tobytes() == want.values.tobytes()
+    path.write_text("x,y,re,im\n1,,2,3\n")
+    with pytest.raises(ValueError):
+        gr.read_csv(path)
+
+
+def test_read_csv_peak_memory_is_bounded(tmp_path):
+    # rows are parsed a fixed number of bytes at a time: at 261^2 the
+    # traced peak is the 2.2 MB of output and one block's temporaries
+    n = 261
+    rng = np.random.default_rng(9)
+    g = gr.FieldGrid(x0=-3.0, y0=-3.0, dx=0.02, dy=0.02, nx=n, ny=n,
+                     values=rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)),
+                     mask=np.zeros((n, n), np.uint8))
+    path = tmp_path / "field.csv"
+    gr.write_csv(g, path)
+    gr.read_csv(path)                     # fill the power table first
+    tracemalloc.start()
+    try:
+        back = gr.read_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.values.tobytes() == g.values.tobytes()
+    assert peak <= 4 * 2 ** 20
+
+
 def _write_rows(path, xs, ys):
     values = np.zeros((len(ys), len(xs)), complex)
     path.write_text(_reference_csv(xs, ys, values))
@@ -245,7 +394,12 @@ def test_read_csv_rejects_malformed_files(tmp_path):
     moved = list(good)               # one y of row 2 moves by 1 ulp
     moved[150] = moved[150].replace("5.0000000000000000e-01,",
                                     "5.0000000000000011e-01,")
-    for edited in (good[:-1], swapped, moved):
+    comment = good[:1] + ["# a comment\n"] + good[1:]
+    trailing = list(good)
+    trailing[50] = trailing[50].rstrip("\n") + " # a note\n"
+    blank = good[:60] + ["\n"] + good[60:]
+    for edited in (good[:-1], swapped, moved, comment, trailing, blank,
+                   good + ["\n"]):
         path.write_text("".join(edited))
         with pytest.raises(ValueError):
             gr.read_csv(path)

@@ -190,3 +190,20 @@ def test_residual_memory_per_point(radius):
     peak = traced_peak(
         lambda: sommerfeld.helmholtz_residual(grid, 2.0, exclude_radius=radius))
     assert peak <= 40 * n * n
+
+
+@pytest.mark.parametrize("k", [0.7, 2.0])
+def test_free_edge_babinet(k):
+    # Babinet below the ray: psi_D(x, y) + psi_N(-x, y) = F(inf) e^{-iky},
+    # F(inf) = sqrt(pi)/s, s = sqrt(-2ik) with Re s > 0; the one check of
+    # the Neumann closed form on the whole lower half plane
+    rng = np.random.default_rng(19)
+    x, y = rng.uniform(-5.0, 5.0, 400), rng.uniform(-5.0, -0.01, 400)
+    dirichlet = sommerfeld.field_values(k, sommerfeld.EdgeGeometry(a=0.0), x, y)
+    neumann = sommerfeld.field_values(
+        k, sommerfeld.EdgeGeometry(a=0.0, bc="neumann"), -x, y)
+    s = np.sqrt(-2j * k)
+    assert s.real > 0
+    gap = dirichlet + neumann - np.sqrt(np.pi) / s * np.exp(-1j * k * y)
+    scale = max(np.abs(dirichlet).max(), np.abs(neumann).max())
+    assert np.abs(gap).max() <= 1e-14 * scale
