@@ -13,20 +13,20 @@ increasing and uniformly spaced x and y.  Anything else raises
 that Python's ``float`` refuses or that hold ``_``.  A CR before a
 newline is whitespace, so CRLF files read, and the last newline may be
 missing.  Every field reads as the double ``float(field)`` returns:
-those in the writer's spelling by array arithmetic (an exact scaling by
-double-double powers of ten, see the comment above :func:`_tabulate_power`),
-the rest, and products within 1e-9 ulp of a midpoint between two doubles,
-by ``float`` itself.  Rows are parsed a fixed number of bytes at a time
-into the output, so the traced peak, about 3.2 MB at 261^2, is the
-output's 32 bytes per node and one block's temporaries.
+those in the writer's spelling by array arithmetic, the rest, and
+products within 1e-9 ulp of a midpoint between two doubles, by
+``float`` itself; an axis the writer wrote reads back bit for bit.
+Rows are parsed a fixed number of bytes at a time into the output, so
+the traced peak, about 3.2 MB at 261^2, is the output's 32 bytes per
+node and one block's temporaries.
 
 :func:`write_csv` writes every number as ``f"{v:.16e}"`` spells it, byte
-for byte, but without formatting each value in Python: the 17 digits
-come from an exact scaling by double-double powers of ten (see the
-comment above :func:`_spell_block`), and only nan, inf and products
-within 1e-6 of a decimal tie are spelled by Python.  It works through a
-fixed number of values at a time, so its traced peak, about 0.6 MB at
-261^2, is mostly one block's temporaries.
+for byte, but by array arithmetic: only nan, inf and products within
+1e-6 of a decimal tie are spelled by Python.  Both directions scale by
+one table of exact powers of ten (see the comment above
+:func:`_tabulate_power`).  The writer works through a fixed number of
+values at a time, so its traced peak, about 0.6 MB at 261^2, is mostly
+one block's temporaries.
 """
 
 from __future__ import annotations
@@ -174,20 +174,84 @@ def dilate(mask: np.ndarray, cells: int, square: bool) -> np.ndarray:
     return out
 
 
+# --- exact powers of ten, for both directions ------------------------------
+#
+# 10^q = (hi + lo) 2^b, b = floor(q log2 10): hi in [1, 2) and lo make a
+# double-double exact to about 2^-106, and hh + hl is hi split into
+# 26-bit halves (Veltkamp).  For the x of both directions, below 2^58,
+# Dekker's error-free product (Numer. Math. 18, 1971) makes x hi = p +
+# err exactly, and p + c, c = err + x lo, is x (hi + lo) to about 2^-100
+# of it.  Columns q = -323 to 340 serve the writer's 10^(d+1) and 10^k
+# and the reader's q; their rows are b, hi, hh, hl, lo, 2^b and the least
+# double >= 10^q (the last two inf above 10^308).
+
+_Q_LOW, _Q_HIGH = -323, 340
+_POWERS = np.full((7, _Q_HIGH - _Q_LOW + 1), np.nan)
+_SPLIT = 134217729.0   # 2^27 + 1, Veltkamp's splitter
+
+
+def _split(x):
+    """Veltkamp's split of x into two halves of at most 26 bits each."""
+    c = _SPLIT * x
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _ratio(k: int, e: int) -> tuple[int, int]:
+    """10^k 2^e as (numerator, denominator) of Python ints."""
+    return 10 ** max(k, 0) << max(e, 0), 10 ** max(-k, 0) << max(-e, 0)
+
+
+def _tabulate_power(q: int) -> None:
+    """Fill the power table's column for 10^q by Python int arithmetic:
+    int / int rounds correctly, so hi and lo are 10^q 2^-b and its
+    remainder rounded, and lo is 0 exactly when hi is exact."""
+    b = math.floor(q * math.log2(10.0))
+    num, den = _ratio(q, -b)
+    hi = num / den
+    a, c = hi.as_integer_ratio()
+    lo = (num * c - a * den) / (den * c)
+    scale = at_least = math.inf
+    if q <= 308:                    # 10^q rounded up to the doubles' step 2^-s
+        s = min(52 - b, 1074)
+        num, den = _ratio(q, s)
+        scale, at_least = math.ldexp(1.0, b), math.ldexp(-(-num // den), -s)
+    _POWERS[:, q - _Q_LOW] = (b, hi, *_split(hi), lo, scale, at_least)
+
+
+def _powers() -> np.ndarray:
+    """The power table, tabulated in q order on first use (about 7 ms)."""
+    if np.isnan(_POWERS[0, -1]):
+        for q in range(_Q_LOW, _Q_HIGH + 1):
+            _tabulate_power(q)
+    return _POWERS
+
+
+def _dekker(x, hi, hh, hl, lo):
+    """``(p, c)``: p = x hi rounded and c the rest of x (hi + lo), to
+    about 2^-100 of it, for a table column's hi, hh, hl and lo."""
+    p = x * hi
+    xh, xl = _split(x)
+    c = xh * hh                                   # err = x hi - p, exactly
+    c -= p
+    c += xh * hl
+    c += xl * hh
+    c += xl * hl
+    c += x * lo
+    return p, c
+
+
 # --- the CSV number format -------------------------------------------------
 #
 # Every number is spelled as f"{v:.16e}" spells it, but for a whole array
-# at once.  A finite nonzero |v| = f 2^E with f in [0.5, 1) (np.frexp).
-# d(E), the largest d with 10^d <= 2^(E-1), is the decade of |v| or one
-# below it, so with k = 16 - d (15 - d when |v| >= 10^(d+1)) the product
-# v 10^k = f T lies in [1e16, 1e17), T = 10^k 2^E.  T is kept as a
-# double-double hi + lo, exact to about 2^-106, and Dekker's error-free
-# product (Numer. Math. 18, 1971) splits f hi into p + err exactly, so
-# p + err + f lo is the product to about 1e-14.  p is an even integer
-# (>= 2^53), so rounding err + f lo half to even rounds the whole product
-# half to even: that is the 17-digit integer.  When lo = 0 the product and
-# its rounding are exact, ties included; otherwise a product within 1e-6
-# of a tie, and nan and inf, are spelled by Python itself.
+# at once.  A finite nonzero |v| = f 2^e with f in [0.5, 1) (np.frexp).
+# d = floor((e - 1) log10 2), the largest d with 10^d <= 2^(e-1), is the
+# decade of |v| or one below it, so with k = 16 - d (15 - d when |v| >=
+# 10^(d+1)) v 10^k = f 2^(e+b) (hi + lo) is in [1e16, 1e17).  f 2^(e+b),
+# e + b in [50, 57], is exact, and Dekker's product of it gives p, an even
+# integer (>= 2^53), and c, so rounding c half to even rounds v 10^k: the
+# 17-digit integer.  When lo = 0 this is exact, ties included; otherwise
+# a product within 1e-6 of a tie, and nan and inf, are spelled by Python.
 #
 # A number is spelled into 7 uint32 words (28 bytes, ASCII in memory
 # order): [0, sign or 0, first digit, "."], four words of 4 digits,
@@ -198,17 +262,6 @@ _WORDS = 7
 _SEPARATOR = 25        # byte offset of the "," in a number's 28 bytes
 _SPELL_BLOCK = 2048    # numbers spelled per block: bounds the writer's peak
 _TIE_WINDOW = 1e-6
-_E_OFFSET = 1074       # frexp exponents of nonzero doubles run from -1073 to 1024
-_N_EXPONENTS = 1024 + _E_OFFSET + 1
-_SPLIT = 134217729.0   # 2^27 + 1, Veltkamp's splitter
-
-# tabulated on first use of each binary exponent (nan until then): the
-# decade d(E) and the least double >= 10^(d+1); hi, hi's high and low
-# halves, and lo of T for k = 16 - d in column 2 (E + offset) and for
-# k = 15 - d in the next column
-_DECADE = np.zeros(_N_EXPONENTS, np.int64)
-_UPPER = np.full(_N_EXPONENTS, np.nan)
-_SCALE = np.zeros((4, 2 * _N_EXPONENTS))
 
 
 def _ascii_words(words) -> np.ndarray:
@@ -229,48 +282,10 @@ _EXP_TAILS = _ascii_words(f"e{e:+03d}"[4:].ljust(1, "\0") + ",\0\0"
                           for e in range(-324, 309))
 
 
-def _ratio(k: int, e: int) -> tuple[int, int]:
-    """10^k 2^e as (numerator, denominator) of Python ints."""
-    return 10 ** max(k, 0) << max(e, 0), 10 ** max(-k, 0) << max(-e, 0)
-
-
-def _split(x):
-    """Veltkamp's split of x into two halves of at most 26 bits each."""
-    c = _SPLIT * x
-    hi = c - (c - x)
-    return hi, x - hi
-
-
-def _double_double(num: int, den: int) -> tuple[float, float]:
-    """num / den as hi + lo: Python's int / int is correctly rounded, so
-    hi is the quotient rounded and lo the remainder rounded; lo is 0
-    exactly when hi is exact."""
-    hi = num / den
-    a, b = hi.as_integer_ratio()
-    return hi, (num * b - a * den) / (den * b)
-
-
-def _tabulate(e: int) -> None:
-    """Fill the scale table's entries for frexp exponent ``e``."""
-    def at_least(d):                      # 10^d <= 2^(e-1)
-        num, den = _ratio(-d, e - 1)
-        return num >= den
-
-    d = math.floor((e - 1) * math.log10(2.0))
-    while at_least(d + 1):
-        d += 1
-    while not at_least(d):
-        d -= 1
-    num, den = _ratio(d + 1, 0)
-    upper = num / den
-    a, b = upper.as_integer_ratio()
-    if a * den < num * b:
-        upper = math.nextafter(upper, math.inf)
-    i = e + _E_OFFSET
-    for col, k in ((2 * i, 16 - d), (2 * i + 1, 15 - d)):
-        hi, lo = _double_double(*_ratio(k, e))
-        _SCALE[:, col] = (hi, *_split(hi), lo)
-    _DECADE[i], _UPPER[i] = d, upper
+def _decade(e: np.ndarray) -> np.ndarray:
+    """floor((e - 1) log10 2) for frexp exponents e of doubles, -1073 to
+    1024: 78913 / 2^18 is log10 2 close enough for all of them."""
+    return (e - 1) * 78913 >> 18
 
 
 def _spell_block(v: np.ndarray) -> np.ndarray:
@@ -280,21 +295,14 @@ def _spell_block(v: np.ndarray) -> np.ndarray:
     finite = np.isfinite(v)
     a = np.where(finite, np.abs(v), 0.0)
     f, e = np.frexp(a)
-    e += _E_OFFSET
-    bound = _UPPER[e]
-    new = np.isnan(bound)
-    if new.any():
-        for ei in np.unique(e[new]).tolist():
-            _tabulate(ei - _E_OFFSET)
-        bound = _UPPER[e]
-    upper = a >= bound
-    hi, hh, hl, lo = np.take(_SCALE, 2 * e + upper, axis=1)
-    p = f * hi
-    fh, fl = _split(f)
-    r = ((fh * hh - p) + fh * hl + fl * hh) + fl * hl + f * lo
-    rounded = np.rint(r)
+    exp10 = _decade(e)
+    powers = _powers()
+    exp10 += a >= np.take(powers[6], exp10 + (1 - _Q_LOW))
+    b, hi, hh, hl, lo = np.take(powers[:5], (16 - _Q_LOW) - exp10, axis=1)
+    f *= ((e + b).astype(np.int64) + 1023 << 52).view(float)   # 2^(e+b), by its bits
+    p, c = _dekker(f, hi, hh, hl, lo)
+    rounded = np.rint(c)
     digits = p.astype(np.int64) + rounded.astype(np.int64)
-    exp10 = _DECADE[e] + upper
     carry = digits == 10 ** 17
     digits[carry] = 10 ** 16
     exp10 += carry
@@ -317,7 +325,7 @@ def _spell_block(v: np.ndarray) -> np.ndarray:
     np.take(_EXP_TAILS, exp10, out=out[6])
 
     # products within the window of a tie, where lo made them inexact
-    slow = np.abs(r - rounded) > 0.5 - _TIE_WINDOW
+    slow = np.abs(c - rounded) > 0.5 - _TIE_WINDOW
     slow &= lo != 0.0
     slow |= ~finite
     for i in np.flatnonzero(slow).tolist():
@@ -342,13 +350,11 @@ def write_csv(grid: FieldGrid, path) -> None:
     line per node holding all four numbers as ``"%.16e"`` (17
     significant digits, so doubles round-trip exactly; -0.0, ``inf``,
     ``-inf`` and ``nan`` spelled as Python formats them), each line
-    ending in ``\n``.  The numbers are spelled by array arithmetic
-    (exact scaling by double-double powers of ten, see the comment
-    above :func:`_spell_block`), x and y once per axis, into a
+    ending in ``\n``.  The numbers are spelled by array arithmetic (see
+    the comment above :func:`_decade`), x and y once per axis, into a
     fixed-width buffer per block of nodes whose padding is dropped
-    before one write per block.  A block holds a fixed number of values,
-    so beyond 28 bytes per spelled x and y the traced peak does not grow
-    with the grid: about 0.6 MB at 261^2.
+    before one write per block, so beyond 28 bytes per spelled x and y
+    the traced peak does not grow with the grid.
     """
     xs, ys = _spell(grid.xs()), _spell(grid.ys())
     nodes = _SPELL_BLOCK // 2
@@ -356,14 +362,12 @@ def write_csv(grid: FieldGrid, path) -> None:
         fh.write((_CSV_HEADER + "\n").encode())
         for s in range(0, grid.values.size, nodes):
             block = grid.values.flat[s:s + nodes]
-            pairs = np.empty((block.size, 2))
-            pairs[:, 0] = block.real
-            pairs[:, 1] = block.imag
+            pairs = np.asarray(block, complex).view(float)
             j, i = np.divmod(np.arange(s, s + block.size), grid.nx)
             line = np.empty((block.size, 4, _WORDS), np.uint32)
             line[:, 0] = xs[i]
             line[:, 1] = ys[j]
-            line[:, 2:] = _spell_block(pairs.reshape(-1)).T.reshape(-1, 2, _WORDS)
+            line[:, 2:] = _spell_block(pairs).T.reshape(-1, 2, _WORDS)
             line.view(np.uint8)[:, 3, _SEPARATOR] = ord("\n")
             fh.write(line.tobytes().translate(None, b"\0"))
 
@@ -377,41 +381,25 @@ def write_csv(grid: FieldGrid, path) -> None:
 # 16.  The 32 bytes from 6 before the lead digit are four little-endian
 # uint64 words: [.., lead digit, "."], two words of 8 digits, turned into
 # integers by SWAR multiplies, and ["e", sign, exponent digits, ..].
-# 10^q 2^-b, b = floor(q log2 10), is kept as a double-double hi + lo
-# exact to about 2^-106, tabulated on first use of each q.  D is split
-# exactly as dh + dl (dh = D rounded, |dl| <= 8), Dekker's error-free
-# product turns dh hi into p + err, and c = err + dh lo + dl hi makes
-# p + c the product to about 2^-100 of it.  r = p + c is rounded once,
-# and the remainder p + c - r is exact (Fast2Sum, as p >> c), so r is
-# D 10^q 2^-b correctly rounded unless the remainder lies within a small
-# window of half the gap to r's neighbour on its side (the test of
-# Clinger, PLDI 1990).  That gap is the ulp of r - |remainder|, whose
-# binade is the neighbour's (above a power of two, the one below: a
-# smaller gap, so a safe test).  For -307 <= q <= 291 every nonzero
-# D 10^q is a normal double, so scaling by 2^b is exact.  Any other
-# spelling or exponent, nan and inf, and near-midpoints are read by
-# float, which rounds correctly.
+# With D = dh + dl (dh = D rounded, |dl| <= 8), Dekker's product of dh
+# and 10^q plus dl hi is p + c, and r = p + c rounded has an exact
+# remainder (Fast2Sum).  So r is D 10^q 2^-b correctly rounded unless
+# the remainder is within a small window of half the gap to r's
+# neighbour on its side (Clinger, PLDI 1990): the ulp of r - |remainder|,
+# the neighbour's binade (the smaller one at a power of two, so a safe
+# test).  For -307 <= q <= 291 every nonzero D 10^q is a normal double,
+# so scaling by 2^b is exact.  Any other spelling or exponent, nan, inf
+# and near-midpoints are read by float, which rounds correctly.
 
 _READ_BLOCK = 1 << 17     # bytes of rows parsed per block: bounds the reader's peak
 _WINDOW = 32
 _PAD = bytes(_WINDOW)     # around a block, so every field has a whole window
 _ROW = np.frombuffer(b",,,\n", np.uint8)
 _MIDPOINT_WINDOW = 1e-9
-# the q for which every D 10^q, 1 <= D < 10^17, is a normal double
 _Q_MIN, _Q_MAX = -307, 291
 _EXPONENT_BITS = 0x7FF0000000000000
-# tabulated on first use of each q (nan until then): hi, hi's high and
-# low halves, lo and 2^b of 10^q = (hi + lo) 2^b in column q - _Q_MIN
-_POWERS = np.full((5, _Q_MAX - _Q_MIN + 1), np.nan)
 
 _FOUR_NUMBERS = "CSV rows must hold four numbers: x,y,re,im"
-
-
-def _tabulate_power(q: int) -> None:
-    """Fill the power table's column for 10^q."""
-    b = math.floor(q * math.log2(10.0))
-    hi, lo = _double_double(*_ratio(q, -b))
-    _POWERS[:, q - _Q_MIN] = (hi, *_split(hi), lo, math.ldexp(1.0, b))
 
 
 def _eight_digits(w: np.ndarray):
@@ -426,7 +414,7 @@ def _eight_digits(w: np.ndarray):
 
 
 def _read_spelling(u: np.ndarray, lead: np.ndarray, size: np.ndarray):
-    """``(D, q - _Q_MIN, ok)`` for the fields of ``size`` bytes from the
+    """``(D, q - _Q_LOW, ok)`` for the fields of ``size`` bytes from the
     lead digits ``lead`` in ``u``: ok where a field has the writer's
     spelling and _Q_MIN <= q <= _Q_MAX, D = 0 and column 0 where not."""
     windows = np.ndarray((u.size - _WINDOW + 1,), f"V{_WINDOW}", u, strides=(1,))
@@ -448,8 +436,8 @@ def _read_spelling(u: np.ndarray, lead: np.ndarray, size: np.ndarray):
     q = e1 * np.int64(10) + e2
     q += three * (9 * q + e3)
     q *= 1 - 2 * exp_neg
-    q -= 16 + _Q_MIN
-    ok &= (q >= 0) & (q <= _Q_MAX - _Q_MIN)
+    q -= 16 + _Q_LOW
+    ok &= (q >= _Q_MIN - _Q_LOW) & (q <= _Q_MAX - _Q_LOW)
     q *= ok
     digits = first * 10 ** 16 + high * 10 ** 8 + low
     digits *= ok
@@ -458,19 +446,11 @@ def _read_spelling(u: np.ndarray, lead: np.ndarray, size: np.ndarray):
 
 def _times_power(digits: np.ndarray, powers: np.ndarray):
     """``(D 10^q rounded, whether it may misround)`` for ``digits`` D and
-    the power table's columns for their q (see the comment above)."""
+    rows 1 to 5 of the power table at their q (see the comment above)."""
     hi, hh, hl, lo, scale = powers
     dh = digits.astype(float)
-    p = dh * hi
-    c = (digits - dh.astype(np.int64)) * hi       # dl hi, dl = D - dh exactly
-    c += dh * lo
-    sh, sl = _split(dh)
-    err = sh * hh                                 # Dekker: dh hi - p, exactly
-    err -= p
-    err += sh * hl
-    err += sl * hh
-    err += sl * hl
-    c += err
+    p, c = _dekker(dh, hi, hh, hl, lo)
+    c += (digits - dh.astype(np.int64)) * hi      # dl hi, dl = D - dh exactly
     r = p + c
     rest = c - (r - p)                            # p + c = r + rest exactly
     np.abs(rest, out=rest)
@@ -498,14 +478,7 @@ def _parse_fields(u: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.nda
     lead = starts + neg
     digits, q, ok = _read_spelling(u, lead, ends - lead)
     del lead
-    powers = np.take(_POWERS, q, axis=1)
-    new = ok & np.isnan(powers[0])
-    if new.any():
-        for qi in np.unique(q[new]).tolist():
-            _tabulate_power(qi + _Q_MIN)
-        powers = np.take(_POWERS, q, axis=1)
-    out, slow = _times_power(digits, powers)
-    del powers
+    out, slow = _times_power(digits, np.take(_powers()[1:6], q, axis=1))
     slow |= ~ok
     np.negative(out, out=out, where=neg)
     for i in np.flatnonzero(slow).tolist():
@@ -562,6 +535,31 @@ def _check_axis(v: np.ndarray, name: str) -> None:
         raise ValueError(f"CSV {name} values are not uniformly spaced")
 
 
+def _spacing(v: np.ndarray) -> float:
+    """The least double c > 0 with ``v[0] + c*i >= v[i]`` for every i, or
+    1.0 for one node.  On an axis :func:`write_csv` wrote from x0 and dx,
+    c <= dx, so ``v[0] + c*i`` is each node, bit for bit."""
+    if v.size < 2:
+        return 1.0
+    i, top = np.arange(v.size), 0x7FEFFFFFFFFFFFFF     # the largest double's bits
+
+    def fits(bits):
+        return (v[0] + np.int64(bits).view(float) * i >= v).all()
+
+    # v[0] + c*i grows with c: gallop from the mean spacing, then bisect,
+    # over the bit patterns of positive doubles
+    with np.errstate(over="ignore"):
+        low = high = min(int(((v[-1] - v[0]) / (v.size - 1)).view(np.int64)), top)
+        while high < top and not fits(high):
+            low, high = high, min(3 * high - 2 * low + 1, top)
+        while fits(low):                          # fits(0) is false
+            low, high = max(3 * low - 2 * high - 1, 0), low
+        while high - low > 1:
+            mid = (low + high) // 2
+            low, high = (low, mid) if fits(mid) else (mid, high)
+    return float(np.int64(high).view(float))
+
+
 def read_csv(path) -> FieldGrid:
     """Reconstruct a FieldGrid from the CSV written by :func:`write_csv`.
 
@@ -573,11 +571,11 @@ def read_csv(path) -> FieldGrid:
     returns; a field ``float`` refuses, or one holding ``_``, raises a
     ``ValueError`` naming it.  Fields in the writer's ``"%.16e"``
     spelling are read by array arithmetic (see the comment above
-    :func:`_tabulate_power`), all others by ``float``.  The file is read
-    twice, once to count its rows and once in blocks of a fixed
-    ``_READ_BLOCK`` bytes, whose numbers go straight into the output;
-    the traced peak is the output's 32 bytes per node plus one block's
-    temporaries, about 3.2 MB at 261^2.
+    :func:`_eight_digits`), all others by ``float``.  Each spacing is
+    the least double that rebuilds no node below the file's, so an axis
+    the writer wrote reads back bit for bit.  The file is read twice,
+    once to count its rows and once in blocks of a fixed ``_READ_BLOCK``
+    bytes, whose numbers go straight into the output.
 
     The mask is not stored in the CSV; it is rebuilt as all-INTERIOR
     with the OUTER frame, which is enough for round-trip checks.
@@ -617,10 +615,9 @@ def read_csv(path) -> FieldGrid:
         raise ValueError("CSV rows must repeat one x axis at constant y")
     _check_axis(xs, "x")
     _check_axis(ys, "y")
-    dx = xs[1] - xs[0] if nx > 1 else 1.0
-    dy = ys[1] - ys[0] if ny > 1 else 1.0
+    dx, dy = _spacing(xs), _spacing(ys)
     mask = build_mask(xs[0], ys[0], dx, dy, nx, ny)
     return FieldGrid(
-        x0=float(xs[0]), y0=float(ys[0]), dx=float(dx), dy=float(dy),
+        x0=float(xs[0]), y0=float(ys[0]), dx=dx, dy=dy,
         nx=nx, ny=ny, values=values.reshape(ny, nx), mask=mask,
     )

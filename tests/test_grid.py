@@ -194,20 +194,59 @@ def test_write_csv_peak_memory_is_bounded(tmp_path):
 
 
 def test_read_csv_accepts_written_lattices(tmp_path):
+    # the rebuilt axes are the written nodes bit for bit, so a rewrite
+    # is the same file; at nx = 1, ny = 3, y0 = 1, dy = 0.001 the
+    # spacing y1 - y0 would rebuild 1.002 as 1.0019999999999998
     rng = np.random.default_rng(4)
-    path = tmp_path / "lattice.csv"
-    cases = [(1e6, 1e-3, 101)] + [
-        (rng.choice([-1, 1]) * 10 ** rng.uniform(-3, 7),
-         10 ** rng.uniform(-4, 1), int(rng.integers(2, 300)))
-        for _ in range(60)]
-    for x0, dx, n in cases:
-        g = gr.FieldGrid(x0=x0, y0=-x0, dx=dx, dy=dx / 3, nx=n, ny=2,
-                         values=np.zeros((2, n), complex),
-                         mask=np.zeros((2, n), np.uint8))
+    path, again = tmp_path / "lattice.csv", tmp_path / "again.csv"
+    cases = [(1e6, -1e6, 1e-3, 1e-3 / 3, 101, 2), (0.0, 1.0, 1.0, 1e-3, 1, 3),
+             (-3.0, -3.0, 6 / 260, 6 / 260, 261, 2)]
+    for _ in range(60):
+        x0, dx = rng.choice([-1, 1]) * 10 ** rng.uniform(-3, 7), 10 ** rng.uniform(-4, 1)
+        cases.append((x0, -x0, dx, dx / 3, int(rng.integers(2, 300)), 2))
+    for x0, y0, dx, dy, nx, ny in cases:
+        g = gr.FieldGrid(x0=x0, y0=y0, dx=dx, dy=dy, nx=nx, ny=ny,
+                         values=np.zeros((ny, nx), complex),
+                         mask=np.zeros((ny, nx), np.uint8))
         gr.write_csv(g, path)
         back = gr.read_csv(path)
-        assert (back.nx, back.ny, back.x0, back.y0) == (n, 2, g.x0, g.y0)
-        assert back.dx == g.xs()[1] - g.xs()[0]
+        assert (back.nx, back.ny, back.x0, back.y0) == (nx, ny, g.x0, g.y0)
+        assert back.xs().tobytes() == g.xs().tobytes()
+        assert back.ys().tobytes() == g.ys().tobytes()
+        gr.write_csv(back, again)
+        assert again.read_bytes() == path.read_bytes()
+
+
+def test_csv_round_trips_every_exponent(tmp_path):
+    # every binary exponent, and both sides of every decimal one, pass
+    # through the power table in both directions
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    tens = np.array([float(f"1e{q}") for q in range(-323, 309)])
+    v = np.concatenate([powers, tens, np.nextafter(tens, 0.0),
+                        np.nextafter(tens, np.inf), [np.finfo(float).max]])
+    values = np.empty(v.size, complex)
+    values.real, values.imag = v, -v
+    g = gr.FieldGrid(x0=0.0, y0=0.0, dx=1.0, dy=1.0, nx=v.size, ny=1,
+                     values=values.reshape(1, -1), mask=np.zeros((1, v.size), np.uint8))
+    path = tmp_path / "exponents.csv"
+    gr.write_csv(g, path)
+    text = path.read_text()
+    assert text.splitlines() == _reference_csv(g.xs(), g.ys(), g.values).splitlines()
+    want = _fields(text)[:, 2:]
+    assert gr.read_csv(path).values.view(float).tobytes() == want.tobytes()
+
+
+def test_decade_rule_is_exact():
+    # the largest d with 10^d <= 2^(e-1), in Python ints, for every
+    # frexp exponent of a nonzero double
+    e = np.arange(-1073, 1025)
+    exact = []
+    for ei in e.tolist():
+        d = math.floor((ei - 1) * math.log10(2)) - 2
+        while Fraction(10) ** (d + 1) <= Fraction(2) ** (ei - 1):
+            d += 1
+        exact.append(d)
+    assert gr._decade(e.astype(np.int32)).tolist() == exact
 
 
 def _fields(text):
