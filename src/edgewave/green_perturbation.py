@@ -213,8 +213,13 @@ def born_correction(alpha: float, k: float, lambda_imp: float, a: float,
         raise ValueError("probe coincides with the impurity")
     E = k * k - alpha * alpha
     g = make_green(alpha, E)
+    decay = math.exp(-alpha * a)
+    if decay == 0.0:
+        # the incident mode underflows at the impurity: the product is 0
+        # whatever the continuum quadrature returns
+        return 0j
     gv = green_eval(g, PlanePoint(a, 0.0), p)
-    return lambda_imp * gv.value * math.exp(-alpha * a)
+    return lambda_imp * gv.value * decay
 
 
 @dataclass(frozen=True)

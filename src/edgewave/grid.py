@@ -528,6 +528,9 @@ def _check_axis(v: np.ndarray, name: str) -> None:
         raise ValueError(f"CSV {name} values must be finite")
     if v.size < 2:
         return
+    # a span beyond the double range has no chord (Python floats: no warning)
+    if not math.isfinite(float(v[-1]) - float(v[0])):
+        raise ValueError(f"CSV {name} values are not uniformly spaced")
     if not (np.diff(v) > 0).all():
         raise ValueError(f"CSV {name} values are not strictly increasing")
     chord = v[0] + (v[-1] - v[0]) * (np.arange(v.size) / (v.size - 1))

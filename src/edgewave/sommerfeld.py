@@ -20,11 +20,12 @@ harmonic coordinates there), so the normal derivative cancels instead;
 it is validated numerically in the test suite rather than taken on
 faith.
 
-The bracket is :func:`two_term` at rotation lambda = 0 and wavenumber
-kappa = k.  The guided mode at the barrier (bound_edge) is the same
-bracket with the rapidity lambda and kappa = sqrt(k^2 - alpha^2), times
-its transverse envelope: the bound-mode problem is Sommerfeld
-diffraction from the edge in a rotated chart.
+The bracket is :func:`two_term` at rotation lambda = 0, wavenumber
+kappa = k and envelope rate alpha = 0.  The guided mode at the barrier
+(bound_edge) is the same bracket with the rapidity lambda and kappa =
+sqrt(k^2 - alpha^2), times its transverse envelope e^{-alpha|x|}: the
+bound-mode problem is Sommerfeld diffraction from the edge in a rotated
+chart.
 
 :func:`helmholtz_residual` applies the five-point stencil to a grid
 field, outside a fixed two-cell band around the barrier ray and the
@@ -34,13 +35,14 @@ in the grid's mask.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import polar, rotated_pair
 from .grid import EDGE, DELTA_LINE, FieldGrid, dilate, tabulate
-from .specfun import _blocks, fresnel_F_array
+from .specfun import _blocks, _closed_form
 
 __all__ = [
     "EdgeGeometry",
@@ -54,6 +56,7 @@ __all__ = [
 _DIRICHLET = "dirichlet"
 _NEUMANN = "neumann"
 _EXCLUDE_CELLS = 2       # residual band around the barrier and the axis
+_TINY = float(np.finfo(float).tiny)     # the least normal double
 
 
 @dataclass(frozen=True)
@@ -68,17 +71,22 @@ class EdgeGeometry:
             raise ValueError(f"bc must be '{_DIRICHLET}' or '{_NEUMANN}'")
 
 
-def two_term(k: float, kappa: complex, lam: complex, a: float, X, Y,
-             sign: int) -> np.ndarray:
-    """exp(-iky) F(xi_lam; kappa) + sign * exp(+iky) F(eta_{-lam}; kappa).
+def two_term(k: float, kappa: complex, lam: complex, alpha: float, a: float,
+             X, Y, sign: int) -> np.ndarray:
+    """e^{-alpha|x|} [exp(-iky) F(xi_lam; kappa)
+    + sign * exp(+iky) F(eta_{-lam}; kappa)].
 
     (xi_lam, eta_{-lam}) is the rotated chart about the tip (a, 0),
     built once per point by geometry.rotated_pair.  At lambda = 0
-    both have zero imaginary part, so a real kappa takes specfun's
-    Fresnel route.  k is real, so the second y-phase is the conjugate
-    of the first.  On both faces of the ray xi_lam = eta_{-lam} for
-    every lambda, so with sign = -1 the two terms cancel there.  The tip
-    gives F(0) - F(0) = 0.
+    both have zero imaginary part, so a real kappa with alpha = 0 takes
+    specfun's Fresnel route.  Otherwise each F goes through specfun's erf
+    route with the envelope's exponent L = -alpha|x| inside erfc's one
+    exponential, so neither e^L nor erf's Gaussian is formed apart: a
+    term below the double range is 0 and no overflow of one factor is
+    met by an underflow of the other.  k is real, so the second y-phase
+    is the conjugate of the first.  On both faces of the ray xi_lam =
+    eta_{-lam} for every lambda, so with sign = -1 the two terms cancel
+    there.  The tip gives F(0) - F(0) = 0.
 
     X and Y are broadcast together, without copies; the chart, the
     phases and both F terms run in consecutive blocks of a fixed number
@@ -94,9 +102,10 @@ def two_term(k: float, kappa: complex, lam: complex, a: float, X, Y,
     for sl in _blocks(flat.size):
         x, y = X.flat[sl], Y.flat[sl]
         xi, eta = rotated_pair(*polar(x, y, a), lam)
+        L = -alpha * np.abs(x) if alpha else 0.0
         phase = np.exp(-1j * k * y)
-        second = sign * phase.conj() * fresnel_F_array(kappa, eta)
-        np.multiply(phase, fresnel_F_array(kappa, xi), out=flat[sl])
+        second = sign * phase.conj() * _closed_form(kappa, eta, L)[1]
+        np.multiply(phase, _closed_form(kappa, xi, L)[1], out=flat[sl])
         flat[sl] += second
     return out[()]
 
@@ -105,7 +114,8 @@ def field_values(k: float, geom: EdgeGeometry, X, Y) -> np.ndarray:
     """Vectorized field evaluation (tip included; the value there is 0)."""
     if not 0 < k < np.inf:
         raise ValueError(f"k must be positive and finite, got {k!r}")
-    return two_term(k, k, 0.0, geom.a, X, Y, -1 if geom.bc == _DIRICHLET else 1)
+    return two_term(k, k, 0.0, 0.0, geom.a, X, Y,
+                    -1 if geom.bc == _DIRICHLET else 1)
 
 
 def field_on_grid(k: float, geom: EdgeGeometry, x0: float, y0: float,
@@ -139,7 +149,9 @@ def helmholtz_residual(grid: FieldGrid, k,
     the first EDGE node of the mask, where the sqrt(r) behavior makes the
     local truncation error blow up as the mesh refines; with a
     mesh-independent disk the residual converges at the stencil's second
-    order.  ``k`` may be complex (k^2 = E for the trapped regime).
+    order.  ``k`` may be complex (k^2 = E for the trapped regime).  A
+    spacing whose square is not a normal double raises ``ValueError``
+    naming it.
 
     The stencil runs on the interior only, accumulated in place in the
     order of the formula, with |.| written into one float array, and the
@@ -151,6 +163,11 @@ def helmholtz_residual(grid: FieldGrid, k,
     v = grid.values
     hx2 = grid.dx * grid.dx
     hy2 = grid.dy * grid.dy
+    for name, h, h2 in (("dx", grid.dx, hx2), ("dy", grid.dy, hy2)):
+        if not _TINY <= h2 < math.inf:
+            raise ValueError(f"{name} = {h!r}: its square {h2!r} is not a "
+                             f"normal double, so the stencil's 1/{name}^2 "
+                             f"has lost its digits")
     # interior nodes only, accumulated in place in the order of
     # (v[x+1] - 2v + v[x-1]) / hx2 + (v[y+1] - 2v + v[y-1]) / hy2 + k^2 v
     c = v[1:-1, 1:-1]

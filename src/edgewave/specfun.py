@@ -6,10 +6,13 @@ Three evaluation routes are provided for
 
 the building block of the edge-diffraction closed forms:
 
-* erf closed form - F = sqrt(pi)/(2 s) * (1 + erf(s xi)) with
-  s = sqrt(-2 i k), Re s > 0, through :func:`erf_cx`.  The branch with
-  positive real part corresponds to rotating the integration contour so
-  the improper integral converges absolutely.
+* erf closed form - F = sqrt(pi)/(2 s) * erfc(-s xi) with
+  s = sqrt(-2 i k), Re s > 0.  The branch with positive real part
+  corresponds to rotating the integration contour so the improper
+  integral converges absolutely.  erfc takes the Faddeeva form
+  erfc(u) = e^{-u^2} w(iu) (Abramowitz & Stegun 7.1.3), and a caller's
+  real log-scale L (the bound edge's envelope -alpha|x|) enters its one
+  exponential, so e^L F is formed without e^L or e^{-u^2} apart.
 * real-argument Fresnel form - for real k > 0 and real xi the erf
   argument lies on the ray s xi = e^{-i pi/4} sqrt(2k) xi, where
   erf(e^{-i pi/4} u) = (1 - i)(C(z) + i S(z)), z = u sqrt(2/pi)
@@ -26,7 +29,9 @@ closed forms on values, not on dtype: the Fresnel form when k has zero
 imaginary part and positive real part and every xi has an imaginary
 part of exactly zero (the free edge), the erf form otherwise (the bound
 edge in both regimes).  Both forms keep the input contract of
-:func:`erf_cx`: a non-finite xi or |s xi| > 1e6 raises ``ValueError``.
+:func:`erf_cx`, with which the erf form shares its argument check and
+its Faddeeva core: a non-finite xi or |s xi| > 1e6 raises
+``ValueError``.
 
 For real k this reproduces the conditionally convergent Fresnel limit;
 for k on the positive imaginary axis (evanescent regime) the integrand
@@ -50,8 +55,9 @@ __all__ = [
     "fresnel_F_quadrature",
 ]
 
-# exp underflows to 0 below ~ -745.1; use the guard a bit earlier
-_EXP_UNDERFLOW = 708.0
+# exp overflows above ~709.78 and underflows to 0 below ~ -745.1; the
+# screens keep the real part of its argument within +-708
+_EXP_RANGE = 708.0
 # points per block of the array evaluators here and in sommerfeld: the
 # temporaries of one block stay in cache and off the process peak
 _BLOCK = 4096
@@ -74,14 +80,46 @@ class FresnelValue:
             raise ValueError("error estimate must be >= 0")
 
 
-def _erf_core(z: np.ndarray) -> np.ndarray:
-    """erf on the quadrant Re z >= 0, Im z >= 0 via the Faddeeva function.
+def _check(z: np.ndarray, L) -> None:
+    """The argument check of both erf routes, on z and a real log-scale L
+    (a scalar or z's shape): a non-finite z, then |z| > 1e6, raise
+    ``ValueError``; then Re(L - z^2) above the exponent range raises
+    ``OverflowError``, since e^{L - z^2} would overflow."""
+    if not np.all(np.isfinite(z)):
+        raise ValueError("erf requires finite arguments")
+    if np.any(np.abs(z) > 1e6):
+        raise ValueError("erf restricted to |z| <= 1e6")
+    if np.any(L - (z.real * z.real - z.imag * z.imag) > _EXP_RANGE):
+        raise OverflowError(
+            "erf overflows: Re(L - z^2) above the exponent range")
 
-    erf(z) = 1 - exp(-z^2) w(iz).  In this quadrant Im(iz) = Re z >= 0,
-    where w is numerically stable, and |exp(-z^2)| <= exp(y^2) stays
-    representable whenever the caller has screened Re(z^2) > -708.
+
+def _faddeeva(t: np.ndarray, L) -> np.ndarray:
+    """e^{L - t^2} w(it) for Re t >= 0, the one Faddeeva core.
+
+    There Im(it) = Re t >= 0, where w is numerically stable and |w| <= 1,
+    so the product stays representable once :func:`_check` has passed.
+    L is added to the real part of -t^2 alone, so at L = 0 the exponent
+    keeps the signed zeros of its imaginary part.
     """
-    return 1.0 - np.exp(-z * z) * wofz(1j * z)
+    g = np.asarray(-t * t)
+    g.real += L
+    return np.exp(g, out=g) * wofz(1j * t)
+
+
+def _erfc_neg(z: np.ndarray, L) -> np.ndarray:
+    """e^L erfc(-z) = e^L (1 + erf z) for an array z and a real L.
+
+    With L inside the one exponential: e^{L - z^2} w(-iz) where Re z <= 0
+    and 2 e^L - e^{L - z^2} w(iz) where Re z > 0, both by
+    :func:`_faddeeva` at t = -z or z, whichever has the sign bit of Re t
+    clear.  Where e^{L - z^2} and e^L underflow the value is 0; where
+    e^{L - z^2} would overflow, :func:`_check` raises ``OverflowError``.
+    """
+    _check(z, L)
+    left = np.signbit(z.real)
+    core = _faddeeva(np.where(left, -z, z), L)
+    return np.where(left, core, 2.0 * np.exp(L) - core)
 
 
 def _erf_block(z: np.ndarray) -> np.ndarray:
@@ -95,10 +133,11 @@ def _erf_block(z: np.ndarray) -> np.ndarray:
 
     out = np.empty_like(zq)
     # saturated region: exp(-z^2) underflows, erf == 1 to ~1e-300
-    sat = z.real * z.real - z.imag * z.imag > _EXP_UNDERFLOW
+    sat = z.real * z.real - z.imag * z.imag > _EXP_RANGE
     out[sat] = 1.0
     rest = ~sat
-    out[rest] = _erf_core(zq[rest])
+    # erf(z) = 1 - erfc(z) = 1 - e^{-z^2} w(iz)
+    out[rest] = 1.0 - _faddeeva(zq[rest], 0.0)
 
     out = np.where(flip_conj, np.conj(out), out)
     out = np.where(flip_sign, -out, out)
@@ -130,12 +169,7 @@ def erf_cx(z):
         anywhere in the array.
     """
     z = np.asarray(z, dtype=complex)
-    if not np.all(np.isfinite(z)):
-        raise ValueError("erf_cx requires finite arguments")
-    if np.any(np.abs(z) > 1e6):
-        raise ValueError("erf_cx restricted to |z| <= 1e6")
-    if np.any(z.real * z.real - z.imag * z.imag < -_EXP_UNDERFLOW):
-        raise OverflowError("erf overflows: Re(z^2) below exponent range")
+    _check(z, 0.0)
 
     out = np.empty(z.shape, dtype=complex)
     flat = out.reshape(-1)
@@ -159,14 +193,17 @@ def _rotation_root(k) -> complex:
     return complex(s)
 
 
-def _closed_form(k, xi) -> tuple[complex, np.ndarray]:
-    """(sqrt(pi)/(2 s), F(xi; k)) for an array of xi, by either closed form."""
+def _closed_form(k, xi, L) -> tuple[complex, np.ndarray]:
+    """(sqrt(pi)/(2 s), e^L F(xi; k)) for an array of xi and a real
+    log-scale L (a scalar or xi's shape), by either closed form; the
+    Fresnel form only where L is 0."""
     s = _rotation_root(k)
     pref = math.sqrt(math.pi) / (2.0 * s)
     k = complex(k)
     xi = np.asarray(xi)
-    if k.imag != 0.0 or not k.real > 0.0 or np.any(xi.imag):
-        return pref, pref * (1.0 + erf_cx(s * xi))
+    if (k.imag != 0.0 or not k.real > 0.0 or np.any(xi.imag)
+            or np.count_nonzero(L)):
+        return pref, pref * _erfc_neg(s * xi, L)
     z = np.asarray(xi.real, dtype=float) * (2.0 * math.sqrt(k.real / math.pi))
     # |z| = |s xi| sqrt(2/pi); "not <=" also catches nan and inf
     if not np.all(np.abs(z) <= 1e6 * math.sqrt(2.0 / math.pi)):
@@ -188,7 +225,7 @@ def fresnel_F(k, xi) -> FresnelValue:
     to ~1e-13 relative of |pref| (1 + |erf(s xi)|), with pref the
     prefactor sqrt(pi)/(2 s) and pref erf(s xi) = F - pref.
     """
-    pref, value = _closed_form(k, np.array([xi]))
+    pref, value = _closed_form(k, np.array([xi]), 0.0)
     value = complex(value[0])
     est = 1e-13 * (abs(pref) + abs(value - pref))
     return FresnelValue(value=value, est_abs_error=est)
@@ -196,7 +233,7 @@ def fresnel_F(k, xi) -> FresnelValue:
 
 def fresnel_F_array(k, xi: np.ndarray) -> np.ndarray:
     """Vectorized closed-form F for grid work (values only)."""
-    return _closed_form(k, xi)[1]
+    return _closed_form(k, xi, 0.0)[1]
 
 
 # --- independent quadrature oracle -----------------------------------------

@@ -18,7 +18,7 @@ import pytest
 
 from edgewave import bound_edge as be
 from edgewave import green_perturbation as gp
-from edgewave.geometry import PlanePoint
+from edgewave.geometry import PlanePoint, polar, rotated_pair
 
 ALPHA, K = 1.0, 0.5
 
@@ -136,8 +136,8 @@ def test_branch_blocks_keep_the_ray_zero(field):
 
 
 def test_branch_memory_per_point(field):
-    # two_term's blocks plus the envelope multiplied into its output:
-    # about 35 B per point (was 212)
+    # two_term's blocks, the envelope's exponent inside erfc's: about
+    # 30 B per point (was 212)
     n = 321
     X, Y = np.meshgrid(np.linspace(-3.0, 3.0, n), np.linspace(-3.0, 3.0, n))
     be.branch_field_values(field, X, Y, 1)
@@ -235,22 +235,69 @@ def test_quadrant_saturation_shape(field):
 
 
 def test_field_below_the_double_range_is_zero_not_overflow():
-    # alpha = 50, k = 40: erf_cx overflows at the first three points,
-    # where log |psi| <= -12730, -9002 and -12730, so the field is 0
+    # alpha = 50, k = 40: at the first three points log |psi| <= -12730,
+    # -9002 and -12730, so the field is 0
     f = be.make_field(50.0, 40.0)
     X = np.array([-300.0, -300.0, 300.0, 0.0])
     Y = np.array([-300.0, 0.5, -300.0, -300.0])
     got = be.field_values(f, X, Y)
     assert got[:3].tobytes() == np.zeros(3, complex).tobytes()
-    # on the axis e^{-alpha|x|} = 1 and the bound proves nothing; erf_cx
-    # does not overflow there, and the value is the one computed alone
+    # on the axis e^{-alpha|x|} = 1, and the value is the one computed alone
     alone = be.field_values(f, X[3:], Y[3:])
     assert abs(alone[0]) > 0.1 and got[3:].tobytes() == alone.tobytes()
-    # k > alpha, below the ray far from the tip: erf_cx overflows where
-    # the bound is about e^-0.3, so the error stays
-    with pytest.raises(OverflowError):
-        be.field_values(be.make_field(1.0, 3.0), np.array([800.0]),
+    # k > alpha, below the ray far from the tip: e^{-alpha|x|} (about
+    # e^-800) and erf's Gaussian (about e^+800) are never formed apart,
+    # so the field of size 5e-9 is finite, not an overflow
+    v = be.field_values(be.make_field(1.0, 3.0), np.array([800.0]),
                         np.array([-1e-3]))
+    assert np.isfinite(v).all() and 1e-9 < abs(v[0]) < 1e-8
+
+
+def _mp_field(alpha, k, x, y):
+    """The bound field at (x, y) by mpmath at 50 digits, from the double
+    chart: e^{-alpha|x|} [e^{-iky} F(xi) - e^{iky} F(eta)]."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    kap, lam = be.kappa_lambda(alpha, k, 1 if x >= 0 else -1)
+    xi, eta = rotated_pair(*polar(x, y), lam)
+    s = mp.sqrt(-2j * mp.mpc(kap.real, kap.imag))
+    s = -s if s.real < 0 else s
+
+    def F(w):
+        return mp.sqrt(mp.pi) / (2 * s) * (1 + mp.erf(s * mp.mpc(w.real, w.imag)))
+
+    phase = mp.exp(-1j * k * mp.mpf(y))
+    return complex(mp.exp(-alpha * abs(mp.mpf(x)))
+                   * (phase * F(complex(xi)) - mp.conj(phase) * F(complex(eta))))
+
+
+@pytest.mark.parametrize("alpha,k", [(1.0, 0.5), (2.0, 0.6), (1.0, 2.0)])
+def test_bound_field_matches_mpmath(alpha, k):
+    # random clouds in both regimes: within 1e-15 of max|psi|, and each
+    # point within 1e-12 of its own value.  Near the ray two O(1) terms
+    # cancel to |psi| ~ 5e-4, which costs 2.1e-13 there; where erf is
+    # near -1, 1 + erf cancelled to 1e-10 before erfc took it
+    rng = np.random.default_rng(int(10 * alpha + 100 * k))
+    X, Y = rng.uniform(-6.0, 6.0, 100), rng.uniform(-6.0, 6.0, 100)
+    got = be.field_values(be.make_field(alpha, k), X, Y)
+    want = np.array([_mp_field(alpha, k, x, y) for x, y in zip(X, Y)])
+    err = np.abs(got - want)
+    assert err.max() <= 1e-15 * np.abs(want).max()
+    assert np.all(err <= 1e-12 * np.abs(want))
+
+
+def test_bound_field_matches_mpmath_past_the_double_range():
+    # alpha = 1, k = 3 just below the ray far from the tip, where
+    # e^{-alpha|x|} and erf's Gaussian would each leave the double range,
+    # to 1e-14 absolute (the round-off of the O(1) terms that cancel);
+    # alpha = 50, k = 40 at (-15, 0), where e^{-alpha|x|} = e^-750 alone
+    # underflows but the field is 2.8e-198
+    for x in (800.0, 748.8):
+        got = be.field_values(be.make_field(1.0, 3.0), x, -1e-3)
+        assert abs(got - _mp_field(1.0, 3.0, x, -1e-3)) <= 1e-14
+    got = be.field_values(be.make_field(50.0, 40.0), -15.0, 0.0)
+    want = _mp_field(50.0, 40.0, -15.0, 0.0)
+    assert abs(want) > 1e-198 and abs(got - want) <= 1e-13 * abs(want)
 
 # --- exact field from the barrier integral equation -------------------------
 

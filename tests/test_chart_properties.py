@@ -26,10 +26,10 @@ ratios = st.one_of(st.floats(0.2, 0.9), st.floats(1.1, 2.5))
 def test_two_term_vanishes_on_both_faces(k, a):
     X = a + np.geomspace(1e-3, 25.0, 200)
     th = np.linspace(0.1, 2.0 * math.pi - 0.1, 100)
-    scale = np.abs(sommerfeld.two_term(k, k, 0.0, a, a + np.cos(th),
+    scale = np.abs(sommerfeld.two_term(k, k, 0.0, 0.0, a, a + np.cos(th),
                                        np.sin(th), -1)).max()
     for face in (0.0, -0.0):
-        vals = sommerfeld.two_term(k, k, 0.0, a, X, np.full_like(X, face), -1)
+        vals = sommerfeld.two_term(k, k, 0.0, 0.0, a, X, np.full_like(X, face), -1)
         assert np.abs(vals).max() <= 1e-12 * scale
 
 

@@ -1,9 +1,11 @@
 """Command-line interface: determinism, config precedence, exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -247,23 +249,85 @@ def test_unaligned_barrier_exits_1(tmp_path, capsys):
     assert not (tmp_path / "f").exists()
 
 
-def test_overflow_exits_1(tmp_path, capsys):
-    # erf_cx overflows just below the ray far from the tip at k > alpha,
-    # where the field's bound does not put it below the double range: a
-    # numerical failure, reported without a traceback
+def test_bound_field_below_the_ray_far_from_the_tip_exits_0(tmp_path, capsys):
+    # just below the ray far from the tip at k > alpha, e^{-alpha|x|}
+    # (about e^-800) and erf's Gaussian (about e^+800) would each leave
+    # the double range; inside one exponential the field, about 5e-9, is
+    # written, finite, with exit 0 (it used to exit 1 on an OverflowError)
+    out = tmp_path / "b.csv"
     code, _, err = run_cli(capsys, "field", "--mode=bound", "--k=3",
                            "--alpha=1", "--x0=760", "--y0=-0.004",
                            "--dx=10", "--dy=0.001", "--nx=5", "--ny=3",
-                           f"--out={tmp_path / 'b.csv'}")
-    assert code == 1
-    assert err.startswith("numerical failure: ")
-    # far out at alpha = 50, k = 40 erf_cx overflows too, but there the
-    # bound proves the field is 0
+                           f"--out={out}")
+    assert code == 0 and err == ""
+    vals = read_csv(out).values
+    assert np.isfinite(vals).all() and 0 < np.abs(vals).max() < 1e-7
+    # far out at alpha = 50, k = 40 the field lies below the double range
     code, _, _ = run_cli(capsys, "field", "--mode=bound", "--k=40",
                          "--alpha=50", "--x0=-300", "--y0=-300",
                          "--dx=30", "--dy=30", "--nx=21", "--ny=21",
-                         f"--out={tmp_path / 'b.csv'}")
+                         f"--out={out}")
     assert code == 0
+
+
+def _timed(capsys, *argv):
+    t0 = time.perf_counter()
+    got = run_cli(capsys, *argv)
+    return (*got, time.perf_counter() - t0)
+
+
+def test_residual_refuses_a_spacing_whose_square_is_not_normal(tmp_path, capsys):
+    # dx^2 or dy^2 below the least normal double made the stencil print
+    # "max_res": nan with exit 0
+    for flags, name in ((("--dx=1e-300", "--nx=41", "--ny=5"), "dx"),
+                        (("--dy=5e-324",), "dy")):
+        code, stdout, err, wall = _timed(capsys, "residual", *flags,
+                                         f"--out={tmp_path / 'never'}")
+        assert code == 1 and stdout == "" and wall < 1.0
+        assert err.startswith(f"numerical failure: {name} = ")
+        assert "not a normal double" in err
+    assert not (tmp_path / "never").exists()
+
+
+def test_free_edge_k_below_the_cancellation_floor_exits_2(tmp_path, capsys):
+    # below k*R = 1e-11 the two terms of size sqrt(pi/2k) cancel: k =
+    # 5e-324 wrote nan, k = 1e-300 exact zeros where psi is 2.69, and the
+    # oracle printed "l2_rel": nan, each with exit 0
+    out = tmp_path / "never.csv"
+    for argv in (("field", "--k=5e-324"), ("field", "--k=1e-300"),
+                 ("oracle", "--k=1e-300"), ("residual", "--k=1e-300")):
+        code, stdout, err, wall = _timed(capsys, *argv, f"--out={out}")
+        assert code == 2 and stdout == "" and wall < 1.0
+        assert err.startswith("usage error: k = ")
+        assert "lose its digits" in err
+    assert not out.exists()
+    # just above the floor: R = 3 sqrt 2 on a grid over [-3, 3]^2
+    k = 1.0001e-11 / (3.0 * math.sqrt(2.0))
+    code, _, _ = run_cli(capsys, "field", f"--k={k!r}", "--nx=5", "--ny=5",
+                         "--dx=1.5", "--dy=1.5", f"--out={out}")
+    assert code == 0 and np.isfinite(read_csv(out).values).all()
+
+
+def test_oracle_prints_only_quadrants_with_nodes(capsys):
+    # the 41^2 grid from (-3, -3) covers x, y < 0 only: the three empty
+    # quadrants printed nan lines
+    code, stdout, _, wall = _timed(capsys, "oracle", "--k=1e-8",
+                                   "--nx=41", "--ny=41")
+    assert code == 0 and wall < 1.0
+    assert "nan" not in stdout
+    assert [line.split(":")[0] for line in stdout.splitlines()[1:]] == [
+        "  quadrant x<0,y<0"]
+
+
+def test_tail_refuses_an_underflowed_mode_quickly(tmp_path, capsys):
+    # e^{-alpha a} is 0 at every offset, so each Born amplitude is 0
+    # before any quadrature; the refusal took about 50 s
+    out = tmp_path / "t.csv"
+    code, stdout, err, wall = _timed(capsys, "tail", "--alpha=1e6",
+                                     f"--out={out}")
+    assert code == 1 and stdout == "" and wall < 1.0
+    assert err.startswith("numerical failure: all amplitudes underflowed")
+    assert not out.exists()
 
 
 def test_degraded_tail_fit_exits_1(tmp_path, capsys):

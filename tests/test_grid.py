@@ -422,6 +422,7 @@ def test_read_csv_rejects_malformed_files(tmp_path):
         (np.array([0.0, np.inf]), ys),
         (np.array([np.nan, 1.0]), ys),
         (xs, np.array([np.nan, 0.5, 1.0])),
+        (np.array([-1e308, 1e308]), ys[:1]),   # the span overflows
     ]
     for lx, ly in layouts:
         _write_rows(path, lx, ly)

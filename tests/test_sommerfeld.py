@@ -142,13 +142,13 @@ def test_two_term_blocks_keep_the_ray_zero(n):
     a = 0.3
     X, Y, at = _ray_points(n, a)
     for kappa, lam in ((2.0, 0.0), (1.5j, 0.4 - 0.2j)):
-        vals = sommerfeld.two_term(2.0, kappa, lam, a, X, Y, -1)
+        vals = sommerfeld.two_term(2.0, kappa, lam, 0.0, a, X, Y, -1)
         assert vals.shape == (n,)
         assert np.all(vals[at] == 0.0)
         cut = n // 3
         parts = np.concatenate([
-            sommerfeld.two_term(2.0, kappa, lam, a, X[:cut], Y[:cut], -1),
-            sommerfeld.two_term(2.0, kappa, lam, a, X[cut:], Y[cut:], -1)])
+            sommerfeld.two_term(2.0, kappa, lam, 0.0, a, X[:cut], Y[:cut], -1),
+            sommerfeld.two_term(2.0, kappa, lam, 0.0, a, X[cut:], Y[cut:], -1)])
         assert np.abs(parts - vals).max() <= 4e-16 * np.abs(vals).max()
 
 
