@@ -28,8 +28,7 @@ eta_{-lambda} identically, so the two terms cancel on both faces of the
 ray for every lambda.  The literal conjugate would break the ray
 condition in the trapped regime.  The bracket is sommerfeld.two_term,
 the free-edge formula in the rotated chart, so the free edge (lambda =
-0, kappa = k, alpha = 0) and this field share one evaluator, which
-takes the envelope's exponent into erfc's (specfun).
+0, kappa = k, alpha = 0) and this field share one evaluator.
 
 Known defects of this closed form (measured, not patched):
 

@@ -20,12 +20,10 @@ harmonic coordinates there), so the normal derivative cancels instead;
 it is validated numerically in the test suite rather than taken on
 faith.
 
-The bracket is :func:`two_term` at rotation lambda = 0, wavenumber
-kappa = k and envelope rate alpha = 0.  The guided mode at the barrier
-(bound_edge) is the same bracket with the rapidity lambda and kappa =
-sqrt(k^2 - alpha^2), times its transverse envelope e^{-alpha|x|}: the
-bound-mode problem is Sommerfeld diffraction from the edge in a rotated
-chart.
+The bracket is :func:`two_term` at rotation lambda = 0, kappa = k and
+alpha = 0.  The guided mode at the barrier (bound_edge) is the same
+bracket with the rapidity lambda, kappa = sqrt(k^2 - alpha^2) and its
+envelope e^{-alpha|x|}: Sommerfeld diffraction in a rotated chart.
 
 :func:`helmholtz_residual` applies the five-point stencil to a grid
 field, outside a fixed two-cell band around the barrier ray and the
@@ -79,14 +77,10 @@ def two_term(k: float, kappa: complex, lam: complex, alpha: float, a: float,
     (xi_lam, eta_{-lam}) is the rotated chart about the tip (a, 0),
     built once per point by geometry.rotated_pair.  At lambda = 0
     both have zero imaginary part, so a real kappa with alpha = 0 takes
-    specfun's Fresnel route.  Otherwise each F goes through specfun's erf
-    route with the envelope's exponent L = -alpha|x| inside erfc's one
-    exponential, so neither e^L nor erf's Gaussian is formed apart: a
-    term below the double range is 0 and no overflow of one factor is
-    met by an underflow of the other.  k is real, so the second y-phase
-    is the conjugate of the first.  On both faces of the ray xi_lam =
-    eta_{-lam} for every lambda, so with sign = -1 the two terms cancel
-    there.  The tip gives F(0) - F(0) = 0.
+    specfun's Fresnel route; else L = -alpha|x| enters erfc's exponent.
+    k is real, so the second y-phase is the conjugate of the first.  On
+    both faces of the ray xi_lam = eta_{-lam} for every lambda, so with
+    sign = -1 the two terms cancel there.  The tip gives F(0) - F(0) = 0.
 
     X and Y are broadcast together, without copies; the chart, the
     phases and both F terms run in consecutive blocks of a fixed number

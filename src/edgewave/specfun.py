@@ -6,13 +6,10 @@ Three evaluation routes are provided for
 
 the building block of the edge-diffraction closed forms:
 
-* erf closed form - F = sqrt(pi)/(2 s) * erfc(-s xi) with
-  s = sqrt(-2 i k), Re s > 0.  The branch with positive real part
-  corresponds to rotating the integration contour so the improper
-  integral converges absolutely.  erfc takes the Faddeeva form
-  erfc(u) = e^{-u^2} w(iu) (Abramowitz & Stegun 7.1.3), and a caller's
-  real log-scale L (the bound edge's envelope -alpha|x|) enters its one
-  exponential, so e^L F is formed without e^L or e^{-u^2} apart.
+* erf closed form - F = sqrt(pi)/(2 s) * erfc(-s xi), s = sqrt(-2 i k),
+  Re s > 0 (the contour rotated so the integral converges absolutely),
+  by erfc(u) = e^{-u^2} w(iu) (A&S 7.1.3) with a real log-scale L (the
+  bound edge's -alpha|x|) inside that one exponential, giving e^L F.
 * real-argument Fresnel form - for real k > 0 and real xi the erf
   argument lies on the ray s xi = e^{-i pi/4} sqrt(2k) xi, where
   erf(e^{-i pi/4} u) = (1 - i)(C(z) + i S(z)), z = u sqrt(2/pi)
@@ -29,9 +26,8 @@ closed forms on values, not on dtype: the Fresnel form when k has zero
 imaginary part and positive real part and every xi has an imaginary
 part of exactly zero (the free edge), the erf form otherwise (the bound
 edge in both regimes).  Both forms keep the input contract of
-:func:`erf_cx`, with which the erf form shares its argument check and
-its Faddeeva core: a non-finite xi or |s xi| > 1e6 raises
-``ValueError``.
+:func:`erf_cx`, whose argument check and Faddeeva core the erf form
+shares: a non-finite xi or |s xi| > 1e6 raises ``ValueError``.
 
 For real k this reproduces the conditionally convergent Fresnel limit;
 for k on the positive imaginary axis (evanescent regime) the integrand
@@ -55,8 +51,7 @@ __all__ = [
     "fresnel_F_quadrature",
 ]
 
-# exp overflows above ~709.78 and underflows to 0 below ~ -745.1; the
-# screens keep the real part of its argument within +-708
+# exp over- and underflows beyond ~709.78 and ~-745.1: screen at +-708
 _EXP_RANGE = 708.0
 # points per block of the array evaluators here and in sommerfeld: the
 # temporaries of one block stay in cache and off the process peak
@@ -81,41 +76,28 @@ class FresnelValue:
 
 
 def _check(z: np.ndarray, L) -> None:
-    """The argument check of both erf routes, on z and a real log-scale L
-    (a scalar or z's shape): a non-finite z, then |z| > 1e6, raise
-    ``ValueError``; then Re(L - z^2) above the exponent range raises
-    ``OverflowError``, since e^{L - z^2} would overflow."""
+    """Both erf routes' check: ValueError for non-finite z, then |z| > 1e6;
+    then OverflowError where e^{L - z^2} would overflow."""
     if not np.all(np.isfinite(z)):
         raise ValueError("erf requires finite arguments")
     if np.any(np.abs(z) > 1e6):
         raise ValueError("erf restricted to |z| <= 1e6")
     if np.any(L - (z.real * z.real - z.imag * z.imag) > _EXP_RANGE):
-        raise OverflowError(
-            "erf overflows: Re(L - z^2) above the exponent range")
+        raise OverflowError("erf overflows: Re(L - z^2) above exp's range")
 
 
 def _faddeeva(t: np.ndarray, L) -> np.ndarray:
-    """e^{L - t^2} w(it) for Re t >= 0, the one Faddeeva core.
-
-    There Im(it) = Re t >= 0, where w is numerically stable and |w| <= 1,
-    so the product stays representable once :func:`_check` has passed.
-    L is added to the real part of -t^2 alone, so at L = 0 the exponent
-    keeps the signed zeros of its imaginary part.
-    """
+    """e^{L - t^2} w(it) for Re t >= 0, where w is stable and |w| <= 1.
+    L goes into the real part alone: at L = 0 the bits are exp(-t^2)'s."""
     g = np.asarray(-t * t)
     g.real += L
     return np.exp(g, out=g) * wofz(1j * t)
 
 
 def _erfc_neg(z: np.ndarray, L) -> np.ndarray:
-    """e^L erfc(-z) = e^L (1 + erf z) for an array z and a real L.
-
-    With L inside the one exponential: e^{L - z^2} w(-iz) where Re z <= 0
-    and 2 e^L - e^{L - z^2} w(iz) where Re z > 0, both by
-    :func:`_faddeeva` at t = -z or z, whichever has the sign bit of Re t
-    clear.  Where e^{L - z^2} and e^L underflow the value is 0; where
-    e^{L - z^2} would overflow, :func:`_check` raises ``OverflowError``.
-    """
+    """e^L erfc(-z) = e^L (1 + erf z): e^{L - z^2} w(-iz) where Re z <= 0,
+    2 e^L - e^{L - z^2} w(iz) where Re z > 0 (sign bits), so an underflow
+    of both exponentials gives 0, never an overflow met by an underflow."""
     _check(z, L)
     left = np.signbit(z.real)
     core = _faddeeva(np.where(left, -z, z), L)
@@ -136,7 +118,6 @@ def _erf_block(z: np.ndarray) -> np.ndarray:
     sat = z.real * z.real - z.imag * z.imag > _EXP_RANGE
     out[sat] = 1.0
     rest = ~sat
-    # erf(z) = 1 - erfc(z) = 1 - e^{-z^2} w(iz)
     out[rest] = 1.0 - _faddeeva(zq[rest], 0.0)
 
     out = np.where(flip_conj, np.conj(out), out)
@@ -194,9 +175,8 @@ def _rotation_root(k) -> complex:
 
 
 def _closed_form(k, xi, L) -> tuple[complex, np.ndarray]:
-    """(sqrt(pi)/(2 s), e^L F(xi; k)) for an array of xi and a real
-    log-scale L (a scalar or xi's shape), by either closed form; the
-    Fresnel form only where L is 0."""
+    """(sqrt(pi)/(2 s), e^L F(xi; k)) for an array of xi and a real L (a
+    scalar or xi's shape), by either closed form; Fresnel's only at L = 0."""
     s = _rotation_root(k)
     pref = math.sqrt(math.pi) / (2.0 * s)
     k = complex(k)

@@ -137,7 +137,7 @@ def test_branch_blocks_keep_the_ray_zero(field):
 
 def test_branch_memory_per_point(field):
     # two_term's blocks, the envelope's exponent inside erfc's: about
-    # 30 B per point (was 212)
+    # 24 B per point (was 212)
     n = 321
     X, Y = np.meshgrid(np.linspace(-3.0, 3.0, n), np.linspace(-3.0, 3.0, n))
     be.branch_field_values(field, X, Y, 1)
