@@ -330,6 +330,19 @@ def test_tail_refuses_an_underflowed_mode_quickly(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_tail_far_probe_at_alpha_3_exits_1_quickly(tmp_path, capsys):
+    # cos(p 1e300) cannot be resolved: the continuum quadrature stops at
+    # its largest rule instead of diagonalising ever larger Legendre
+    # companion matrices (the command ran for minutes)
+    out = tmp_path / "t.csv"
+    code, stdout, err, wall = _timed(capsys, "tail", "--alpha=3",
+                                     "--probe_x=1e300", f"--out={out}")
+    assert code == 1 and stdout == "" and wall < 5.0
+    assert err.startswith("numerical failure: continuum quadrature did not "
+                          "converge")
+    assert not out.exists()
+
+
 def test_degraded_tail_fit_exits_1(tmp_path, capsys):
     # a probe far from the guide leaves quadrature noise in the Born
     # amplitude; the fit's rms residual, 0.45, is refused

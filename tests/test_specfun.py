@@ -50,6 +50,43 @@ def test_erf_saturation_and_overflow():
         specfun.erf_cx(complex(np.nan, 0.0))
 
 
+def _faddeeva_cloud(name, rng, n=20_000):
+    if name == "unit":          # |t| <= 2
+        r, phi = 2.0 * np.sqrt(rng.uniform(0, 1, n)), rng.uniform(-0.5, 0.5, n)
+        return r * np.exp(1j * math.pi * phi)
+    if name == "real-axis":     # w near the real axis: Re t small, |Im t| <= 30
+        return rng.uniform(0.0, 1e-3, n) + 1j * rng.uniform(-30.0, 30.0, n)
+    # |t| log-uniform up to 1e6 over the whole half-plane Re t >= 0
+    return 10.0 ** rng.uniform(-3.0, 6.0, n) * np.exp(1j * rng.uniform(-0.5, 0.5, n) * math.pi)
+
+
+@pytest.mark.parametrize("cloud", ["unit", "real-axis", "large"])
+def test_faddeeva_matches_wofz(cloud):
+    # scipy's wofz is the oracle here only; L = -Re(-t^2) cancels the
+    # real part of the exponent exactly, so both sides share one
+    # unimodular factor and the comparison is of w(it) alone
+    from scipy.special import wofz
+    t = _faddeeva_cloud(cloud, np.random.default_rng(len(cloud)))
+    t.real = np.abs(t.real)
+    g = -t * t
+    got = specfun._faddeeva(t, -g.real)
+    g.real = 0.0
+    want = np.exp(g) * wofz(1j * t)
+    assert np.all(np.abs(got - want) <= 5e-14 * np.abs(want))
+
+
+def test_erfc_near_zero_against_mpmath():
+    # erfc(t) = e^L erfc(-z) at z = -t, L = 0, on both half-planes
+    mp.mp.dps = 30
+    rng = np.random.default_rng(5)
+    t = rng.uniform(-0.05, 0.05, 200) + 1j * rng.uniform(-0.05, 0.05, 200)
+    t = np.concatenate([t, [0.0, 1e-300, -1e-300j, 0.05, -0.05j]])
+    got = specfun._erfc_neg(-t, 0.0)
+    for ti, g in zip(t, got):
+        want = complex(mp.erfc(mp.mpc(ti.real, ti.imag)))
+        assert abs(g - want) <= 1e-14
+
+
 def test_fresnel_reference_value():
     # F(0) = sqrt(pi)/(2 s): with k = 1/2 this is the classic
     # 0.626657068657750... * (1 + i)
