@@ -13,8 +13,8 @@ the building block of the edge-diffraction closed forms:
   The Faddeeva function w is Weideman's rational expansion (J. A. C.
   Weideman, SIAM J. Numer. Anal. 31 (1994) 1497-1518) with N = 36 terms
   and L_W = sqrt(N/sqrt 2), one polynomial evaluated a block at a time;
-  against scipy's wofz its relative error stays below 2.5e-14 from
-  |t| = 0 to 1e6, the real axis of w included.
+  against scipy.special's Faddeeva function its relative error is at most
+  2.5e-14 from |t| = 0 to 1e6, the real axis of w included.
 * real-argument Fresnel form - for real k > 0 and real xi the erf
   argument lies on the ray s xi = e^{-i pi/4} sqrt(2k) xi, where
   erf(e^{-i pi/4} u) = (1 - i)(C(z) + i S(z)), z = u sqrt(2/pi)
@@ -120,11 +120,10 @@ def _faddeeva(t: np.ndarray, L) -> np.ndarray:
 
     w(it) is Weideman's expansion at z = it: d = L_W + t and
     Z = (L_W - t)/d, which Re t >= 0 keeps in the closed unit disk, and
-    p(Z) by Horner in place.  Relative to scipy's wofz it is within
-    2.5e-14 (|t| up to 1e6, Re t = 0 included); erfc(t) near t = 0 is
-    within 5e-15 absolute.  Each call costs about 80 ufunc calls, so one
-    point takes tens of microseconds where a 4096-point block takes
-    about 60 ns a point.
+    p(Z) by Horner in place.  Relative to scipy.special's Faddeeva
+    function it is within 2.5e-14 (|t| up to 1e6, Re t = 0 included);
+    erfc(t) near t = 0 is within 5e-15 absolute.  A call makes about 80
+    ufunc calls whatever its size, so a one-point call is all overhead.
     """
     g = np.asarray(-t * t)
     g.real += L
@@ -255,7 +254,7 @@ def fresnel_F(k, xi) -> FresnelValue:
     to ~1e-13 relative of |pref| (1 + |erf(s xi)|), with pref the
     prefactor sqrt(pi)/(2 s) and pref erf(s xi) = F - pref.  The erf
     route's Faddeeva kernel (Weideman, N = 36) is within 2.5e-14 of
-    scipy's wofz relative to |w|, and erf near 0 within 5e-15 absolute.
+    scipy.special's relative to |w|, and erf near 0 within 5e-15 absolute.
     """
     pref, value = _closed_form(k, np.array([xi]), 0.0)
     value = complex(value[0])

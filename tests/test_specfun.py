@@ -57,7 +57,8 @@ def _faddeeva_cloud(name, rng, n=20_000):
     if name == "real-axis":     # w near the real axis: Re t small, |Im t| <= 30
         return rng.uniform(0.0, 1e-3, n) + 1j * rng.uniform(-30.0, 30.0, n)
     # |t| log-uniform up to 1e6 over the whole half-plane Re t >= 0
-    return 10.0 ** rng.uniform(-3.0, 6.0, n) * np.exp(1j * rng.uniform(-0.5, 0.5, n) * math.pi)
+    r, phi = 10.0 ** rng.uniform(-3.0, 6.0, n), rng.uniform(-0.5, 0.5, n)
+    return r * np.exp(1j * math.pi * phi)
 
 
 @pytest.mark.parametrize("cloud", ["unit", "real-axis", "large"])
