@@ -443,17 +443,15 @@ def delta_jump_check(f: BoundEdgeField, y: float, h: float) -> float:
 
     Returns |[psi_x(0+) - psi_x(0-)] + 2*alpha*psi(0+)| / (2*alpha*|psi(0+)|)
     with one-sided differences of step h, each side evaluated on its own
-    eps-branch.  For the pure guided mode exp(-alpha|x|+iky) this tends
-    to 0 linearly in h; for the closed form here it saturates at an O(1)
-    value (see the module docstring).
+    eps-branch, one call per branch.  For the pure guided mode
+    exp(-alpha|x|+iky) this tends to 0 linearly in h; for the closed form
+    here it saturates at an O(1) value (see the module docstring).
     """
     if y == 0.0:
         raise ValueError("y = 0 lies on the barrier, not the waveguide axis")
     alpha = f.params.alpha
-    p_plus = complex(branch_field_values(f, 0.0, y, 1))
-    p_minus = complex(branch_field_values(f, 0.0, y, -1))
-    p_r = complex(branch_field_values(f, h, y, 1))
-    p_l = complex(branch_field_values(f, -h, y, -1))
+    p_plus, p_r = map(complex, branch_field_values(f, [0.0, h], y, 1))
+    p_minus, p_l = map(complex, branch_field_values(f, [0.0, -h], y, -1))
     d_right = (p_r - p_plus) / h
     d_left = (p_minus - p_l) / h
     return abs((d_right - d_left) + 2.0 * alpha * p_plus) / (2.0 * alpha * abs(p_plus))
@@ -469,13 +467,13 @@ def axis_value_jump(f: BoundEdgeField, y: float) -> float:
 def ray_defect(f: BoundEdgeField, n: int = 1000) -> float:
     """max |psi| over both faces of the ray, relative to a field scale.
 
-    Samples n log-spaced radii in [1e-3, 20] on each face and normalizes
-    by the max |psi| on a reference arc r = 1.
+    Samples n log-spaced radii in [1e-3, 20] on each face (the rows
+    y = +0.0 and y = -0.0 of one call) and normalizes by the max |psi| on
+    a reference arc r = 1.
     """
     rs = np.geomspace(1e-3, 20.0, n)
-    top = branch_field_values(f, rs, np.full_like(rs, 0.0), 1)
-    bot = branch_field_values(f, rs, np.full_like(rs, -0.0), 1)
-    worst = max(np.abs(top).max(), np.abs(bot).max())
+    faces = branch_field_values(f, rs, np.array([[0.0], [-0.0]]), 1)
+    worst = np.abs(faces).max()
     th = np.linspace(0.05, 2.0 * math.pi - 0.05, 256)
     scale = np.abs(field_values(f, np.cos(th), np.sin(th))).max()
     return float(worst / scale)

@@ -58,9 +58,10 @@ _POSITIVE = ("a positive finite number", float, lambda v: 0 < v < math.inf)
 _NON_NEGATIVE = ("a finite number >= 0", float, lambda v: 0 <= v < math.inf)
 _COUNT = ("an integer >= 2", int, lambda n: n >= 2)
 _PATH = ("a file name", str, lambda s: True)
-_OFFSETS = (f"finite numbers, as start:step:stop (step > 0, stop >= start, "
-            f"at most {_A_RANGE_STEPS} steps) or a comma list",
-            _parse_a_list, lambda v: True)
+_OFFSETS = (f"at least four distinct positive finite numbers, as "
+            f"start:step:stop (step > 0, stop >= start, at most "
+            f"{_A_RANGE_STEPS} steps) or a comma list",
+            _parse_a_list, lambda v: len(set(v)) >= 4 and min(v) > 0)
 
 
 def _one_of(*names: str):
@@ -164,13 +165,15 @@ def _closed_form(cfg: dict):
     """(E, alpha, values) of the closed form ``mode`` names, where
     ``values(X, Y)`` samples the field; the one place that reads ``mode``.
     Each entry refuses a configuration outside its form's domain: the
-    bound form needs a = 0, bc = dirichlet and alpha > 0, the free edge
+    bound form needs a = 0, bc = dirichlet, alpha > 0 and k != alpha
+    (the branch point between its regimes), the free edge
     k*R >= _KR_FLOOR on the grid."""
     k = cfg["k"]
     if cfg["mode"] == "bound":
-        if cfg["a"] != 0.0 or cfg["bc"] != "dirichlet" or not cfg["alpha"] > 0:
+        if (cfg["a"] != 0.0 or cfg["bc"] != "dirichlet"
+                or not cfg["alpha"] > 0 or k == cfg["alpha"]):
             raise SystemExit("usage error: the bound closed form requires "
-                             "a = 0, bc = dirichlet and alpha > 0")
+                             "a = 0, bc = dirichlet, alpha > 0 and k != alpha")
         f = bound_edge.make_field(cfg["alpha"], k)
         return f.params.E, cfg["alpha"], lambda X, Y: bound_edge.field_values(
             f, X, Y)
@@ -218,10 +221,16 @@ def _cmd_tail(cfg: dict) -> int:
     k = cfg["k"] if cfg["k"] is not None else 0.5 * alpha
     if not 0 < k < alpha:
         raise SystemExit("usage error: tail scan needs 0 < k < alpha")
+    a_list = cfg["a_list"]
+    if not green_perturbation.offsets_span_ok(alpha, a_list):
+        raise SystemExit("usage error: tail scan offsets must span at "
+                         "least 2/alpha")
     probe_y = cfg["probe_y"] if cfg["probe_y"] is not None else -12.0 / alpha
+    if probe_y == 0.0 and cfg["probe_x"] in a_list:
+        raise SystemExit("usage error: the tail scan probe lies on an "
+                         "impurity")
     probe = PlanePoint(cfg["probe_x"], probe_y)
-    res = green_perturbation.tail_scan(
-        alpha, k, cfg["lam"], cfg["a_list"], probe)
+    res = green_perturbation.tail_scan(alpha, k, cfg["lam"], a_list, probe)
     out = cfg["out"] or "tail.csv"
     with open(out, "w") as fh:
         fh.write(green_perturbation.tail_scan_csv(res))

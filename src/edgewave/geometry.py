@@ -60,8 +60,9 @@ def polar(X, Y, a: float = 0.0):
     return np.hypot(U, V), np.where(np.signbit(phi), phi + 2.0 * math.pi, phi)
 
 
-def rotated_pair(r, phi, lam: complex):
-    """(xi_lam, eta_{-lam}) = (p rc + q rs, p rc - q rs) for arrays of (r, phi).
+def rotated_pair(r, phi, lam: complex) -> np.ndarray:
+    """(xi_lam, eta_{-lam}) = (p rc + q rs, p rc - q rs) for arrays of (r, phi),
+    stacked as one complex array of shape (2,) + r's shape.
 
     rc, rs = sqrt(r/2) (cos(phi/2), sin(phi/2)) are the real halves of
     the chart and (p, q) = (cosh(lam/2) - i sinh(lam/2), cosh(lam/2) +
@@ -79,4 +80,4 @@ def rotated_pair(r, phi, lam: complex):
     ch, sh = cmath.cosh(0.5 * lam), cmath.sinh(0.5 * lam)
     p, q = ch - 1j * sh, ch + 1j * sh
     prc, qrs = p * rc, q * rs
-    return prc + qrs, prc - qrs
+    return np.stack((prc + qrs, prc - qrs))

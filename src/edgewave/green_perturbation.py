@@ -65,6 +65,7 @@ __all__ = [
     "line_kernel",
     "green_eval",
     "born_correction",
+    "offsets_span_ok",
     "tail_scan",
     "tail_scan_csv",
     "operator_mass",
@@ -262,15 +263,21 @@ def fit_log_slope(xs, values) -> tuple[float, float]:
     return float(sol[0]), rms
 
 
+def offsets_span_ok(alpha: float, a_values) -> bool:
+    """Whether impurity offsets span the 2/alpha a tail fit needs, with a
+    few ulps of slack: offsets t/alpha for t = 1..3 span 2/alpha only up
+    to rounding."""
+    return (max(a_values) - min(a_values)
+            >= 2.0 / alpha * (1.0 - 4.0 * np.finfo(float).eps))
+
+
 def tail_scan(alpha: float, k: float, lambda_imp: float, a_list,
               probe: PlanePoint) -> TailScanResult:
     """Born amplitude |psi1(probe)| against impurity offset, with log fit."""
     a_arr = np.asarray(sorted(a_list), dtype=float)
     if len(a_arr) < 4:
         raise ValueError("need at least 4 impurity offsets for the fit")
-    # a few ulps of slack: offsets t/alpha for t = 1..3 span 2/alpha
-    # only up to rounding
-    if a_arr[-1] - a_arr[0] < 2.0 / alpha * (1.0 - 4.0 * np.finfo(float).eps):
+    if not offsets_span_ok(alpha, a_arr):
         raise ValueError("offsets must span at least 2/alpha")
     amps = np.array([abs(born_correction(alpha, k, lambda_imp, a, probe))
                      for a in a_arr])

@@ -382,7 +382,8 @@ def compare(analytic: FieldGrid, fd: FieldGrid, E: float | None = None) -> dict:
     Interior nodes only; bands of two cells around the barrier ray and
     the waveguide axis are excluded (square dilation of the tagged
     nodes).  Returns a dict with keys l2_rel, max_rel, dx, dy, E, n_nodes
-    and a per-quadrant breakdown under "quadrants".
+    and a per-quadrant breakdown under "quadrants"; a quadrant starts two
+    cells off each axis, 2 dx in x and 2 dy in y.
     """
     for attr in ("x0", "y0", "dx", "dy", "nx", "ny"):
         if not math.isclose(getattr(analytic, attr), getattr(fd, attr),
@@ -406,12 +407,12 @@ def compare(analytic: FieldGrid, fd: FieldGrid, E: float | None = None) -> dict:
 
     # the 1-D axes broadcast in the masks: no full coordinate meshes
     X, Y = fd.xs()[None, :], fd.ys()[:, None]
-    b = _EXCLUDE_CELLS * fd.dx
+    bx, by = _EXCLUDE_CELLS * fd.dx, _EXCLUDE_CELLS * fd.dy
     quads = {
-        "x<0,y>0": (X < -b) & (Y > b),
-        "x>0,y>0": (X > b) & (Y > b),
-        "x<0,y<0": (X < -b) & (Y < -b),
-        "x>0,y<0": (X > b) & (Y < -b),
+        "x<0,y>0": (X < -bx) & (Y > by),
+        "x>0,y>0": (X > bx) & (Y > by),
+        "x<0,y<0": (X < -bx) & (Y < -by),
+        "x>0,y<0": (X > bx) & (Y < -by),
     }
     amax = np.abs(analytic.values[keep]).max()
     return {

@@ -75,9 +75,10 @@ def two_term(k: float, kappa: complex, lam: complex, alpha: float, a: float,
     + sign * exp(+iky) F(eta_{-lam}; kappa)].
 
     (xi_lam, eta_{-lam}) is the rotated chart about the tip (a, 0),
-    built once per point by geometry.rotated_pair.  At lambda = 0
-    both have zero imaginary part, so a real kappa with alpha = 0 takes
-    specfun's Fresnel route; else L = -alpha|x| enters erfc's exponent.
+    built once per point by geometry.rotated_pair; F takes the stacked
+    pair in one call per block.  At lambda = 0 both have zero imaginary
+    part, so a real kappa with alpha = 0 takes specfun's Fresnel route;
+    else L = -alpha|x| enters erfc's exponent.
     k is real, so the second y-phase is the conjugate of the first.  On
     both faces of the ray xi_lam = eta_{-lam} for every lambda, so with
     sign = -1 the two terms cancel there.  The tip gives F(0) - F(0) = 0.
@@ -95,12 +96,11 @@ def two_term(k: float, kappa: complex, lam: complex, alpha: float, a: float,
     flat = out.reshape(-1)
     for sl in _blocks(flat.size):
         x, y = X.flat[sl], Y.flat[sl]
-        xi, eta = rotated_pair(*polar(x, y, a), lam)
         L = -alpha * np.abs(x) if alpha else 0.0
+        F = _closed_form(kappa, rotated_pair(*polar(x, y, a), lam), L)
         phase = np.exp(-1j * k * y)
-        second = sign * phase.conj() * _closed_form(kappa, eta, L)[1]
-        np.multiply(phase, _closed_form(kappa, xi, L)[1], out=flat[sl])
-        flat[sl] += second
+        np.multiply(phase, F[0], out=flat[sl])
+        flat[sl] += sign * phase.conj() * F[1]
     return out[()]
 
 

@@ -223,16 +223,16 @@ def _rotation_root(k) -> complex:
     return complex(s)
 
 
-def _closed_form(k, xi, L) -> tuple[complex, np.ndarray]:
-    """(sqrt(pi)/(2 s), e^L F(xi; k)) for an array of xi and a real L (a
-    scalar or xi's shape), by either closed form; Fresnel's only at L = 0."""
+def _closed_form(k, xi, L) -> np.ndarray:
+    """e^L F(xi; k) for an array of xi and a real L (a scalar or an array
+    broadcasting to xi's shape), by one closed form for the whole array;
+    Fresnel's only at L = 0."""
     s = _rotation_root(k)
-    pref = math.sqrt(math.pi) / (2.0 * s)
     k = complex(k)
     xi = np.asarray(xi)
     if (k.imag != 0.0 or not k.real > 0.0 or np.any(xi.imag)
             or np.count_nonzero(L)):
-        return pref, pref * _erfc_neg(s * xi, L)
+        return math.sqrt(math.pi) / (2.0 * s) * _erfc_neg(s * xi, L)
     z = np.asarray(xi.real, dtype=float) * (2.0 * math.sqrt(k.real / math.pi))
     # |z| = |s xi| sqrt(2/pi); "not <=" also catches nan and inf
     if not np.all(np.abs(z) <= 1e6 * math.sqrt(2.0 / math.pi)):
@@ -244,27 +244,27 @@ def _closed_form(k, xi, L) -> tuple[complex, np.ndarray]:
     scale = 0.25 * math.sqrt(math.pi / k.real)
     parts *= 2.0 * scale
     parts += scale
-    return pref, out if out.ndim else complex(out)
+    return out if out.ndim else complex(out)
 
 
 def fresnel_F(k, xi) -> FresnelValue:
     """Closed-form F(xi; k), with the route of :func:`fresnel_F_array`.
 
-    The error estimate is a forward bound: either backend is accurate
-    to ~1e-13 relative of |pref| (1 + |erf(s xi)|), with pref the
-    prefactor sqrt(pi)/(2 s) and pref erf(s xi) = F - pref.  The erf
-    route's Faddeeva kernel (Weideman, N = 36) is within 2.5e-14 of
-    scipy.special's relative to |w|, and erf near 0 within 5e-15 absolute.
+    The error estimate is a forward bound, with the prefactor pref =
+    sqrt(pi)/(2 s) formed here: either backend is accurate to ~1e-13
+    relative of |pref| (1 + |erf(s xi)|), and pref erf(s xi) = F - pref.
+    The erf route's Faddeeva kernel (Weideman, N = 36) is within 2.5e-14
+    of scipy.special's relative to |w|, and erf near 0 within 5e-15 absolute.
     """
-    pref, value = _closed_form(k, np.array([xi]), 0.0)
-    value = complex(value[0])
+    value = complex(_closed_form(k, np.array([xi]), 0.0)[0])
+    pref = math.sqrt(math.pi) / (2.0 * _rotation_root(k))
     est = 1e-13 * (abs(pref) + abs(value - pref))
     return FresnelValue(value=value, est_abs_error=est)
 
 
 def fresnel_F_array(k, xi: np.ndarray) -> np.ndarray:
     """Vectorized closed-form F for grid work (values only)."""
-    return _closed_form(k, xi, 0.0)[1]
+    return _closed_form(k, xi, 0.0)
 
 
 # --- independent quadrature oracle -----------------------------------------

@@ -200,6 +200,31 @@ def test_delta_jump_defect_saturates(field):
         be.delta_jump_check(field, 0.0, 1e-3)
 
 
+def _point(f, x, y, eps):
+    """One branch value from a call of its own."""
+    return complex(be.branch_field_values(f, x, y, eps))
+
+
+@pytest.mark.parametrize("alpha, k", [(1.0, 0.5), (1.0, 2.0), (1.5, 1.05)])
+def test_defect_checks_match_one_call_per_point(alpha, k):
+    # delta_jump_check and ray_defect sample all their points of one
+    # branch in one call; their numbers are those of one call per point
+    f = be.make_field(alpha, k)
+    for y, h in ((-5.0, 1e-3), (2.0, 1e-4)):
+        p_plus, p_r = _point(f, 0.0, y, 1), _point(f, h, y, 1)
+        p_minus, p_l = _point(f, 0.0, y, -1), _point(f, -h, y, -1)
+        want = (abs((p_r - p_plus) / h - (p_minus - p_l) / h + 2.0 * alpha * p_plus)
+                / (2.0 * alpha * abs(p_plus)))
+        assert be.delta_jump_check(f, y, h) == pytest.approx(want, rel=1e-15, abs=0)
+    n = 40
+    ray = max(abs(_point(f, r, face, 1))
+              for r in np.geomspace(1e-3, 20.0, n) for face in (0.0, -0.0))
+    th = np.linspace(0.05, 2.0 * math.pi - 0.05, 256)
+    scale = max(abs(complex(be.field_values(f, math.cos(t), math.sin(t))))
+                for t in th)
+    assert be.ray_defect(f, n=n) == pytest.approx(ray / scale, rel=1e-15, abs=0)
+
+
 def test_jump_check_formula_on_pure_mode():
     # sanity for the diagnostic itself: the unperturbed guided mode
     # satisfies the matching condition, defect -> 0 linearly in h

@@ -217,6 +217,26 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert not (tmp_path / "never.csv").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("tail", "--a_list=1,2,3"), "a_list must be at least four distinct"),
+    (("tail", "--a_list=1,1,2,3"), "a_list must be at least four distinct"),
+    (("tail", "--a_list=-1,0.5,1,2,3"), "a_list must be at least four"),
+    (("tail", "--a_list=1,1.5,2,2.5"), "span at least 2/alpha"),
+    (("tail", "--alpha=1", "--probe_x=1", "--probe_y=0"), "on an impurity"),
+    (("field", "--mode=bound", "--alpha=1", "--k=1"), "k != alpha"),
+    (("oracle", "--mode=bound", "--alpha=1", "--k=1"), "k != alpha"),
+], ids=["three-offsets", "repeated-offset", "negative-offset", "short-span",
+        "probe-on-impurity", "field-k-equals-alpha", "oracle-k-equals-alpha"])
+def test_static_input_rules_exit_2(tmp_path, capsys, argv, message):
+    # each rule reads the input alone, so breaking it is a usage error
+    # before any quadrature or grid runs (each used to exit 1)
+    out = tmp_path / "never.csv"
+    code, stdout, err = run_cli(capsys, *argv, f"--out={out}")
+    assert code == 2 and stdout == ""
+    assert err.startswith("usage error: ") and message in err
+    assert not out.exists()
+
+
 def test_numerical_failure_exits_1(capsys):
     # resolution guard trips inside the oracle: not a usage problem
     code, _, err = run_cli(capsys, "oracle", "--k=20", "--dx=0.1",

@@ -1,6 +1,29 @@
 """The shared criterion checks: each must be able to fail."""
 
-from edgewave import criteria, delta_1d
+import math
+
+import numpy as np
+import pytest
+
+from edgewave import criteria, delta_1d, sommerfeld
+
+
+@pytest.mark.parametrize("k, a", [(2.0, 0.0), (0.5, 0.3)])
+def test_edge_ray_zero_matches_one_call_per_point(k, a):
+    # both faces go to field_values in one call; the number is the one
+    # of a call per point
+    geom = sommerfeld.EdgeGeometry(a=a)
+
+    def point(x, y):
+        return abs(complex(sommerfeld.field_values(k, geom, x, y)))
+
+    ray = max(point(x, face) for x in a + np.geomspace(1e-3, 30.0, 1000)
+              for face in (0.0, -0.0))
+    th = np.linspace(0.1, 2 * math.pi - 0.1, 200)
+    scale = max(point(a + math.cos(t), math.sin(t)) for t in th)
+    got = criteria.edge_ray_zero(k, a, tol=1e-12)
+    assert got.ok
+    assert got.value == pytest.approx(ray / scale, rel=1e-15, abs=0)
 
 
 def test_pole_check_sees_a_wrong_denominator(monkeypatch):

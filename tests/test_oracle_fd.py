@@ -20,7 +20,8 @@ from scipy.sparse.linalg import spsolve
 from edgewave import bound_edge as be
 from edgewave import oracle_fd as ofd
 from edgewave import sommerfeld
-from edgewave.grid import DELTA_LINE, EDGE, FieldGrid, INTERIOR, OUTER, dilate
+from edgewave.grid import (DELTA_LINE, EDGE, FieldGrid, INTERIOR, OUTER,
+                           build_mask, dilate)
 
 
 def _matrix(sys):
@@ -521,10 +522,10 @@ def _quadrants_from_meshes(ana, fd):
     keep = fd.mask == INTERIOR
     keep &= ~dilate((fd.mask == EDGE) | (fd.mask == DELTA_LINE), 2, square=True)
     X, Y = fd.meshes()
-    b = 2 * fd.dx
+    bx, by = 2 * fd.dx, 2 * fd.dy
     out = {}
-    for name, sel in (("x<0,y>0", (X < -b) & (Y > b)), ("x>0,y>0", (X > b) & (Y > b)),
-                      ("x<0,y<0", (X < -b) & (Y < -b)), ("x>0,y<0", (X > b) & (Y < -b))):
+    for name, sel in (("x<0,y>0", (X < -bx) & (Y > by)), ("x>0,y>0", (X > bx) & (Y > by)),
+                      ("x<0,y<0", (X < -bx) & (Y < -by)), ("x>0,y<0", (X > bx) & (Y < -by))):
         ref = np.linalg.norm(ana.values[keep & sel])
         out[name] = (float(np.linalg.norm((fd.values - ana.values)[keep & sel]) / ref)
                      if ref else float("nan"))
@@ -559,6 +560,25 @@ def test_compare_quadrants_match_the_mesh_selection():
     # the half domain has no x < 0 nodes; the full one fills all four
     assert math.isnan(reports[0]["x<0,y>0"])
     assert all(math.isfinite(v) for v in reports[1].values())
+
+
+def test_compare_quadrants_take_dy_for_y():
+    # at dx != dy a quadrant starts 2 dy off the x axis, not 2 dx: an
+    # error on the rows 2 dy < |y| <= 2 dx left of the axis lands in
+    # both left quadrants and in no other
+    x0, y0, dx, dy, nx, ny = -2.0, -2.0, 0.1, 0.05, 41, 81
+    mask = build_mask(x0, y0, dx, dy, nx, ny, edge_a=0.0, delta_line=True)
+    ana = FieldGrid(x0=x0, y0=y0, dx=dx, dy=dy, nx=nx, ny=ny,
+                    values=np.ones((ny, nx), dtype=complex), mask=mask)
+    off_axis = np.abs(np.arange(ny) - (ny - 1) // 2)[:, None]
+    left = np.arange(nx)[None, :] < (nx - 1) // 2
+    err = np.where(((off_axis == 3) | (off_axis == 4)) & left, 0.1, 0.0)
+    fd = dataclasses.replace(ana, values=ana.values + err)
+    got = ofd.compare(ana, fd)["quadrants"]
+    assert got["x<0,y>0"] > 0.0 and got["x<0,y<0"] > 0.0
+    assert got["x>0,y>0"] == got["x>0,y<0"] == 0.0
+    want = _quadrants_from_meshes(ana, fd)
+    assert all(np.array_equal(got[q], want[q], equal_nan=True) for q in want)
 
 
 def test_bound_edge_full_domain_frozen_mismatch():

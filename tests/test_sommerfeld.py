@@ -152,6 +152,24 @@ def test_two_term_blocks_keep_the_ray_zero(n):
         assert np.abs(parts - vals).max() <= 4e-16 * np.abs(vals).max()
 
 
+@pytest.mark.parametrize("n", [1, B + 1])
+def test_two_term_makes_one_F_call_per_block(monkeypatch, n):
+    # xi and eta reach F as one stacked pair: one specfun call per block,
+    # on the Fresnel route and the erf route alike
+    shapes = []
+
+    def counted(kappa, pair, L):
+        shapes.append(np.shape(pair))
+        return specfun._closed_form(kappa, pair, L)
+
+    monkeypatch.setattr(sommerfeld, "_closed_form", counted)
+    X = np.linspace(-3.0, 3.0, n)
+    for kappa, lam, alpha in ((2.0, 0.0, 0.0), (1.5j, 0.4 - 0.2j, 1.0)):
+        shapes.clear()
+        sommerfeld.two_term(2.0, kappa, lam, alpha, 0.0, X, 0.7, -1)
+        assert shapes == [(2, min(B, n - s)) for s in range(0, n, B)]
+
+
 def test_two_term_shapes():
     g = sommerfeld.EdgeGeometry(a=0.0)
     v = sommerfeld.field_values(2.0, g, 1.3, 0.7)
