@@ -9,7 +9,8 @@ line, ``#`` comments), with precedence flag > file > default.  Each
 command takes only the keys it reads, and each key admits the values its
 parser states.  Exit status: 0 all checks passed, 1 numerical failure
 or out of memory, 2 usage error (an unknown command, a flag or key the
-command does not read, or a value outside its key's values).
+command does not read, a value outside its key's values, or a rule
+joining keys that the input alone breaks).
 """
 
 from __future__ import annotations
