@@ -95,8 +95,6 @@ __all__ = [
     "field_values",
     "branch_field_values",
     "solve_scattering",
-    "image_integral",
-    "barrier_green",
     "delta_jump_check",
     "axis_value_jump",
     "ray_defect",
@@ -334,7 +332,7 @@ class BarrierScattering:
     reflection and transmission are the amplitudes of e^{-alpha|x| - iky}
     below the tip and of e^{-alpha|x| + iky} above it.  ``layer`` holds
     2 t sigma(t^2) at the mesh nodes t (weights mesh.w, s = mesh.s), so
-    the scattered field is sum_j mesh.w[j] layer[j] G((x, y), (s_j, 0)).
+    the scattered field is sum_j mesh.w[j] layer[j] green(x, y, s_j).
     """
 
     alpha: float
@@ -370,6 +368,19 @@ class BarrierScattering:
         guided = np.exp(-self.alpha * np.abs(x)) * (
             np.exp(1j * self.k * y) + self.reflection * np.exp(1j * self.k * ay))
         return (guided + direct + mirror).reshape(X.shape)
+
+    def green(self, x: float, y: float, s):
+        """G((x, y), (s, 0)) for sources s >= 0 (an array too), C on this solve's mesh."""
+        s = np.asarray(s, dtype=float)
+        r = np.hypot(x - s, y)
+        if not (np.isfinite(r).all() and (s >= 0).all() and (r > 0).all()):
+            raise ValueError("x, y and s must be finite, s >= 0 and the points "
+                             "not coincident, where the kernel is log-singular")
+        alpha, k, mesh, u = self.alpha, self.k, self.mesh, abs(x) + s
+        image = mesh.potential(u, np.full(u.shape, y)) @ (2.0 * mesh.t * np.exp(-alpha * mesh.s))
+        return (alpha * np.exp(-alpha * u) * cmath.exp(1j * k * abs(y)) / (2j * k)
+                - k0(mesh.kappa * r) / (2.0 * math.pi)
+                + alpha / (2.0 * math.pi) * image.reshape(u.shape))[()]
 
 
 def solve_scattering(alpha: float, k: float,
@@ -411,29 +422,6 @@ def solve_scattering(alpha: float, k: float,
     return BarrierScattering(alpha=alpha, k=k, reflection=reflection,
                              transmission=1.0 + reflection, mesh=bp,
                              layer=q, densities=densities)
-
-
-def image_integral(alpha: float, k: float, u: float, y: float) -> float:
-    """C(u, y) = int_0^inf e^{-alpha t} K0(kappa sqrt((u - t)^2 + y^2)) dt."""
-    kappa = _trapped_kappa(alpha, k)
-    if not (math.isfinite(u) and math.isfinite(y)):
-        raise ValueError("u and y must be finite")
-    bp = _BarrierPanels(alpha, kappa, _TIP_PANELS)
-    return float(bp.potential(u, y)[0] @ (2.0 * bp.t * np.exp(-alpha * bp.s)))
-
-
-def barrier_green(alpha: float, k: float, x: float, y: float, s: float) -> complex:
-    """G((x, y), (s, 0)) for a source on the barrier line, s >= 0."""
-    if s < 0:
-        raise ValueError("the source must lie at s >= 0")
-    r = math.hypot(x - s, y)
-    if r == 0.0:
-        raise ValueError("coincident points: the kernel is log-singular")
-    kappa = _trapped_kappa(alpha, k)
-    u = abs(x) + s
-    return (alpha * math.exp(-alpha * u) * cmath.exp(1j * k * abs(y)) / (2j * k)
-            - float(k0(kappa * r)) / (2.0 * math.pi)
-            + alpha / (2.0 * math.pi) * image_integral(alpha, k, u, abs(y)))
 
 
 # --- diagnostics ------------------------------------------------------------

@@ -7,10 +7,10 @@ identical configs produce byte-identical artifacts.  Flags use the
 same keys may be given in a plain ``key=value`` config file (one per
 line, ``#`` comments), with precedence flag > file > default.  Each
 command takes only the keys it reads, and each key admits the values its
-parser states.  Exit status: 0 all checks passed, 1 numerical failure
-or out of memory, 2 usage error (an unknown command, a flag or key the
-command does not read, a value outside its key's values, or a rule
-joining keys that the input alone breaks).
+parser states.  Exit status: 0 all checks passed, 1 numerical failure,
+out of memory or a closed stdout, 2 usage error (an unknown command, a
+flag or key the command does not read, a value outside its key's values,
+or a rule joining keys that the input alone breaks).
 """
 
 from __future__ import annotations
@@ -18,13 +18,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
 import sys
 
 import numpy as np
 
 from . import bound_edge, criteria, green_perturbation, oracle_fd, sommerfeld
 from .geometry import PlanePoint
-from .grid import FieldGrid, tabulate, write_csv
+from .grid import FieldGrid, check_nodes, tabulate, write_csv
 
 _A_RANGE_STEPS = 1000   # steps one start:step:stop range of a_list may span
 # below this k*R (R the grid's largest distance from the tip) the free
@@ -87,6 +88,7 @@ _GRID_KEYS = {
 }
 # the FD oracle solves the Dirichlet barrier only
 _ORACLE_KEYS = {**_GRID_KEYS, "bc": ("dirichlet", _one_of("dirichlet"))}
+_LATTICE = ("x0", "y0", "dx", "dy", "nx", "ny")     # the keys that place the nodes
 _TAIL_KEYS = {
     "alpha": ("1", _POSITIVE),
     "k": (None, _POSITIVE),         # alpha/2: the scan lives in the trapped regime
@@ -192,12 +194,12 @@ def _closed_form(cfg: dict):
 
 
 def _analytic_grid(cfg: dict, alpha: float, values) -> FieldGrid:
-    return tabulate(values, cfg["x0"], cfg["y0"], cfg["dx"], cfg["dy"],
-                    cfg["nx"], cfg["ny"], edge_a=cfg["a"],
+    return tabulate(values, *(cfg[key] for key in _LATTICE), edge_a=cfg["a"],
                     delta_line=alpha != 0.0, dirichlet=cfg["bc"] == "dirichlet")
 
 
 def _cmd_field(cfg: dict) -> int:
+    check_nodes(*(cfg[key] for key in _LATTICE))
     grid = _analytic_grid(cfg, *_closed_form(cfg)[1:])
     out = cfg["out"] or "field.csv"
     write_csv(grid, out)
@@ -243,10 +245,8 @@ def _cmd_tail(cfg: dict) -> int:
 def _cmd_oracle(cfg: dict) -> int:
     E, alpha, values = _closed_form(cfg)
     ana = _analytic_grid(cfg, alpha, values)
-    prob = oracle_fd.FdProblem(
-        x0=cfg["x0"], y0=cfg["y0"], dx=cfg["dx"], dy=cfg["dy"],
-        nx=cfg["nx"], ny=cfg["ny"], E=E, alpha=alpha, edge_a=cfg["a"],
-        boundary=values)
+    prob = oracle_fd.FdProblem(**{key: cfg[key] for key in _LATTICE}, E=E,
+                               alpha=alpha, edge_a=cfg["a"], boundary=values)
     fd = oracle_fd.solve(oracle_fd.assemble(prob))
     rep = oracle_fd.compare(ana, fd, E=E)
     flat = {k2: v for k2, v in rep.items() if k2 != "quadrants"}
@@ -320,7 +320,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return _COMMANDS[args.command][0](_merge(args))
+        status = _COMMANDS[args.command][0](_merge(args))
+        sys.stdout.flush()          # a closed pipe raises here, not at exit
+        return status
+    except BrokenPipeError:     # stdout to devnull: the exit flush must not raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("edgewave: stdout was closed before the output was written", file=sys.stderr)
+        return 1
     except SystemExit as exc:
         # our usage errors carry their message in the code attribute
         print(exc.code if isinstance(exc.code, str) else str(exc),

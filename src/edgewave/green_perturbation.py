@@ -138,9 +138,6 @@ class GreenValue:
     value: complex
     est_error: float
 
-    def __complex__(self) -> complex:
-        return self.value
-
 
 @functools.lru_cache(maxsize=None)
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:

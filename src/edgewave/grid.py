@@ -41,6 +41,7 @@ INTERIOR = 0
 EDGE = 1
 DELTA_LINE = 2
 OUTER = 3
+EXCLUDE_CELLS = 2       # band left out around the barrier ray and the waveguide axis
 
 _ALIGN_TOL = 1e-12
 
@@ -172,6 +173,19 @@ def dilate(mask: np.ndarray, cells: int, square: bool) -> np.ndarray:
     for _ in range(cells):
         out = spread(out, 0, 1) | spread(out, 1, 1)
     return out
+
+
+def excluded_band(mask: np.ndarray, square: bool) -> np.ndarray:
+    """The EDGE and DELTA_LINE nodes grown by EXCLUDE_CELLS (see dilate)."""
+    return dilate((mask == EDGE) | (mask == DELTA_LINE), EXCLUDE_CELLS, square)
+
+
+def check_nodes(x0, y0, dx, dy, nx, ny) -> None:
+    """Raise ``ValueError`` naming an axis whose nodes x0 + i*dx, i < nx, coincide."""
+    for axis, origin, step, n in (("x", x0, dx, nx), ("y", y0, dy, ny)):
+        if not (np.diff(origin + step * np.arange(n)) > 0).all():
+            raise ValueError(f"the {axis} nodes {origin!r} + i*{step!r}, i < {n}, "
+                             "are not strictly increasing as doubles")
 
 
 # --- exact powers of ten, for both directions ------------------------------

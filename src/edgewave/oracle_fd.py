@@ -46,7 +46,8 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import DELTA_LINE, EDGE, INTERIOR, OUTER, FieldGrid, build_mask, dilate
+from .grid import (DELTA_LINE, EDGE, EXCLUDE_CELLS, INTERIOR, OUTER, FieldGrid,
+                   build_mask, check_nodes, excluded_band)
 from .green_perturbation import TailScanResult, fit_log_slope
 
 __all__ = [
@@ -63,7 +64,6 @@ __all__ = [
 
 _SOLVE_TOL = 1e-10       # residual gate, relative to ||rhs||
 _MAX_BOX_SOLVES = 2      # refinement steps before the gate is final
-_EXCLUDE_CELLS = 2       # compare() band around the barrier and the axis
 _GUIDED_H = 0.1          # grid step of the guided-mode reflection experiment
 _MAX_SECULAR_STEPS = 100  # discrete_mode's Newton-bisection cap
 _ROW_BLOCK = 4096        # points per row block of box_solve's corrections
@@ -102,6 +102,7 @@ class FdProblem:
             raise ValueError("alpha must be >= 0")
         if self.nx < 3 or self.ny < 3:
             raise ValueError("grid too small")
+        check_nodes(self.x0, self.y0, self.dx, self.dy, self.nx, self.ny)
         # resolution guard: several nodes per wavelength / decay length
         if math.sqrt(abs(self.E)) * max(self.dx, self.dy) > 0.5:
             raise ValueError("grid too coarse for |E|: sqrt(|E|)*dx must be <= 0.5")
@@ -389,11 +390,7 @@ def compare(analytic: FieldGrid, fd: FieldGrid, E: float | None = None) -> dict:
         if not math.isclose(getattr(analytic, attr), getattr(fd, attr),
                             rel_tol=0.0, abs_tol=1e-12):
             raise ValueError(f"grids differ in {attr}")
-    mask = fd.mask
-    keep = mask == INTERIOR
-    special = (mask == EDGE) | (mask == DELTA_LINE)
-    if special.any():
-        keep &= ~dilate(special, _EXCLUDE_CELLS, square=True)
+    keep = (fd.mask == INTERIOR) & ~excluded_band(fd.mask, square=True)
     if not keep.any():
         raise ValueError("no nodes left to compare")
 
@@ -407,7 +404,7 @@ def compare(analytic: FieldGrid, fd: FieldGrid, E: float | None = None) -> dict:
 
     # the 1-D axes broadcast in the masks: no full coordinate meshes
     X, Y = fd.xs()[None, :], fd.ys()[:, None]
-    bx, by = _EXCLUDE_CELLS * fd.dx, _EXCLUDE_CELLS * fd.dy
+    bx, by = EXCLUDE_CELLS * fd.dx, EXCLUDE_CELLS * fd.dy
     quads = {
         "x<0,y>0": (X < -bx) & (Y > by),
         "x>0,y>0": (X > bx) & (Y > by),

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import polar, rotated_pair
-from .grid import EDGE, DELTA_LINE, FieldGrid, dilate, tabulate
+from .grid import EDGE, FieldGrid, check_nodes, excluded_band, tabulate
 from .specfun import _blocks, _closed_form
 
 __all__ = [
@@ -53,7 +53,6 @@ __all__ = [
 
 _DIRICHLET = "dirichlet"
 _NEUMANN = "neumann"
-_EXCLUDE_CELLS = 2       # residual band around the barrier and the axis
 _TINY = float(np.finfo(float).tiny)     # the least normal double
 
 
@@ -162,6 +161,7 @@ def helmholtz_residual(grid: FieldGrid, k,
             raise ValueError(f"{name} = {h!r}: its square {h2!r} is not a "
                              f"normal double, so the stencil's 1/{name}^2 "
                              f"has lost its digits")
+    check_nodes(grid.x0, grid.y0, grid.dx, grid.dy, grid.nx, grid.ny)
     # interior nodes only, accumulated in place in the order of
     # (v[x+1] - 2v + v[x-1]) / hx2 + (v[y+1] - 2v + v[y-1]) / hy2 + k^2 v
     c = v[1:-1, 1:-1]
@@ -180,10 +180,7 @@ def helmholtz_residual(grid: FieldGrid, k,
     res = np.abs(lap)
     del lap
 
-    keep = np.ones(res.shape, dtype=bool)
-    special = (grid.mask == EDGE) | (grid.mask == DELTA_LINE)
-    if special.any():
-        keep &= ~dilate(special, _EXCLUDE_CELLS, square=False)[1:-1, 1:-1]
+    keep = ~excluded_band(grid.mask, square=False)[1:-1, 1:-1]
     if exclude_radius > 0.0:
         jj, ii = np.nonzero(grid.mask == EDGE)
         if ii.size == 0:

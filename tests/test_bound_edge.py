@@ -337,24 +337,25 @@ def exact_fine():
     return be.solve_scattering(ALPHA, K, panels=24)
 
 
-def test_barrier_kernel_matches_channel_green():
+def test_barrier_kernel_matches_channel_green(exact):
     # the image-line form of the delta-line Green's function against the
     # independent channel decomposition; at |dy| >= 0.8 the p_max cut-off
     # of green_eval stays below the tolerance
     g = gp.make_green(ALPHA, K * K - ALPHA * ALPHA)
     for x, y, s in ((0.7, 1.3, 0.4), (-1.1, -0.8, 0.2), (0.3, 0.9, 0.0)):
         want = gp.green_eval(g, PlanePoint(s, 0.0), PlanePoint(x, y)).value
-        assert abs(be.barrier_green(ALPHA, K, x, y, s) - want) < 1e-9
+        assert abs(exact.green(x, y, s) - want) < 1e-9
 
 
-def test_image_integral_at_tip_is_rapidity_over_k():
+def test_image_integral_at_tip_is_rapidity_over_k(exact):
     # C(0, 0) = arccosh(alpha/kappa)/k; in the trapped regime the rapidity
     # of kappa_lambda is that arccosh on the branch kappa = i|kappa|,
     # lambda = ln((k + alpha)/|kappa|) - i pi/2
     _, lam = be.kappa_lambda(ALPHA, K, 1)
     assert lam.imag == pytest.approx(-math.pi / 2, abs=1e-15)
-    assert be.image_integral(ALPHA, K, 0.0, 0.0) == pytest.approx(
-        lam.real / K, abs=1e-12)
+    mesh = exact.mesh
+    c00 = mesh.potential(0.0, 0.0)[0] @ (2.0 * mesh.t * np.exp(-ALPHA * mesh.s))
+    assert c00 == pytest.approx(lam.real / K, abs=1e-12)
 
 
 def test_exact_field_is_the_barrier_single_layer(exact):
@@ -362,9 +363,8 @@ def test_exact_field_is_the_barrier_single_layer(exact):
     # Green's function over the same layer directly must give the same field
     mesh = exact.mesh
     for x, y in ((1.0, 1.5), (-0.7, -0.9)):
-        direct = math.exp(-ALPHA * abs(x)) * cmath.exp(1j * K * y) + sum(
-            w * q * be.barrier_green(ALPHA, K, x, y, s)
-            for w, q, s in zip(mesh.w, exact.layer, mesh.s))
+        direct = math.exp(-ALPHA * abs(x)) * cmath.exp(1j * K * y) + (
+            mesh.w * exact.layer) @ exact.green(x, y, mesh.s)
         assert abs(complex(exact.values(x, y)) - direct) < 1e-12
 
 
@@ -420,3 +420,9 @@ def test_exact_solver_rejects_bad_input(exact):
         exact.values(np.array([1.0, 0.0]), np.array([1.0, -0.0]))
     with pytest.raises(ValueError):
         exact.values(np.nan, 1.0)
+    with pytest.raises(ValueError, match="s >= 0"):
+        exact.green(1.0, 1.0, [0.5, -0.5])
+    with pytest.raises(ValueError, match="coincident"):
+        exact.green(0.5, 0.0, np.array([0.2, 0.5]))
+    with pytest.raises(ValueError, match="finite"):
+        exact.green(1.0, np.inf, 0.5)

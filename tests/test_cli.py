@@ -309,6 +309,54 @@ def test_residual_refuses_a_spacing_whose_square_is_not_normal(tmp_path, capsys)
     assert not (tmp_path / "never").exists()
 
 
+# a spacing below the ulp of the origin makes -3 + j*1e-30 round to -3 for
+# every j: field wrote a dump read_csv refuses, residual printed max_res
+# 3.97 and oracle blamed a box eigenvalue (residual 4.3e+45)
+def _refuses_coincident_nodes(capsys, out, *argv, axis="y"):
+    code, stdout, err, wall = _timed(capsys, *argv, f"--out={out}")
+    assert code == 1 and stdout == "" and wall < 1.0
+    assert err.startswith(f"numerical failure: the {axis} nodes ")
+    assert "are not strictly increasing as doubles" in err
+    assert not out.exists()
+
+
+def test_field_refuses_coincident_nodes(tmp_path, capsys):
+    _refuses_coincident_nodes(capsys, tmp_path / "f.csv", "field",
+                              "--dy=1e-30", "--nx=5", "--ny=3")
+    _refuses_coincident_nodes(capsys, tmp_path / "f.csv", "field",
+                              "--dx=5e-324", "--x0=-1", "--nx=5", "--ny=3",
+                              axis="x")
+
+
+def test_residual_refuses_coincident_nodes(tmp_path, capsys):
+    _refuses_coincident_nodes(capsys, tmp_path / "r.txt", "residual",
+                              "--dy=1e-30", "--nx=41", "--ny=41")
+
+
+def test_oracle_refuses_coincident_nodes(tmp_path, capsys):
+    _refuses_coincident_nodes(capsys, tmp_path / "o.csv", "oracle",
+                              "--dy=1e-30", "--nx=41", "--ny=41")
+
+
+def test_closed_stdout_exits_1_without_a_traceback(tmp_path):
+    # `edgewave oracle ... | head -1` ended in a BrokenPipeError traceback;
+    # here the reader of the pipe is gone before the command starts
+    env = dict(os.environ, PYTHONPATH=str(Path(edgewave.__file__).parents[1]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "edgewave.cli", "field", "--nx=5",
+             "--ny=5", f"--out={tmp_path / 'f.csv'}"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True,
+            timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1 and "stdout" in proc.stderr
+
+
 def test_free_edge_k_below_the_cancellation_floor_exits_2(tmp_path, capsys):
     # below k*R = 1e-11 the two terms of size sqrt(pi/2k) cancel: k =
     # 5e-324 wrote nan, k = 1e-300 exact zeros where psi is 2.69, and the

@@ -461,6 +461,16 @@ def test_read_csv_requires_header_and_rows(tmp_path):
     assert gr.read_csv(path).values[0, 0] == 1.0
 
 
+def test_check_nodes_names_the_axis_whose_nodes_coincide():
+    gr.check_nodes(-3.0, -3.0, 0.03, 0.03, 201, 201)
+    gr.check_nodes(0.0, 0.0, 5e-324, 5e-324, 3, 3)      # subnormal, distinct
+    for args, axis in (((1e17, 0.0, 1.0, 1.0, 5, 5), "x"),
+                       ((-3.0, -3.0, 0.03, 1e-30, 5, 3), "y"),
+                       ((-1.0, 0.0, 5e-324, 1.0, 5, 5), "x")):
+        with pytest.raises(ValueError, match=f"^the {axis} nodes "):
+            gr.check_nodes(*args)
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         gr.FieldGrid(x0=0, y0=0, dx=-0.1, dy=0.1, nx=3, ny=3,

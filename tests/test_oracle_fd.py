@@ -56,6 +56,10 @@ def test_problem_validation():
                       ("alpha", math.nan), ("dx", math.nan), ("dy", math.inf)):
         with pytest.raises(ValueError, match=name):
             ofd.FdProblem(**{**good, name: bad})
+    # nodes that coincide as doubles: 1e17 + 0.1 i rounds to 1e17
+    for axis in ("x", "y"):
+        with pytest.raises(ValueError, match=f"the {axis} nodes"):
+            ofd.FdProblem(**{**good, f"{axis}0": 1e17})
     # misaligned barrier tip
     p = ofd.FdProblem(x0=-1.0, y0=-1.0, dx=0.25, dy=0.25, nx=9, ny=9,
                       E=1.0, edge_a=0.13)
