@@ -23,10 +23,10 @@ Branch choice for eta*.  The second coordinate is evaluated with the
 rotation parameter negated: eta* = eta_{-lambda}.  For real lambda this
 equals the literal complex conjugate of eta, and it is the unique
 continuation of that rule which keeps the barrier condition exact for
-complex lambda: at phi = 0 and phi = 2pi one has xi_{lambda} =
-eta_{-lambda} identically, so the two terms cancel on both faces of the
-ray for every lambda.  The literal conjugate would break the ray
-condition in the trapped regime.  The bracket is sommerfeld.two_term,
+complex lambda: on both faces of the ray (y = +0.0 and y = -0.0) the
+chart gives xi_{lambda} = eta_{-lambda} bit for bit, so the two terms
+cancel to an exact 0 there for every lambda.  The literal conjugate
+would break the ray condition in the trapped regime.  The bracket is sommerfeld.two_term,
 the free-edge formula in the rotated chart, so the free edge (lambda =
 0, kappa = k, alpha = 0) and this field share one evaluator.
 

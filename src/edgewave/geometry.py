@@ -1,23 +1,14 @@
-"""One chart: polar and parabolic double-cover coordinates about the tip.
+"""One chart: the parabolic double-cover coordinates about the tip.
 
-The physical plane carries a half-line barrier {y = 0, x >= a}.  Writing
-z = y + i(x - a) = w^2 unfolds the cut plane into the w = xi + i*eta
-plane, where the two faces of the barrier become genuinely distinct
-lines.  The polar angle phi about the tip (:func:`polar`) runs over the
-closed interval [0, 2pi], with phi = 0 (approach from y > 0) and
-phi = 2pi (approach from y < 0) kept as distinct sheets of the same ray.
-On the ray the IEEE sign of the zero in y picks the face: y = +0.0 is
-the top face, y = -0.0 the bottom one.  This module is the only place
-that makes that decision.
-
-The rotated chart (:func:`rotated_pair`) takes phi to phi - i*lambda with
-a complex rotation parameter lambda:
-
-    xi  = sqrt(r/2) (cos A + sin A),  eta = sqrt(r/2) (cos A - sin A),
-    A   = (phi - i*lambda) / 2,
-
-so that y = xi^2 - eta^2 and x - a = 2 xi eta at lambda = 0, the real
-chart.  The free edge uses lambda = 0; the guided mode uses the
+The physical plane carries a half-line barrier {y = 0, x >= a}.  The
+chart w = sqrt((a - x) + iy) / sqrt(2) has its cut on the barrier and
+unfolds the cut plane, so the two faces of the barrier become distinct
+lines; the IEEE sign of a zero y picks the face, y = +0.0 the top one
+and y = -0.0 the bottom one (Kahan, "Branch cuts for complex elementary
+functions, or much ado about nothing's sign bit", 1987).  :func:`chart`
+is the only place that makes that decision.  A complex rotation
+parameter lambda turns the angle phi about the tip into
+phi - i*lambda; the free edge uses lambda = 0, the guided mode the
 rapidity of bound_edge.kappa_lambda.
 """
 
@@ -29,11 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "PlanePoint",
-    "polar",
-    "rotated_pair",
-]
+__all__ = ["PlanePoint", "chart"]
 
 
 @dataclass(frozen=True)
@@ -47,37 +34,33 @@ class PlanePoint:
                              f"got ({self.x!r}, {self.y!r})")
 
 
-def polar(X, Y, a: float = 0.0):
-    """Polar coordinates (r, phi) about the tip (a, 0), phi in [0, 2pi].
+def chart(x, y, a: float, lam: complex) -> np.ndarray:
+    """(xi_lam, eta_{-lam}) = (p rc + q rs, p rc - q rs) about the tip
+    (a, 0), stacked as one array of shape (2,) + the broadcast shape.
 
-    np.signbit (not `< 0`) promotes the angle -0.0 of a point on the ray
-    with y = -0.0 to the lower sheet phi = 2pi, so the two faces of the
-    ray stay distinct.  The tip itself gives r = 0.
+    With u = x - a and r = |(u, y)| the chart is w = rs + i rc, |rc| =
+    sqrt(r + u)/2 and rs = sqrt(r - u)/2, with rc rs = |y|/4: the half
+    that does not cancel is taken directly, the other as |y|/4 over it
+    (Kahan's stable square root), and rc carries y's sign bit.  Both are
+    formed from u/16 and y/16, so every finite point and tip give a
+    finite pair; the tip itself gives (0, 0).  On both faces rs = 0, so xi_lam = eta_{-lam}
+    exactly for every lam.  At lam = 0 the pair is the real chart
+    (rc + rs, rc - rs), a real array, with y = xi^2 - eta^2 and
+    x - a = 2 xi eta.  Else (p, q) = (cosh(lam/2) -/+ i sinh(lam/2)): with
+    A = (phi - i*lam)/2 the rotated chart sqrt(r/2) (cos A + sin A,
+    cos A - sin A) is (p c + q s, q c - p s) in c, s = cos, sin of phi/2,
+    and negating lam swaps p and q, which gives eta_{-lam}; for real lam
+    it is conj(eta_lam).
     """
-    U = np.asarray(X, dtype=float) - a
-    V = np.asarray(Y, dtype=float)
-    phi = np.arctan2(V, U)
-    return np.hypot(U, V), np.where(np.signbit(phi), phi + 2.0 * math.pi, phi)
-
-
-def rotated_pair(r, phi, lam: complex) -> np.ndarray:
-    """(xi_lam, eta_{-lam}) = (p rc + q rs, p rc - q rs) for arrays of (r, phi),
-    stacked as one complex array of shape (2,) + r's shape.
-
-    rc, rs = sqrt(r/2) (cos(phi/2), sin(phi/2)) are the real halves of
-    the chart and (p, q) = (cosh(lam/2) - i sinh(lam/2), cosh(lam/2) +
-    i sinh(lam/2)).  With A = (phi - i*lam)/2 and c, s the cos and sin of
-    phi/2, cos A + sin A = p c + q s and cos A - sin A = q c - p s, so
-    the rotated chart needs no trigonometry on arrays beyond the real
-    one; negating lam swaps p and q, which gives eta_{-lam}.  This is
-    the pair the two-term field takes.  On both faces of the ray (rs = 0)
-    xi_lam = eta_{-lam} for every lam, and for real lam eta_{-lam} is
-    conj(eta_lam).  At lam = 0 it is the real chart (rc + rs, rc - rs).
-    """
-    half = 0.5 * np.asarray(phi)
-    root = np.sqrt(np.asarray(r) / 2.0)
-    rc, rs = root * np.cos(half), root * np.sin(half)
-    ch, sh = cmath.cosh(0.5 * lam), cmath.sinh(0.5 * lam)
-    p, q = ch - 1j * sh, ch + 1j * sh
-    prc, qrs = p * rc, q * rs
-    return np.stack((prc + qrs, prc - qrs))
+    u = np.asarray(x, dtype=float) * 0.0625 - 0.0625 * a
+    v = np.asarray(y, dtype=float) * 0.0625
+    # t is 0 only at the tip, where v is 0 too, and else above 1e-162
+    t = np.sqrt(np.hypot(u, v) + np.abs(u))
+    big, small = 2.0 * t, 2.0 * np.abs(v) / np.maximum(t, 5e-324)
+    left = u < 0.0
+    rc = np.copysign(np.where(left, small, big), v)
+    rs = np.where(left, big, small)
+    if lam:
+        ch, sh = cmath.cosh(0.5 * lam), cmath.sinh(0.5 * lam)
+        rc, rs = (ch - 1j * sh) * rc, (ch + 1j * sh) * rs
+    return np.stack((rc + rs, rc - rs))

@@ -140,11 +140,12 @@ def build_mask(x0, y0, dx, dy, nx, ny, edge_a=None, delta_line=False) -> np.ndar
 
 def tabulate(values, x0, y0, dx, dy, nx, ny, edge_a, delta_line,
              dirichlet) -> FieldGrid:
-    """Sample the field ``values(X, Y)`` on the lattice build_mask tags;
+    """Sample the field ``values(X, Y)`` on the lattice build_mask tags,
+    given the axes X of shape (1, nx) and Y of shape (ny, 1) to broadcast;
     with ``dirichlet`` the barrier nodes are exact zeros, the field there."""
     mask = build_mask(x0, y0, dx, dy, nx, ny, edge_a, delta_line)
-    X, Y = np.meshgrid(x0 + dx * np.arange(nx), y0 + dy * np.arange(ny))
-    vals = values(X, Y)
+    vals = values((x0 + dx * np.arange(nx))[None, :],
+                  (y0 + dy * np.arange(ny))[:, None])
     if dirichlet:
         vals[mask == EDGE] = 0.0
     return FieldGrid(x0=x0, y0=y0, dx=dx, dy=dy, nx=nx, ny=ny,
@@ -181,11 +182,14 @@ def excluded_band(mask: np.ndarray, square: bool) -> np.ndarray:
 
 
 def check_nodes(x0, y0, dx, dy, nx, ny) -> None:
-    """Raise ``ValueError`` naming an axis whose nodes x0 + i*dx, i < nx, coincide."""
+    """Raise ``ValueError``, and no numpy warning, naming an axis whose
+    nodes x0 + i*dx, i < nx, coincide or overflow."""
     for axis, origin, step, n in (("x", x0, dx, nx), ("y", y0, dy, ny)):
-        if not (np.diff(origin + step * np.arange(n)) > 0).all():
-            raise ValueError(f"the {axis} nodes {origin!r} + i*{step!r}, i < {n}, "
-                             "are not strictly increasing as doubles")
+        with np.errstate(over="ignore", invalid="ignore"):
+            nodes = origin + step * np.arange(n)
+            if not (np.isfinite(nodes).all() and (np.diff(nodes) > 0).all()):
+                raise ValueError(f"the {axis} nodes {origin!r} + i*{step!r}, "
+                                 f"i < {n}, are not strictly increasing as doubles")
 
 
 # --- exact powers of ten, for both directions ------------------------------
@@ -619,8 +623,11 @@ def read_csv(path) -> FieldGrid:
             coords[done:done + len(fields)] = fields[:, :2]
             pairs[done:done + len(fields)] = fields[:, 2:]
             done += len(fields)
-    # nx is the first run of equal y (a nan y0 gives nx = 1, caught below)
+    # nx is the first run of equal y (a nan y0 gives nx = 1, caught below);
+    # where y never changes, a row ends where x returns to its first value
     moved = coords[1:, 1] != coords[0, 1]
+    if not moved.any():
+        moved = coords[1:, 0] == coords[0, 0]
     nx = int(moved.argmax()) + 1 if moved.any() else rows
     ny, rest = divmod(rows, nx)
     if rest:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import polar, rotated_pair
+from .geometry import chart
 from .grid import EDGE, FieldGrid, check_nodes, excluded_band, tabulate
 from .specfun import _blocks, _closed_form
 
@@ -74,19 +74,19 @@ def two_term(k: float, kappa: complex, lam: complex, alpha: float, a: float,
     + sign * exp(+iky) F(eta_{-lam}; kappa)].
 
     (xi_lam, eta_{-lam}) is the rotated chart about the tip (a, 0),
-    built once per point by geometry.rotated_pair; F takes the stacked
-    pair in one call per block.  At lambda = 0 both have zero imaginary
-    part, so a real kappa with alpha = 0 takes specfun's Fresnel route;
-    else L = -alpha|x| enters erfc's exponent.
+    built once per point by geometry.chart; F takes the stacked pair in
+    one call per block.  At lambda = 0 the pair is real, so a real kappa
+    with alpha = 0 takes specfun's Fresnel route; else L = -alpha|x|
+    enters erfc's exponent.
     k is real, so the second y-phase is the conjugate of the first.  On
     both faces of the ray xi_lam = eta_{-lam} for every lambda, so with
     sign = -1 the two terms cancel there.  The tip gives F(0) - F(0) = 0.
 
     X and Y are broadcast together, without copies; the chart, the
     phases and both F terms run in consecutive blocks of a fixed number
-    of points written into one complex output.  field_on_grid thus peaks
-    near 38 bytes per point at 401^2 (129 on the whole array at once),
-    of which the output is 16 and its coordinate meshes another 16.
+    of points written into one complex output.  field_on_grid, which
+    passes the grid's axes, thus peaks near 21 bytes per point at 401^2
+    (129 on the whole array at once), of which the output is 16.
     0-d input gives a scalar.
     """
     X, Y = np.broadcast_arrays(np.asarray(X, dtype=float),
@@ -96,7 +96,7 @@ def two_term(k: float, kappa: complex, lam: complex, alpha: float, a: float,
     for sl in _blocks(flat.size):
         x, y = X.flat[sl], Y.flat[sl]
         L = -alpha * np.abs(x) if alpha else 0.0
-        F = _closed_form(kappa, rotated_pair(*polar(x, y, a), lam), L)
+        F = _closed_form(kappa, chart(x, y, a, lam), L)
         phase = np.exp(-1j * k * y)
         np.multiply(phase, F[0], out=flat[sl])
         flat[sl] += sign * phase.conj() * F[1]

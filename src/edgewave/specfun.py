@@ -154,23 +154,17 @@ def _erfc_neg(z: np.ndarray, L) -> np.ndarray:
 
 
 def _erf_block(z: np.ndarray) -> np.ndarray:
-    """erf_cx on one 1-D block of screened arguments: fold, core, unfold."""
-    # fold into the principal quadrant, remembering the two reflections;
-    # the sign bit, not "< 0", so that a -0.0 part is reflected too
-    flip_sign = np.signbit(z.real)
-    zq = np.where(flip_sign, -z, z)
-    flip_conj = np.signbit(zq.imag)
-    zq = np.where(flip_conj, np.conj(zq), zq)
-
-    out = np.empty_like(zq)
+    """erf_cx on one contiguous 1-D block of screened arguments: fold,
+    core, unfold."""
+    # fold into the principal quadrant: each part by its magnitude
+    parts = z.view(float)
+    out = 1.0 - _faddeeva(np.abs(parts).view(complex), 0.0)
     # saturated region: exp(-z^2) underflows, erf == 1 to ~1e-300
-    sat = z.real * z.real - z.imag * z.imag > _EXP_RANGE
-    out[sat] = 1.0
-    rest = ~sat
-    out[rest] = 1.0 - _faddeeva(zq[rest], 0.0)
-
-    out = np.where(flip_conj, np.conj(out), out)
-    out = np.where(flip_sign, -out, out)
+    np.copyto(out, 1.0, where=z.real * z.real - z.imag * z.imag > _EXP_RANGE)
+    # unfold: erf(-z) = -erf(z) and erf(conj z) = conj(erf z) negate each
+    # part of erf with the same part of z; the sign bit, not "< 0", so
+    # that a -0.0 part is reflected too
+    np.negative(out.view(float), out=out.view(float), where=np.signbit(parts))
     if not np.all(np.isfinite(out)):
         raise OverflowError("erf overflow escaped the pre-screen")
     return out

@@ -18,7 +18,7 @@ import pytest
 
 from edgewave import bound_edge as be
 from edgewave import green_perturbation as gp
-from edgewave.geometry import PlanePoint, polar, rotated_pair
+from edgewave.geometry import PlanePoint, chart
 
 ALPHA, K = 1.0, 0.5
 
@@ -284,7 +284,7 @@ def _mp_field(alpha, k, x, y):
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 50
     kap, lam = be.kappa_lambda(alpha, k, 1 if x >= 0 else -1)
-    xi, eta = rotated_pair(*polar(x, y), lam)
+    xi, eta = chart(x, y, 0.0, lam)
     s = mp.sqrt(-2j * mp.mpc(kap.real, kap.imag))
     s = -s if s.real < 0 else s
 

@@ -317,6 +317,7 @@ def _refuses_coincident_nodes(capsys, out, *argv, axis="y"):
     assert code == 1 and stdout == "" and wall < 1.0
     assert err.startswith(f"numerical failure: the {axis} nodes ")
     assert "are not strictly increasing as doubles" in err
+    assert err.count("\n") == 1            # the refusal alone, no warnings
     assert not out.exists()
 
 
@@ -325,6 +326,10 @@ def test_field_refuses_coincident_nodes(tmp_path, capsys):
                               "--dy=1e-30", "--nx=5", "--ny=3")
     _refuses_coincident_nodes(capsys, tmp_path / "f.csv", "field",
                               "--dx=5e-324", "--x0=-1", "--nx=5", "--ny=3",
+                              axis="x")
+    # nodes past the largest double, refused with no numpy warning
+    _refuses_coincident_nodes(capsys, tmp_path / "f.csv", "field",
+                              "--x0=1e308", "--dx=1e308", "--nx=5", "--ny=3",
                               axis="x")
 
 

@@ -447,6 +447,22 @@ def test_read_csv_rejects_malformed_files(tmp_path):
     assert gr.read_csv(path).nx == 101
 
 
+def test_read_csv_names_the_axis_at_fault(tmp_path):
+    # dy = 1e-30 at y0 = -3 writes every y as -3: the rows repeat the x
+    # axis, so the y axis is at fault, not the x column
+    path = tmp_path / "flat.csv"
+    gr.write_csv(gr.FieldGrid(x0=-3.0, y0=-3.0, dx=0.5, dy=1e-30, nx=5, ny=3,
+                              values=np.zeros((3, 5), complex),
+                              mask=np.zeros((3, 5), np.uint8)), path)
+    with pytest.raises(ValueError, match="^CSV y values are not strictly increasing"):
+        gr.read_csv(path)
+    # an x that repeats inside a row is still the x axis's fault
+    for ys in (np.array([0.0]), np.array([0.0, 0.5])):
+        _write_rows(path, np.array([0.0, 1.0, 1.0, 2.0]), ys)
+        with pytest.raises(ValueError, match="^CSV x values are not strictly increasing"):
+            gr.read_csv(path)
+
+
 def test_read_csv_requires_header_and_rows(tmp_path):
     path = tmp_path / "bad.csv"
     row = "0.0,0.0,1.0,0.0\n"
@@ -466,7 +482,10 @@ def test_check_nodes_names_the_axis_whose_nodes_coincide():
     gr.check_nodes(0.0, 0.0, 5e-324, 5e-324, 3, 3)      # subnormal, distinct
     for args, axis in (((1e17, 0.0, 1.0, 1.0, 5, 5), "x"),
                        ((-3.0, -3.0, 0.03, 1e-30, 5, 3), "y"),
-                       ((-1.0, 0.0, 5e-324, 1.0, 5, 5), "x")):
+                       ((-1.0, 0.0, 5e-324, 1.0, 5, 5), "x"),
+                       # nodes past the doubles, refused without warnings
+                       ((1e308, 0.0, 1e308, 1.0, 5, 3), "x"),
+                       ((0.0, -1e308, 1.0, 1e308, 5, 3), "y")):
         with pytest.raises(ValueError, match=f"^the {axis} nodes "):
             gr.check_nodes(*args)
 

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from edgewave import sommerfeld, specfun
+from edgewave import bound_edge, sommerfeld, specfun
 from edgewave.grid import EDGE
 
 B = specfun._BLOCK
@@ -48,6 +48,23 @@ def test_dirichlet_zero_on_both_faces():
         scale = np.abs(sommerfeld.field_values(
             2.0, g, a + np.cos(th), np.sin(th))).max()
         assert max(np.abs(top).max(), np.abs(bot).max()) <= 1e-12 * scale
+
+
+def test_both_faces_read_exactly_zero():
+    # on both faces the chart gives xi_lam = eta_{-lam} bit for bit and
+    # both y-phases are 1, so the Dirichlet terms cancel to an exact 0:
+    # the free edge, and each branch of the guided mode in both regimes
+    rs = np.geomspace(1e-3, 25.0, 400)
+    faces = np.array([[0.0], [-0.0]])
+    for a in (0.0, 1.3):
+        for k in (0.7, 2.0):
+            psi = sommerfeld.field_values(k, sommerfeld.EdgeGeometry(a=a),
+                                          a + rs, faces)
+            assert (psi == 0.0).all()
+    for alpha, k in ((1.0, 0.5), (1.0, 2.0)):
+        f = bound_edge.make_field(alpha, k)
+        for eps in (1, -1):
+            assert (bound_edge.branch_field_values(f, rs, faces, eps) == 0.0).all()
 
 
 def test_neumann_normal_derivative_vanishes():
@@ -187,14 +204,15 @@ def test_two_term_shapes():
 
 
 def test_field_on_grid_memory_per_point():
-    # the closed form runs in blocks into one output: with the two
-    # coordinate meshes and the mask, about 41 B per point (was 129)
+    # the closed form runs in blocks into one output on the grid's axes:
+    # with the mask, about 21 B per point (129 on the whole array, 38
+    # with two coordinate meshes)
     g = sommerfeld.EdgeGeometry(a=0.0)
     n = 401
     h = 6.0 / (n - 1)
     peak = traced_peak(
         lambda: sommerfeld.field_on_grid(2.0, g, -3.0, -3.0, h, h, n, n))
-    assert peak <= 56 * n * n
+    assert peak <= 40 * n * n
 
 
 @pytest.mark.parametrize("radius", [0.0, 0.5])
