@@ -7,6 +7,7 @@ only in those arguments.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -28,35 +29,38 @@ class Check:
     parts: tuple[float, ...] = ()
 
 
+def _worst_within(name: str, defects, tol: float, label: str) -> Check:
+    """worst <= tol by one numpy max over every sample: a NaN fails it."""
+    worst = float(np.max(defects))
+    return Check(name, worst, tol, worst <= tol,
+                 f"{label} {worst:.16e} (tol {tol:.1e})")
+
+
 def flux_conservation(alphas, tol: float) -> Check:
     """max | |A|^2 + |B|^2 - 1 | over p in alpha * [1e-3, 1e3] (100 points)."""
-    worst = 0.0
-    for alpha in alphas:
-        well = delta_1d.DeltaWell(alpha=alpha)
-        for p in np.geomspace(1e-3, 1e3, 100) * alpha:
-            co = delta_1d.scattering_coeffs(well, p)
-            worst = max(worst, abs(abs(co.A) ** 2 + abs(co.B) ** 2 - 1.0))
-    return Check("flux-conservation", worst, tol, worst <= tol,
-                 f"max flux defect {worst:.16e} (tol {tol:.1e})")
+    coeffs = [delta_1d.scattering_coeffs(delta_1d.DeltaWell(alpha=alpha), p)
+              for alpha in alphas for p in np.geomspace(1e-3, 1e3, 100) * alpha]
+    return _worst_within("flux-conservation",
+                         [abs(abs(co.A) ** 2 + abs(co.B) ** 2 - 1.0)
+                          for co in coeffs], tol, "max flux defect")
 
 
 def bound_pole_location(alphas, tol: float) -> Check:
     """max |pole_residue - i*alpha|: the residue of A at smatrix_pole."""
-    worst = max(abs(delta_1d.pole_residue(delta_1d.DeltaWell(alpha=a)) - 1j * a)
-                for a in alphas)
-    return Check("bound-pole-location", worst, tol, worst <= tol,
-                 f"max pole residue defect {worst:.16e} (tol {tol:.1e})")
+    return _worst_within(
+        "bound-pole-location",
+        [abs(delta_1d.pole_residue(delta_1d.DeltaWell(alpha=a)) - 1j * a)
+         for a in alphas], tol, "max pole residue defect")
 
 
 def fresnel_cross_validation(draws, quad_tol: float, tol: float) -> Check:
     """max |closed - quadrature| / max(1, |quadrature|) of F over (k, xi)."""
-    worst = 0.0
-    for k, xi in draws:
-        a = specfun.fresnel_F(k, xi).value
-        b = specfun.fresnel_F_quadrature(k, xi, tol=quad_tol).value
-        worst = max(worst, abs(a - b) / max(1.0, abs(b)))
-    return Check("fresnel-cross-validation", worst, tol, worst <= tol,
-                 f"max scaled |closed - quadrature| {worst:.16e} (tol {tol:.1e})")
+    pairs = [(specfun.fresnel_F(k, xi).value,
+              specfun.fresnel_F_quadrature(k, xi, tol=quad_tol).value)
+             for k, xi in draws]
+    return _worst_within("fresnel-cross-validation",
+                         [abs(a - b) / np.maximum(1.0, abs(b)) for a, b in pairs],
+                         tol, "max scaled |closed - quadrature|")
 
 
 def edge_ray_zero(k: float, a: float, tol: float) -> Check:
@@ -68,9 +72,8 @@ def edge_ray_zero(k: float, a: float, tol: float) -> Check:
     th = np.linspace(0.1, 2 * math.pi - 0.1, 200)
     scale = np.abs(sommerfeld.field_values(
         k, geom, a + np.cos(th), np.sin(th))).max()
-    worst = float(np.abs(faces).max() / scale)
-    return Check("edge-ray-zero", worst, tol, worst <= tol,
-                 f"max ray |psi|/scale {worst:.16e} (tol {tol:.1e})")
+    return _worst_within("edge-ray-zero", np.abs(faces) / scale, tol,
+                         "max ray |psi|/scale")
 
 
 def stencil_residual_order(k: float, sizes, tol: float) -> Check:
@@ -83,7 +86,8 @@ def stencil_residual_order(k: float, sizes, tol: float) -> Check:
         res.append(sommerfeld.helmholtz_residual(
             grid, k, exclude_radius=0.5).l2_res)
     orders = tuple(math.log2(r0 / r1) for r0, r1 in zip(res, res[1:]))
-    return Check("stencil-residual-order", min(orders), tol, min(orders) >= tol,
+    lowest = float(np.min(orders))
+    return Check("stencil-residual-order", lowest, tol, lowest >= tol,
                  f"observed orders {', '.join(f'{o:.16e}' for o in orders)} "
                  f"(need >= {tol:g})", orders)
 
@@ -92,29 +96,21 @@ def coordinate_conjugation(seed: int, tol: float) -> Check:
     """max |xi - conj(eta)| at the points (r, +0.0) and (r, -0.0) on both
     faces, 100 draws of r and real lambda; for real lambda conj(eta_lam)
     is eta_{-lam}, the pair's second half."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(100):
-        r = rng.uniform(1e-3, 10.0)
-        lam = rng.uniform(-2.0, 2.0)
-        xi, eta_m = chart(r, np.array([0.0, -0.0]), 0.0, lam)
-        worst = max(worst, float(np.abs(xi - eta_m).max()))
-    return Check("coordinate-conjugation", worst, tol, worst <= tol,
-                 f"max |xi - conj(eta)| {worst:.16e} (tol {tol:.1e})")
+    draws = np.random.default_rng(seed).uniform((1e-3, -2.0), (10.0, 2.0), (100, 2))
+    return _worst_within(
+        "coordinate-conjugation",
+        [np.abs(np.subtract(*chart(r, [0.0, -0.0], 0.0, lam)))
+         for r, lam in draws], tol, "max |xi - conj(eta)|")
 
 
 def guided_products(alphas, tol: float) -> Check:
     """max defect of kappa e^{+-lambda} = k +- alpha*eps, both regimes and signs."""
-    worst = 0.0
-    for alpha in alphas:
-        for k in (0.5 * alpha, 2.0 * alpha):
-            for eps in (1, -1):
-                kap, lam = bound_edge.kappa_lambda(alpha, k, eps)
-                worst = max(worst,
-                            abs(kap * np.exp(lam) - (k + alpha * eps)),
-                            abs(kap * np.exp(-lam) - (k - alpha * eps)))
-    return Check("guided-products", worst, tol, worst <= tol,
-                 f"max product defect {worst:.16e} (tol {tol:.1e})")
+    defects = []
+    for alpha, m, eps in itertools.product(alphas, (0.5, 2.0), (1, -1)):
+        kap, lam = bound_edge.kappa_lambda(alpha, m * alpha, eps)
+        defects += [abs(kap * np.exp(lam) - (m * alpha + alpha * eps)),
+                    abs(kap * np.exp(-lam) - (m * alpha - alpha * eps))]
+    return _worst_within("guided-products", defects, tol, "max product defect")
 
 
 def guided_tail_slope(alpha: float, tol: float) -> Check:

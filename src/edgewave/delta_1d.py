@@ -39,8 +39,8 @@ class DeltaWell:
     alpha: float
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,8 @@ def psi0(well: DeltaWell, x) -> float:
 
 def scattering_coeffs(well: DeltaWell, p: float) -> ScatteringCoefficients:
     """Amplitude pair (A, B) at real momentum p > 0."""
-    if p <= 0:
-        raise ValueError("continuum states require p > 0")
+    if not 0 < p < math.inf:
+        raise ValueError(f"continuum states require a finite p > 0, got {p}")
     return ScatteringCoefficients(p, *_amplitudes(well.alpha, p))
 
 

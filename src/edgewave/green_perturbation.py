@@ -280,6 +280,9 @@ def tail_scan(alpha: float, k: float, lambda_imp: float, a_list,
                      for a in a_arr])
     if np.all(amps < 1e-300):
         raise ValueError("all amplitudes underflowed; fit is degenerate")
+    if not np.all(amps):
+        raise ValueError(f"the amplitude underflowed to 0 from offset "
+                         f"a = {a_arr[amps == 0][0]:.6g}; fit is degenerate")
     slope, resid = fit_log_slope(a_arr, amps)
     return TailScanResult(a_values=a_arr, amplitudes=amps, slope=slope,
                           residual=resid, alpha=alpha, k=k)

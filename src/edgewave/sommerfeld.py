@@ -62,8 +62,8 @@ class EdgeGeometry:
     bc: str = _DIRICHLET
 
     def __post_init__(self):
-        if self.a < 0:
-            raise ValueError("tip abscissa must be >= 0")
+        if not 0 <= self.a < math.inf:
+            raise ValueError(f"tip abscissa a must be finite and >= 0, got {self.a}")
         if self.bc not in (_DIRICHLET, _NEUMANN):
             raise ValueError(f"bc must be '{_DIRICHLET}' or '{_NEUMANN}'")
 

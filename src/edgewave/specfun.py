@@ -99,8 +99,8 @@ class FresnelValue:
     est_abs_error: float
 
     def __post_init__(self):
-        if self.est_abs_error < 0:
-            raise ValueError("error estimate must be >= 0")
+        if not self.est_abs_error >= 0:
+            raise ValueError("error estimate must be a number >= 0")
 
 
 def _check(z: np.ndarray, L) -> None:
@@ -209,9 +209,7 @@ def _rotation_root(k) -> complex:
     k = complex(k)
     if k == 0:
         raise ValueError("k = 0: the integral diverges")
-    s = np.sqrt(-2j * k)
-    if s.real < 0:
-        s = -s
+    s = np.sqrt(-2j * k)    # numpy's principal root: Re s >= 0
     if s.real == 0.0:
         raise ValueError("branch ambiguity: Re sqrt(-2ik) = 0 exactly")
     return complex(s)
@@ -318,7 +316,7 @@ def _adaptive_segment(f, a: complex, b: complex, tol: float):
     total = val
     total_err = err
     n = 0
-    while total_err > tol * max(1.0, abs(total)) and n < _MAX_SUBDIVISIONS:
+    while not total_err <= tol * max(1.0, abs(total)) and n < _MAX_SUBDIVISIONS:
         neg_err0, _, a0, b0, v0 = heapq.heappop(panels)
         m = 0.5 * (a0 + b0)
         v1, e1 = _gk_panel(f, a0, m)
@@ -328,7 +326,7 @@ def _adaptive_segment(f, a: complex, b: complex, tol: float):
         heapq.heappush(panels, (-e1, -2 * n - 1, a0, m, v1))
         heapq.heappush(panels, (-e2, -2 * n - 2, m, b0, v2))
         n += 1
-    if total_err > tol * max(1.0, abs(total)):
+    if not total_err <= tol * max(1.0, abs(total)):     # a NaN estimate too
         raise RuntimeError(
             f"quadrature did not converge: est error {total_err:g} > tol {tol:g} "
             f"* max(1, |I|); partial value {total!r}"
@@ -349,9 +347,11 @@ def fresnel_F_quadrature(k, xi, tol: float = 1e-10) -> FresnelValue:
     """
     if not 1e-14 <= tol <= 1e-4:
         raise ValueError("tol out of the supported range [1e-14, 1e-4]")
-    s = _rotation_root(k)
     xi = complex(xi)
     k = complex(k)
+    if not np.all(np.isfinite([k, xi])):
+        raise ValueError("fresnel_F_quadrature requires finite k and xi")
+    s = _rotation_root(k)
 
     tail, tail_err = _adaptive_segment(
         lambda u: np.exp(-u * u), -8.6 + 0j, 0.0 + 0j, tol / 2.0

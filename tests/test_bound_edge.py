@@ -402,6 +402,14 @@ def test_exact_flux_and_mesh_stability(exact, exact_fine):
     assert abs(T) == pytest.approx(0.16330, abs=1e-5)
 
 
+@pytest.mark.parametrize("c", [0.5, 3.7])
+def test_exact_reflection_is_scale_free(exact, c):
+    # scaling alpha and k by c only rescales lengths, so R depends on
+    # k/alpha alone
+    R = be.solve_scattering(c * ALPHA, c * K).reflection
+    assert abs(R - exact.reflection) <= 1e-14
+
+
 def test_exact_solver_rejects_bad_input(exact):
     with pytest.raises(ValueError, match="trapped"):
         be.solve_scattering(1.0, 1.0)

@@ -7,6 +7,7 @@ suite stays deterministic.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -46,3 +47,25 @@ def test_rapidity_is_odd_in_eps_bit_for_bit(alpha, ratio):
     _, lam_p = be.kappa_lambda(alpha, ratio * alpha, 1)
     _, lam_m = be.kappa_lambda(alpha, ratio * alpha, -1)
     assert np.complex128(lam_m).tobytes() == np.complex128(-lam_p).tobytes()
+
+
+def _bound_field(c):
+    f = be.make_field(c * 1.0, c * 0.5)
+    return lambda X, Y: be.field_values(f, X, Y)
+
+
+def _edge_field(c):
+    geom = sommerfeld.EdgeGeometry(a=0.0)
+    return lambda X, Y: sommerfeld.field_values(c * 2.0, geom, X, Y)
+
+
+@pytest.mark.parametrize("field", [_bound_field, _edge_field],
+                         ids=["two-branch", "sommerfeld"])
+@pytest.mark.parametrize("c", [0.5, 2.0, 3.7])
+def test_fields_scale_with_the_wavelength(field, c):
+    # scaling alpha and k by c scales lengths by 1/c, and the amplitude
+    # sqrt(pi/2|kappa|) by 1/sqrt(c): sqrt(c) psi_c(x/c, y/c) = psi_1(x, y)
+    X, Y = np.random.default_rng(21).uniform(-6.0, 6.0, (2, 2000))
+    want = field(1.0)(X, Y)
+    got = math.sqrt(c) * field(c)(X / c, Y / c)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()

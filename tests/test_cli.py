@@ -403,6 +403,18 @@ def test_tail_refuses_an_underflowed_mode_quickly(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_tail_refuses_a_partly_underflowed_mode(tmp_path, capsys):
+    # at alpha = 300 the Born amplitude is 0 from a = 2.5 on but not at
+    # a = 1: the fit met log(0) with a RuntimeWarning and refused a nan
+    # residual
+    out = tmp_path / "t.csv"
+    code, stdout, err = run_cli(capsys, "tail", "--alpha=300", f"--out={out}")
+    assert code == 1 and stdout == ""
+    assert err == ("numerical failure: the amplitude underflowed to 0 from "
+                   "offset a = 2.5; fit is degenerate\n")
+    assert not out.exists()
+
+
 def test_tail_far_probe_at_alpha_3_exits_1_quickly(tmp_path, capsys):
     # cos(p 1e300) cannot be resolved: the continuum quadrature stops at
     # its largest rule instead of diagonalising ever larger Legendre

@@ -1,11 +1,13 @@
 """The shared criterion checks: each must be able to fail."""
 
+import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from edgewave import criteria, delta_1d, sommerfeld
+from edgewave import bound_edge, criteria, delta_1d, sommerfeld, specfun
 
 
 @pytest.mark.parametrize("k, a", [(2.0, 0.0), (0.5, 0.3)])
@@ -46,3 +48,64 @@ def test_pole_check_sees_a_wrong_denominator(monkeypatch):
     small = criteria.bound_pole_location((0.1,), tol=1e-12)
     assert not small.ok
     assert small.value > 0.09
+
+
+def _nan_at_one(values):
+    spoilt = np.array(values)
+    spoilt.flat[1] = np.nan
+    return spoilt
+
+
+_NAN = complex(math.nan, 0.0)
+
+
+@pytest.mark.parametrize("owner, name, spoil, check", [
+    (delta_1d, "scattering_coeffs",
+     lambda co: dataclasses.replace(co, A=_NAN),
+     lambda: criteria.flux_conservation((0.5, 1.0), tol=1e-13)),
+    (delta_1d, "pole_residue", lambda res: _NAN,
+     lambda: criteria.bound_pole_location((0.5, 1.0, 2.0), tol=1e-12)),
+    (specfun, "fresnel_F", lambda f: dataclasses.replace(f, value=_NAN),
+     lambda: criteria.fresnel_cross_validation(
+         [(2.0, 0.5), (1.0, 1.0 + 0.5j), (0.5, -2.0)], quad_tol=1e-12,
+         tol=1e-9)),
+    (sommerfeld, "field_values", _nan_at_one,
+     lambda: criteria.edge_ray_zero(2.0, 0.3, tol=1e-12)),
+    (criteria, "chart", _nan_at_one,
+     lambda: criteria.coordinate_conjugation(seed=1, tol=1e-12)),
+    (bound_edge, "kappa_lambda", lambda kl: (_NAN, kl[1]),
+     lambda: criteria.guided_products((0.5, 1.0), tol=1e-12)),
+], ids=["flux", "pole", "fresnel", "ray-zero", "conjugation", "products"])
+def test_a_nan_sample_fails_its_check(monkeypatch, owner, name, spoil, check):
+    # a Python max drops a NaN sample (every comparison with NaN is false),
+    # which let each of these checks but the ray zero pass; one spoilt
+    # sample, the second call's, must fail its check with a NaN value
+    assert check().ok
+    real, calls = getattr(owner, name), itertools.count()
+
+    def spoilt_second(*args, **kwargs):
+        got = real(*args, **kwargs)
+        return spoil(got) if next(calls) == 1 else got
+
+    monkeypatch.setattr(owner, name, spoilt_second)
+    got = check()
+    assert not got.ok
+    assert math.isnan(got.value)
+    assert "nan" in got.detail
+
+
+def test_a_nan_order_fails_the_stencil_check(monkeypatch):
+    # one NaN residual makes one observed order NaN; min(orders) dropped it
+    real = sommerfeld.helmholtz_residual
+
+    def nan_on_the_finest(grid, k, exclude_radius):
+        got = real(grid, k, exclude_radius=exclude_radius)
+        if grid.nx == 81:
+            return dataclasses.replace(got, l2_res=math.nan)
+        return got
+
+    monkeypatch.setattr(sommerfeld, "helmholtz_residual", nan_on_the_finest)
+    got = criteria.stencil_residual_order(2.0, (21, 41, 81), tol=1.8)
+    assert not got.ok
+    assert math.isnan(got.value)
+    assert math.isnan(got.parts[-1]) and not math.isnan(got.parts[0])

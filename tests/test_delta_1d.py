@@ -1,5 +1,7 @@
 """1-D delta-well bound state and scattering coefficients."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,10 @@ def test_bound_state_profile():
 def test_strength_convention():
     with pytest.raises(ValueError):
         delta_1d.DeltaWell(alpha=-1.0)
+    # NaN and inf constructed a well
+    for alpha in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="^alpha must be positive and finite"):
+            delta_1d.DeltaWell(alpha=alpha)
 
 
 def test_flux_conservation_log_sweep():
@@ -38,6 +44,10 @@ def test_coefficients_closed_form():
         assert c.B == pytest.approx(1.0 + c.A, abs=1e-15)
     with pytest.raises(ValueError):
         delta_1d.scattering_coeffs(w, 0.0)
+    # a NaN momentum gave NaN A and B with no error
+    for p in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite p > 0"):
+            delta_1d.scattering_coeffs(w, p)
 
 
 def test_smatrix_pole_at_i_alpha():

@@ -92,6 +92,9 @@ def test_bad_inputs():
     assert sommerfeld.field_values(2.0, g, 1.0, 0.0) == 0.0   # the tip
     with pytest.raises(ValueError):
         sommerfeld.EdgeGeometry(a=0.0, bc="absorbing")
+    for a in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="^tip abscissa a must be finite"):
+            sommerfeld.EdgeGeometry(a=a)
 
 
 def test_field_on_grid_marks_and_zeroes_the_ray():

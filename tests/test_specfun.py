@@ -174,6 +174,24 @@ def test_fresnel_input_contract():
         sommerfeld.field_values(2.0, sommerfeld.EdgeGeometry(), [np.nan], [0.5])
 
 
+@pytest.mark.parametrize("k, xi", [(math.nan, 1.0), (2.0, complex(math.nan, 0.0)),
+                                   (2.0, math.inf)])
+def test_quadrature_refuses_non_finite_input(k, xi):
+    # each returned nan+nanj with a nan error estimate
+    with pytest.raises(ValueError, match="finite"):
+        specfun.fresnel_F_quadrature(k, xi)
+
+
+def test_a_nan_error_estimate_is_not_converged():
+    # "total_err > tol" is false for nan, so a nan estimate counted as
+    # converged
+    with pytest.raises(RuntimeError, match="did not converge"):
+        specfun._adaptive_segment(lambda t: np.full(t.shape, np.nan), 0j,
+                                  1.0 + 0j, 1e-10)
+    with pytest.raises(ValueError, match="error estimate"):
+        specfun.FresnelValue(value=0j, est_abs_error=math.nan)
+
+
 def test_rotation_root_branch():
     s = specfun._rotation_root(2.0)
     assert s.real > 0
