@@ -166,36 +166,31 @@ def make_field(alpha: float, k: float) -> BoundEdgeField:
     return BoundEdgeField(params=WaveguideParams(alpha=alpha, k=k))
 
 
-def branch_field_values(f: BoundEdgeField, X, Y, eps: int) -> np.ndarray:
-    """Evaluate one eps-branch of the closed form everywhere.
+def branch_field_values(f: BoundEdgeField, X, Y, eps) -> np.ndarray:
+    """Evaluate the eps-branch of the closed form everywhere.
 
     This is the analytic continuation of the half-plane formula for side
     eps across the whole plane.  It is what a solver needs for boundary
     data on a subdomain that touches the axis from one side, where the
-    two-branch evaluator would pick the wrong face at x = 0.
+    two-branch evaluator would pick the wrong face at x = 0.  eps is +1,
+    -1 or an array of them broadcasting with X and Y.
 
     It is one two_term call with the envelope rate alpha, which puts
     e^{-alpha|x|} inside erfc's exponential: a point whose field lies
     below the double range gets 0, and e^{-alpha|x|} and erf's Gaussian
     never overflow or underflow apart.
     """
+    if not (np.abs(eps) == 1).all():
+        raise ValueError("eps must be +1 or -1")
     alpha, k = f.params.alpha, f.params.k
-    kap, lam = kappa_lambda(alpha, k, eps)
-    return two_term(k, kap, lam, alpha, 0.0, X, Y, -1)
+    kap, lam = kappa_lambda(alpha, k, 1)
+    return two_term(k, kap, lam, alpha, 0.0, X, Y, -1, eps)
 
 
 def field_values(f: BoundEdgeField, X, Y) -> np.ndarray:
-    """Two-branch field: eps = sgn(x), with eps = +1 on the axis itself."""
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    X, Y = np.broadcast_arrays(X, Y)
-    out = np.empty(X.shape, dtype=complex)
-    right = X >= 0.0
-    if right.any():
-        out[right] = branch_field_values(f, X[right], Y[right], 1)
-    if (~right).any():
-        out[~right] = branch_field_values(f, X[~right], Y[~right], -1)
-    return out
+    """Two-branch field: eps = sgn(x), +1 on the axis itself (x = +-0.0)."""
+    eps = np.where(np.asarray(X) >= 0.0, np.int8(1), np.int8(-1))
+    return branch_field_values(f, X, Y, eps)
 
 
 # --- exact field from the barrier integral equation -------------------------
@@ -431,15 +426,15 @@ def delta_jump_check(f: BoundEdgeField, y: float, h: float) -> float:
 
     Returns |[psi_x(0+) - psi_x(0-)] + 2*alpha*psi(0+)| / (2*alpha*|psi(0+)|)
     with one-sided differences of step h, each side evaluated on its own
-    eps-branch, one call per branch.  For the pure guided mode
+    eps-branch, all four points in one call.  For the pure guided mode
     exp(-alpha|x|+iky) this tends to 0 linearly in h; for the closed form
     here it saturates at an O(1) value (see the module docstring).
     """
     if y == 0.0:
         raise ValueError("y = 0 lies on the barrier, not the waveguide axis")
     alpha = f.params.alpha
-    p_plus, p_r = map(complex, branch_field_values(f, [0.0, h], y, 1))
-    p_minus, p_l = map(complex, branch_field_values(f, [0.0, -h], y, -1))
+    p_plus, p_r, p_minus, p_l = map(complex, branch_field_values(
+        f, [0.0, h, 0.0, -h], y, [1, 1, -1, -1]))
     d_right = (p_r - p_plus) / h
     d_left = (p_minus - p_l) / h
     return abs((d_right - d_left) + 2.0 * alpha * p_plus) / (2.0 * alpha * abs(p_plus))
@@ -447,9 +442,8 @@ def delta_jump_check(f: BoundEdgeField, y: float, h: float) -> float:
 
 def axis_value_jump(f: BoundEdgeField, y: float) -> float:
     """|psi(0+, y) - psi(0-, y)|: the between-branch mismatch on the axis."""
-    p_plus = complex(branch_field_values(f, 0.0, y, 1))
-    p_minus = complex(branch_field_values(f, 0.0, y, -1))
-    return abs(p_plus - p_minus)
+    p_plus, p_minus = branch_field_values(f, 0.0, y, [1, -1])
+    return abs(complex(p_plus - p_minus))
 
 
 def ray_defect(f: BoundEdgeField, n: int = 1000) -> float:

@@ -56,6 +56,7 @@ def _parse_a_list(spec: str) -> list[float]:
 
 # the values a key admits: (what they are, conversion, test of the result)
 _FINITE = ("a finite number", float, math.isfinite)
+_NONZERO = ("a nonzero finite number", float, lambda v: v != 0 and math.isfinite(v))
 _POSITIVE = ("a positive finite number", float, lambda v: 0 < v < math.inf)
 _NON_NEGATIVE = ("a finite number >= 0", float, lambda v: 0 <= v < math.inf)
 _COUNT = ("an integer >= 2", int, lambda n: n >= 2)
@@ -92,7 +93,7 @@ _LATTICE = ("x0", "y0", "dx", "dy", "nx", "ny")     # the keys that place the no
 _TAIL_KEYS = {
     "alpha": ("1", _POSITIVE),
     "k": (None, _POSITIVE),         # alpha/2: the scan lives in the trapped regime
-    "lam": ("1", _FINITE),
+    "lam": ("1", _NONZERO),         # a zero impurity has no Born field
     "a_list": ("1:0.5:3", _OFFSETS),
     "probe_x": ("0", _FINITE),
     "probe_y": (None, _FINITE),     # -12/alpha

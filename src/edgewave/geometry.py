@@ -34,7 +34,7 @@ class PlanePoint:
                              f"got ({self.x!r}, {self.y!r})")
 
 
-def chart(x, y, a: float, lam: complex) -> np.ndarray:
+def chart(x, y, a: float, lam: complex, eps=1) -> np.ndarray:
     """(xi_lam, eta_{-lam}) = (p rc + q rs, p rc - q rs) about the tip
     (a, 0), stacked as one array of shape (2,) + the broadcast shape.
 
@@ -50,7 +50,9 @@ def chart(x, y, a: float, lam: complex) -> np.ndarray:
     A = (phi - i*lam)/2 the rotated chart sqrt(r/2) (cos A + sin A,
     cos A - sin A) is (p c + q s, q c - p s) in c, s = cos, sin of phi/2,
     and negating lam swaps p and q, which gives eta_{-lam}; for real lam
-    it is conj(eta_lam).
+    it is conj(eta_lam).  A sign eps = +-1 per point (or one for all)
+    multiplies i sinh(lam/2): the rotation by eps*lam bit for bit, as
+    cosh is even and sinh odd.
     """
     u = np.asarray(x, dtype=float) * 0.0625 - 0.0625 * a
     v = np.asarray(y, dtype=float) * 0.0625
@@ -61,6 +63,6 @@ def chart(x, y, a: float, lam: complex) -> np.ndarray:
     rc = np.copysign(np.where(left, small, big), v)
     rs = np.where(left, big, small)
     if lam:
-        ch, sh = cmath.cosh(0.5 * lam), cmath.sinh(0.5 * lam)
-        rc, rs = (ch - 1j * sh) * rc, (ch + 1j * sh) * rs
+        ch, ish = cmath.cosh(0.5 * lam), eps * (1j * cmath.sinh(0.5 * lam))
+        rc, rs = (ch - ish) * rc, (ch + ish) * rs
     return np.stack((rc + rs, rc - rs))

@@ -195,13 +195,10 @@ def green_eval(g: ChannelGreen, frm: PlanePoint, to: PlanePoint) -> GreenValue:
     return GreenValue(value=complex(bound) + cont, est_error=est)
 
 
-def born_correction(alpha: float, k: float, lambda_imp: float, a: float,
-                    p: PlanePoint) -> complex:
-    """First-order field of the impurity lam*delta(x-a)delta(y) at point p.
-
-    The incident guided mode exp(-alpha|x| + iky) has energy
-    E = k^2 - alpha^2, which must stay below the continuum threshold.
-    """
+def _incident_decay(alpha: float, k: float, lambda_imp: float, a: float,
+                    p: PlanePoint) -> tuple[ChannelGreen, float]:
+    """born_correction's input checks, then its Green function and the
+    incident mode's factor e^{-alpha a} at the impurity; no quadrature."""
     if not (math.isfinite(a) and a > 0):
         # a NaN offset would otherwise drive the continuum quadrature to
         # its node cap on a NaN integrand
@@ -211,9 +208,17 @@ def born_correction(alpha: float, k: float, lambda_imp: float, a: float,
                          f"got {lambda_imp!r}")
     if p.x == a and p.y == 0.0:
         raise ValueError("probe coincides with the impurity")
-    E = k * k - alpha * alpha
-    g = make_green(alpha, E)
-    decay = math.exp(-alpha * a)
+    return make_green(alpha, k * k - alpha * alpha), math.exp(-alpha * a)
+
+
+def born_correction(alpha: float, k: float, lambda_imp: float, a: float,
+                    p: PlanePoint) -> complex:
+    """First-order field of the impurity lam*delta(x-a)delta(y) at point p.
+
+    The incident guided mode exp(-alpha|x| + iky) has energy
+    E = k^2 - alpha^2, which must stay below the continuum threshold.
+    """
+    g, decay = _incident_decay(alpha, k, lambda_imp, a, p)
     if decay == 0.0:
         # the incident mode underflows at the impurity: the product is 0
         # whatever the continuum quadrature returns
@@ -268,6 +273,17 @@ def offsets_span_ok(alpha: float, a_values) -> bool:
             >= 2.0 / alpha * (1.0 - 4.0 * np.finfo(float).eps))
 
 
+def _refuse_underflow(a_arr: np.ndarray, amps: np.ndarray,
+                      floor: float = 0.0) -> None:
+    """Refuse a fit whose amplitudes are all 0 (or below floor), or 0
+    from some offset on."""
+    if not amps.any() or np.all(amps < floor):
+        raise ValueError("all amplitudes underflowed; fit is degenerate")
+    if not np.all(amps):
+        raise ValueError(f"the amplitude underflowed to 0 from offset "
+                         f"a = {a_arr[amps == 0][0]:.6g}; fit is degenerate")
+
+
 def tail_scan(alpha: float, k: float, lambda_imp: float, a_list,
               probe: PlanePoint) -> TailScanResult:
     """Born amplitude |psi1(probe)| against impurity offset, with log fit."""
@@ -276,13 +292,14 @@ def tail_scan(alpha: float, k: float, lambda_imp: float, a_list,
         raise ValueError("need at least 4 impurity offsets for the fit")
     if not offsets_span_ok(alpha, a_arr):
         raise ValueError("offsets must span at least 2/alpha")
+    # every offset's checks, and its incident mode's underflow, before
+    # the first quadrature; products that underflow where the factor does
+    # not are refused after it
+    _refuse_underflow(a_arr, np.array(
+        [_incident_decay(alpha, k, lambda_imp, a, probe)[1] for a in a_arr]))
     amps = np.array([abs(born_correction(alpha, k, lambda_imp, a, probe))
                      for a in a_arr])
-    if np.all(amps < 1e-300):
-        raise ValueError("all amplitudes underflowed; fit is degenerate")
-    if not np.all(amps):
-        raise ValueError(f"the amplitude underflowed to 0 from offset "
-                         f"a = {a_arr[amps == 0][0]:.6g}; fit is degenerate")
+    _refuse_underflow(a_arr, amps, floor=1e-300)
     slope, resid = fit_log_slope(a_arr, amps)
     return TailScanResult(a_values=a_arr, amplitudes=amps, slope=slope,
                           residual=resid, alpha=alpha, k=k)

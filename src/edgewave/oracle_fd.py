@@ -384,7 +384,9 @@ def compare(analytic: FieldGrid, fd: FieldGrid, E: float | None = None) -> dict:
     the waveguide axis are excluded (square dilation of the tagged
     nodes).  Returns a dict with keys l2_rel, max_rel, dx, dy, E, n_nodes
     and a per-quadrant breakdown under "quadrants"; a quadrant starts two
-    cells off each axis, 2 dx in x and 2 dy in y.
+    cells off each axis, 2 dx in x and 2 dy in y.  An analytic field
+    that is 0 on every kept node has no scale to compare against and
+    raises ``ValueError``.
     """
     for attr in ("x0", "y0", "dx", "dy", "nx", "ny"):
         if not math.isclose(getattr(analytic, attr), getattr(fd, attr),
@@ -393,6 +395,10 @@ def compare(analytic: FieldGrid, fd: FieldGrid, E: float | None = None) -> dict:
     keep = (fd.mask == INTERIOR) & ~excluded_band(fd.mask, square=True)
     if not keep.any():
         raise ValueError("no nodes left to compare")
+    amax = np.abs(analytic.values[keep]).max()
+    if amax == 0.0:
+        # no scale to measure the discrepancy against, relative or not
+        raise ValueError("the analytic field is 0 on every compared node")
 
     diff = fd.values - analytic.values
 
@@ -411,7 +417,6 @@ def compare(analytic: FieldGrid, fd: FieldGrid, E: float | None = None) -> dict:
         "x<0,y<0": (X < -bx) & (Y < -by),
         "x>0,y<0": (X > bx) & (Y < -by),
     }
-    amax = np.abs(analytic.values[keep]).max()
     return {
         "l2_rel": _rel(keep),
         "max_rel": float(np.abs(diff[keep]).max() / amax),

@@ -69,15 +69,16 @@ class EdgeGeometry:
 
 
 def two_term(k: float, kappa: complex, lam: complex, alpha: float, a: float,
-             X, Y, sign: int) -> np.ndarray:
+             X, Y, sign: int, eps=1) -> np.ndarray:
     """e^{-alpha|x|} [exp(-iky) F(xi_lam; kappa)
-    + sign * exp(+iky) F(eta_{-lam}; kappa)].
+    + sign * exp(+iky) F(eta_{-lam}; kappa)], lam taken as eps*lam.
 
     (xi_lam, eta_{-lam}) is the rotated chart about the tip (a, 0),
     built once per point by geometry.chart; F takes the stacked pair in
     one call per block.  At lambda = 0 the pair is real, so a real kappa
     with alpha = 0 takes specfun's Fresnel route; else L = -alpha|x|
-    enters erfc's exponent.
+    enters erfc's exponent.  eps, +-1 per point, is broadcast with X
+    and Y and sliced per block only where lambda != 0.
     k is real, so the second y-phase is the conjugate of the first.  On
     both faces of the ray xi_lam = eta_{-lam} for every lambda, so with
     sign = -1 the two terms cancel there.  The tip gives F(0) - F(0) = 0.
@@ -89,14 +90,15 @@ def two_term(k: float, kappa: complex, lam: complex, alpha: float, a: float,
     (129 on the whole array at once), of which the output is 16.
     0-d input gives a scalar.
     """
-    X, Y = np.broadcast_arrays(np.asarray(X, dtype=float),
-                               np.asarray(Y, dtype=float))
+    X, Y, eps = np.broadcast_arrays(np.asarray(X, dtype=float),
+                                    np.asarray(Y, dtype=float), eps)
     out = np.empty(X.shape, dtype=complex)
     flat = out.reshape(-1)
     for sl in _blocks(flat.size):
         x, y = X.flat[sl], Y.flat[sl]
         L = -alpha * np.abs(x) if alpha else 0.0
-        F = _closed_form(kappa, chart(x, y, a, lam), L)
+        rot = eps.flat[sl] if lam else 1
+        F = _closed_form(kappa, chart(x, y, a, lam, rot), L)
         phase = np.exp(-1j * k * y)
         np.multiply(phase, F[0], out=flat[sl])
         flat[sl] += sign * phase.conj() * F[1]

@@ -59,6 +59,11 @@ def test_parameter_validation():
         be.kappa_lambda(1.0, 0.5, 0)
     with pytest.raises(ValueError):
         be.kappa_lambda(-1.0, 0.5, 1)
+    # the branch is data: a sign outside +-1, alone or among good ones
+    f = be.make_field(1.0, 0.5)
+    for eps in (0, 2, math.nan, [1, 0], np.array([1.0, -1.0, math.nan])):
+        with pytest.raises(ValueError, match="eps must be"):
+            be.branch_field_values(f, [0.5, -0.5], 1.0, eps)
     for alpha, k in ((1.0, 1.0), (0.0, 0.5), (-1.0, 0.5), (1.0, 0.0), (1.0, -0.5)):
         with pytest.raises(ValueError):
             be.make_field(alpha, k)
@@ -101,15 +106,21 @@ def test_ray_zero_in_trapped_and_open_regimes():
 
 
 def test_two_branch_evaluator_consistency(field):
-    X = np.array([0.7, -0.7, 0.0, -2.2])
-    Y = np.array([1.1, 1.1, -0.4, 2.0])
+    X = np.array([0.7, -0.7, 0.0, -2.2, -0.0])
+    Y = np.array([1.1, 1.1, -0.4, 2.0, 0.9])
     two = be.field_values(field, X, Y)
     right = be.branch_field_values(field, X, Y, 1)
     left = be.branch_field_values(field, X, Y, -1)
     assert two[0] == right[0]
     assert two[1] == left[1]
-    assert two[2] == right[2]      # the axis itself uses the +1 branch
+    assert two[2] == right[2]      # the axis itself uses the +1 branch,
+    assert two[4] == right[4]      # on both signs of its zero
     assert two[3] == left[3]
+    # an array of signs is the per-point calls, bit for bit
+    eps = np.array([-1, 1, -1, 1, -1])
+    mixed = be.branch_field_values(field, X, Y, eps)
+    for i in range(X.size):
+        assert mixed[i] == be.branch_field_values(field, X[i], Y[i], int(eps[i]))
 
 
 def test_branch_blocks_keep_the_ray_zero(field):
@@ -137,17 +148,20 @@ def test_branch_blocks_keep_the_ray_zero(field):
 
 def test_branch_memory_per_point(field):
     # two_term's blocks, the envelope's exponent inside erfc's: about
-    # 24 B per point (was 212)
+    # 28 B per point on meshes (was 212), for one branch and for the
+    # two-branch field alike (45 while it gathered and scattered each side)
     n = 321
     X, Y = np.meshgrid(np.linspace(-3.0, 3.0, n), np.linspace(-3.0, 3.0, n))
-    be.branch_field_values(field, X, Y, 1)
-    tracemalloc.start()
-    try:
-        be.branch_field_values(field, X, Y, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 48 * n * n
+    for evaluate in (lambda f, X, Y: be.branch_field_values(f, X, Y, 1),
+                     be.field_values):
+        evaluate(field, X, Y)
+        tracemalloc.start()
+        try:
+            evaluate(field, X, Y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 36 * n * n
 
 
 def test_interior_pde_residual_off_seam_and_ray(field):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import edgewave
-from edgewave import cli, criteria
+from edgewave import cli, criteria, green_perturbation
 from edgewave.grid import read_csv
 
 
@@ -169,12 +169,13 @@ def test_usage_errors_exit_2(tmp_path, capsys):
             assert code == 2
             assert err.startswith(f"usage error: {key} must be ")
     # a value outside its key's values exits 2 naming the key, before any
-    # grid, scan or quadrature runs; a NaN probe used to hang the quadrature
-    # and a NaN lam to print a NaN slope with exit 0
+    # grid, scan or quadrature runs; a NaN probe used to hang the quadrature,
+    # a NaN lam to print a NaN slope with exit 0, and a zero lam, which has
+    # no Born field at all, to exit 1 blaming an underflow
     for argv, key in ((("field", "--a=-1"), "a"), (("verify", "--a=-1"), "a"),
                       (("oracle", "--a=nan"), "a"), (("field", "--x0=inf"), "x0"),
                       (("field", "--y0=nan"), "y0"), (("tail", "--lam=nan"), "lam"),
-                      (("tail", "--lam=inf"), "lam"),
+                      (("tail", "--lam=inf"), "lam"), (("tail", "--lam=0"), "lam"),
                       (("tail", "--probe_x=inf"), "probe_x"),
                       (("tail", "--probe_y=nan"), "probe_y"),
                       (("field", "--nx=oops"), "nx")):
@@ -238,11 +239,18 @@ def test_static_input_rules_exit_2(tmp_path, capsys, argv, message):
 
 
 def test_numerical_failure_exits_1(capsys):
-    # resolution guard trips inside the oracle: not a usage problem
-    code, _, err = run_cli(capsys, "oracle", "--k=20", "--dx=0.1",
-                           "--dy=0.1", "--nx=31", "--ny=31")
-    assert code == 1
-    assert "numerical failure" in err
+    # resolution guard trips inside the oracle: not a usage problem; and
+    # a bound field that is e^-5000 on every compared node, 0 as a double,
+    # has no scale to compare against (it printed nan and exited 0)
+    for argv, message in (
+            (("--k=20", "--dx=0.1", "--dy=0.1", "--nx=31", "--ny=31"), ""),
+            (("--mode=bound", "--alpha=50", "--k=40", "--x0=100", "--y0=100",
+              "--dx=0.005", "--dy=0.005", "--nx=41", "--ny=41"),
+             "the analytic field is 0 on every compared node")):
+        code, out, err = run_cli(capsys, "oracle", *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("numerical failure: " + message)
+        assert err.count("\n") == 1
 
 
 def test_oracle_delta_line_resolution_exits_1(capsys):
@@ -403,16 +411,22 @@ def test_tail_refuses_an_underflowed_mode_quickly(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_tail_refuses_a_partly_underflowed_mode(tmp_path, capsys):
+def test_tail_refuses_a_partly_underflowed_mode(tmp_path, capsys, monkeypatch):
     # at alpha = 300 the Born amplitude is 0 from a = 2.5 on but not at
     # a = 1: the fit met log(0) with a RuntimeWarning and refused a nan
-    # residual
+    # residual, and then it spent 1.5 s on quadrature at a = 1, 1.5 and 2
+    # before refusing; e^{-alpha a} is tested at every offset first
+    quadratures = []
+    integral = green_perturbation._continuum_integral
+    monkeypatch.setattr(green_perturbation, "_continuum_integral",
+                        lambda *args: quadratures.append(args) or integral(*args))
     out = tmp_path / "t.csv"
     code, stdout, err = run_cli(capsys, "tail", "--alpha=300", f"--out={out}")
     assert code == 1 and stdout == ""
     assert err == ("numerical failure: the amplitude underflowed to 0 from "
                    "offset a = 2.5; fit is degenerate\n")
     assert not out.exists()
+    assert quadratures == []
 
 
 def test_tail_far_probe_at_alpha_3_exits_1_quickly(tmp_path, capsys):

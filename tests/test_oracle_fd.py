@@ -515,10 +515,14 @@ def test_compare_trivia():
     grid = ofd.solve(ofd.assemble(p))
     rep = ofd.compare(grid, grid)
     assert rep["l2_rel"] == 0.0
-    other = FieldGrid(x0=0.0, y0=-1.0, dx=0.25, dy=0.25, nx=9, ny=9,
-                      values=grid.values, mask=grid.mask)
-    with pytest.raises(ValueError):
-        ofd.compare(grid, other)
+    shifted = FieldGrid(x0=0.0, y0=-1.0, dx=0.25, dy=0.25, nx=9, ny=9,
+                        values=grid.values, mask=grid.mask)
+    # a field that is 0 on every compared node gave nan with a warning
+    zero = dataclasses.replace(grid, values=np.zeros_like(grid.values))
+    for analytic, fd, match in ((grid, shifted, "grids differ"),
+                                (zero, grid, "0 on every compared node")):
+        with pytest.raises(ValueError, match=match):
+            ofd.compare(analytic, fd)
 
 
 def _quadrants_from_meshes(ana, fd):

@@ -190,6 +190,22 @@ def test_two_term_makes_one_F_call_per_block(monkeypatch, n):
         assert shapes == [(2, min(B, n - s)) for s in range(0, n, B)]
 
 
+@pytest.mark.parametrize("n", [2, B + 1])
+def test_two_branch_field_makes_one_F_call_per_block(monkeypatch, n):
+    # the branch is data: points on both sides of the guide, interleaved,
+    # take one pass of blocks, not one pass per side
+    shapes = []
+
+    def counted(kappa, pair, L):
+        shapes.append(np.shape(pair))
+        return specfun._closed_form(kappa, pair, L)
+
+    monkeypatch.setattr(sommerfeld, "_closed_form", counted)
+    X = np.where(np.arange(n) % 2, -1.0, 1.0) * np.linspace(0.1, 3.0, n)
+    bound_edge.field_values(bound_edge.make_field(1.0, 0.5), X, 0.7)
+    assert shapes == [(2, min(B, n - s)) for s in range(0, n, B)]
+
+
 def test_two_term_shapes():
     g = sommerfeld.EdgeGeometry(a=0.0)
     v = sommerfeld.field_values(2.0, g, 1.3, 0.7)
