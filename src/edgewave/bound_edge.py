@@ -214,13 +214,14 @@ def _trapped_kappa(alpha: float, k: float) -> float:
 
 
 class _BarrierPanels:
-    """Gauss-Legendre panels in t = sqrt(s) along the barrier.
+    """Gauss-Legendre panels in t = sqrt(s) along the barrier, seen from
+    outside in s: nodes ``s``, weights ``ws`` with int rho ds = ws @ rho,
+    and operators acting on density values at the nodes.
 
     Uniform panels cover the tip stretch alpha*s <= 30; beyond it the
     widths grow geometrically until kappa*s >= 36, where the tip halo has
-    decayed.  A density rho on the barrier is held as g(t_j) = 2 t_j
-    rho(t_j^2) at the nodes, so int rho ds = int g dt, and g is smooth
-    even where rho ~ s^{-1/2}.
+    decayed.  Inside, a density is interpolated as g = 2 t rho(t^2),
+    smooth even where rho ~ s^{-1/2}; the weights carry the Jacobian 2t.
     """
 
     def __init__(self, alpha: float, kappa: float, panels: int):
@@ -232,90 +233,87 @@ class _BarrierPanels:
             width *= 1.0 + 2.0 / panels
             edges.append(edges[-1] + width)
         self.kappa = kappa
-        self.edges = np.array(edges)
-        self.half = 0.5 * np.diff(self.edges)
-        self.u, w = np.polynomial.legendre.leggauss(_ORDER)
-        self.t = (self.edges[:-1, None] + self.half[:, None] * (self.u + 1.0)).ravel()
-        self.w = (self.half[:, None] * w).ravel()
-        self.s = self.t ** 2
-        self.panel_of = np.repeat(np.arange(self.half.size), _ORDER)
-        self.interp = np.linalg.inv(np.polynomial.legendre.legvander(self.u, _ORDER - 1))
-        self.piece = np.polynomial.legendre.leggauss(_PIECE_ORDER)
+        self._edges = np.array(edges)
+        self._half = 0.5 * np.diff(self._edges)
+        self._u, w = np.polynomial.legendre.leggauss(_ORDER)
+        t = (self._edges[:-1, None] + self._half[:, None] * (self._u + 1.0)).ravel()
+        self._jac = 2.0 * t
+        self.s = t ** 2
+        self.ws = self._jac * (self._half[:, None] * w).ravel()
+        self._interp = np.linalg.inv(np.polynomial.legendre.legvander(self._u, _ORDER - 1))
+        self._piece = np.polynomial.legendre.leggauss(_PIECE_ORDER)
 
-    def _graded(self, u0: np.ndarray, levels: int, sides) -> tuple[np.ndarray, np.ndarray]:
-        """Gauss pieces on [-1, 1] halving toward u0 (one row per u0)."""
-        g, gw = self.piece
-        frac = np.append(2.0 ** -np.arange(levels + 1), 0.0)
-        nodes, weights = [], []
-        for side in sides:
-            cuts = u0[:, None] + side * (1.0 - side * u0)[:, None] * frac
-            mid = 0.5 * (cuts[:, :-1] + cuts[:, 1:])
-            half = 0.5 * np.abs(cuts[:, :-1] - cuts[:, 1:])
-            nodes.append((mid[..., None] + half[..., None] * g).reshape(u0.size, -1))
-            weights.append((half[..., None] * gw).reshape(u0.size, -1))
-        return np.concatenate(nodes, axis=1), np.concatenate(weights, axis=1)
-
-    def _product_weights(self, uq: np.ndarray, fq: np.ndarray) -> np.ndarray:
-        """W[n, m] with sum_m W[n, m] g_m = sum_q fq[n, q] g(uq[n, q]) for
-        every degree < _ORDER polynomial g through the panel's nodes."""
-        vander = np.polynomial.legendre.legvander(uq, _ORDER - 1)
-        return np.einsum("nq,nqm->nm", fq, vander) @ self.interp
+    def _near(self, M, rows, pans, u0, levels, sides, kernel) -> None:
+        """Write product weights over M's blocks (r, panel j) for the pairs
+        in (rows, pans): int_panel kernel(r, s) rho(s) ds on Gauss pieces
+        halving toward u0 on each of ``sides``, down to 2^-levels."""
+        g, gw = self._piece
+        cols = np.arange(_ORDER)
+        for lev in np.unique(levels):
+            frac = np.append(2.0 ** -np.arange(lev + 1), 0.0)
+            batch = np.nonzero(levels == lev)[0]
+            for c in range(0, batch.size, _CHUNK):
+                sel = batch[c:c + _CHUNK]
+                r, j, u = rows[sel], pans[sel], u0[sel]
+                uq, wq = [], []
+                for side in sides:
+                    cuts = u[:, None] + side * (1.0 - side * u)[:, None] * frac
+                    mid = 0.5 * (cuts[:, :-1] + cuts[:, 1:])
+                    half = 0.5 * np.abs(cuts[:, :-1] - cuts[:, 1:])
+                    uq.append((mid[..., None] + half[..., None] * g).reshape(u.size, -1))
+                    wq.append((half[..., None] * gw).reshape(u.size, -1))
+                uq = np.concatenate(uq, axis=1)
+                wq = np.concatenate(wq, axis=1) * self._half[j, None]
+                tq = self._edges[j, None] + self._half[j, None] * (uq + 1.0)
+                live = wq > 0.0     # pieces of zero length sit on the root
+                fq = np.zeros(uq.shape)
+                fq[live] = wq[live] * kernel(np.broadcast_to(r[:, None], uq.shape)[live],
+                                             tq[live] ** 2)
+                vander = np.polynomial.legendre.legvander(uq, _ORDER - 1)
+                m = j[:, None] * _ORDER + cols
+                M[r[:, None], m] = (np.einsum("nq,nqm->nm", fq, vander)
+                                    @ self._interp) * self._jac[m]
 
     def potential(self, x, y) -> np.ndarray:
-        """A with (A @ g)_i = int K0(kappa |(x_i, y_i) - (t^2, 0)|) g(t) dt."""
+        """A with (A @ rho)_i = int K0(kappa |(x_i, y_i) - (s, 0)|) rho(s) ds."""
         x = np.asarray(x, dtype=float).ravel()
         y = np.abs(np.asarray(y, dtype=float).ravel())
-        A = k0(self.kappa * np.hypot(x[:, None] - self.s, y[:, None])) * self.w
+        A = k0(self.kappa * np.hypot(x[:, None] - self.s, y[:, None])) * self.ws
         # the kernel is singular where t^2 = x + i|y|; panels closer to
         # that root than their own length get product weights on pieces
         # graded toward it, down to the root's distance from the real axis
+        edges, half = self._edges, self._half
         root = np.sqrt(x + 1j * y)
-        n_pan = self.half.size
-        home = np.searchsorted(self.edges, root.real, side="right") - 1
+        home = np.searchsorted(edges, root.real, side="right") - 1
         rows, pans = [], []
         for off in (-1, 0, 1, 2):       # widths never shrink to the right
             j = home + off
-            ok = (j >= 0) & (j < n_pan)
+            ok = (j >= 0) & (j < half.size)
             j = np.where(ok, j, 0)
-            gap = np.maximum(np.maximum(self.edges[j] - root.real,
-                                        root.real - self.edges[j + 1]), 0.0)
-            ok &= np.hypot(gap, root.imag) < 2.0 * self.half[j]
+            gap = np.maximum(np.maximum(edges[j] - root.real,
+                                        root.real - edges[j + 1]), 0.0)
+            ok &= np.hypot(gap, root.imag) < 2.0 * half[j]
             rows.append(np.nonzero(ok)[0])
             pans.append(j[ok])
         rows = np.concatenate(rows)
         pans = np.concatenate(pans)
-        u0 = np.clip((root.real[rows] - self.edges[pans]) / self.half[pans] - 1.0,
-                     -1.0, 1.0)
-        depth = np.maximum(root.imag[rows] / self.half[pans], 2.0 ** -_MAX_LEVELS)
+        u0 = np.clip((root.real[rows] - edges[pans]) / half[pans] - 1.0, -1.0, 1.0)
+        depth = np.maximum(root.imag[rows] / half[pans], 2.0 ** -_MAX_LEVELS)
         levels = np.maximum(np.ceil(np.log2(2.0 / depth)), 1).astype(int)
-        cols = np.arange(_ORDER)
-        for lev in np.unique(levels):
-            batch = np.nonzero(levels == lev)[0]
-            for c in range(0, batch.size, _CHUNK):
-                sel = batch[c:c + _CHUNK]
-                r, j = rows[sel], pans[sel]
-                uq, wq = self._graded(u0[sel], int(lev), (1.0, -1.0))
-                tq = self.edges[j, None] + self.half[j, None] * (uq + 1.0)
-                live = wq > 0.0     # pieces of zero length sit on the root
-                dist = np.where(live, np.hypot(x[r, None] - tq ** 2, y[r, None]), 1.0)
-                fq = np.where(live, wq * k0(self.kappa * dist), 0.0) * self.half[j, None]
-                A[r[:, None], j[:, None] * _ORDER + cols] = self._product_weights(uq, fq)
+        self._near(A, rows, pans, u0, levels, (1.0, -1.0),
+                   lambda r, s: k0(self.kappa * np.hypot(x[r] - s, y[r])))
         return A
 
     def tail(self, alpha: float) -> np.ndarray:
-        """N with (N @ g)_i = int_{t_i} g(t) e^{-alpha (t^2 - t_i^2)} dt."""
-        pan = self.panel_of
+        """N with (N @ rho)_i = int_{s_i} rho(s) e^{-alpha (s - s_i)} ds."""
+        n = self.s.size
+        pan = np.arange(n) // _ORDER
         later = pan[None, :] > pan[:, None]
         gap = np.where(later, self.s[None, :] - self.s[:, None], 0.0)
-        N = np.where(later, self.w * np.exp(-alpha * gap), 0.0)
-        cols = np.arange(_ORDER)
-        for c in range(0, self.t.size, _CHUNK):
-            i = np.arange(c, min(c + _CHUNK, self.t.size))
-            j = pan[i]
-            uq, wq = self._graded(self.u[i % _ORDER], _MAX_LEVELS, (1.0,))
-            tq = self.edges[j, None] + self.half[j, None] * (uq + 1.0)
-            fq = wq * self.half[j, None] * np.exp(-alpha * (tq ** 2 - self.s[i, None]))
-            N[i[:, None], j[:, None] * _ORDER + cols] = self._product_weights(uq, fq)
+        N = np.where(later, self.ws * np.exp(-alpha * gap), 0.0)
+        self._near(N, np.arange(n), pan, np.tile(self._u, n // _ORDER),
+                   np.full(n, _MAX_LEVELS), (1.0,),
+                   lambda r, s: np.exp(-alpha * (s - self.s[r])))
         return N
 
 
@@ -326,8 +324,8 @@ class BarrierScattering:
 
     reflection and transmission are the amplitudes of e^{-alpha|x| - iky}
     below the tip and of e^{-alpha|x| + iky} above it.  ``layer`` holds
-    2 t sigma(t^2) at the mesh nodes t (weights mesh.w, s = mesh.s), so
-    the scattered field is sum_j mesh.w[j] layer[j] green(x, y, s_j).
+    sigma at the mesh nodes mesh.s, so the scattered field is
+    sum_j mesh.ws[j] layer[j] green(x, y, s_j).
     """
 
     alpha: float
@@ -372,7 +370,7 @@ class BarrierScattering:
             raise ValueError("x, y and s must be finite, s >= 0 and the points "
                              "not coincident, where the kernel is log-singular")
         alpha, k, mesh, u = self.alpha, self.k, self.mesh, abs(x) + s
-        image = mesh.potential(u, np.full(u.shape, y)) @ (2.0 * mesh.t * np.exp(-alpha * mesh.s))
+        image = mesh.potential(u, np.full(u.shape, y)) @ np.exp(-alpha * mesh.s)
         return (alpha * np.exp(-alpha * u) * cmath.exp(1j * k * abs(y)) / (2j * k)
                 - k0(mesh.kappa * r) / (2.0 * math.pi)
                 + alpha / (2.0 * math.pi) * image.reshape(u.shape))[()]
@@ -382,7 +380,7 @@ def solve_scattering(alpha: float, k: float,
                      panels: int = _TIP_PANELS) -> BarrierScattering:
     """Solve the barrier integral equation for 0 < k < alpha.
 
-    ``panels`` uniform t-panels of 16 Gauss nodes span the tip stretch;
+    ``panels`` uniform panels in sqrt(s) of 16 Gauss nodes span the tip stretch;
     the halo panels beyond grow by 1 + 2/panels each, a ratio below the
     golden mean for panels >= 4, so a target is never near a panel more
     than two places to its right.
@@ -391,32 +389,32 @@ def solve_scattering(alpha: float, k: float,
     if int(panels) != panels or panels < 4:
         raise ValueError("panels must be an integer >= 4")
     bp = _BarrierPanels(alpha, kappa, int(panels))
-    s, t = bp.s, bp.t
+    s = bp.s
     on_line = np.zeros_like(s)
     mode = np.exp(-alpha * s)
-    moment = bp.w * mode                        # q -> int sigma e^{-alpha s} ds
+    moment = bp.ws * mode                       # sigma -> int sigma e^{-alpha s} ds
     direct = bp.potential(s, on_line)
-    nu = (2.0 * t)[:, None] * bp.tail(alpha)    # q -> weighted image density
+    nu = bp.tail(alpha)                         # sigma -> image density nu
     image = bp.potential(-s, on_line) @ nu
-    c_line = direct @ (2.0 * t * mode)          # C(x, 0) on the barrier
+    c_line = direct @ mode                      # C(x, 0) on the barrier
     bound = alpha / (2j * k)
     op = (alpha * image - direct) / (2.0 * math.pi) + np.outer(
         bound * mode + alpha / (2.0 * math.pi) * c_line, moment)
-    q = np.linalg.solve(op, -mode)
-    m0 = moment @ q
+    sigma = np.linalg.solve(op, -mode)
+    m0 = moment @ sigma
     reflection = complex(bound * m0)
     # the image density mu splits into its x' >= 0 half, m0 e^{-alpha x'}
     # seen from (|x|, y), and its x' < 0 half nu seen from (-|x|, y);
     # columns: direct potential for x >= 0, for x < 0, mirror potential
     # for x >= 0, for x < 0 (see BarrierScattering.values)
-    own = -q / (2.0 * math.pi)
-    image_pos = alpha / (2.0 * math.pi) * m0 * 2.0 * t * mode
-    image_neg = alpha / (2.0 * math.pi) * (nu @ q)
+    own = -sigma / (2.0 * math.pi)
+    image_pos = alpha / (2.0 * math.pi) * m0 * mode
+    image_neg = alpha / (2.0 * math.pi) * (nu @ sigma)
     densities = np.stack([own + image_pos, own + image_neg,
                           image_neg, image_pos], axis=1)
     return BarrierScattering(alpha=alpha, k=k, reflection=reflection,
                              transmission=1.0 + reflection, mesh=bp,
-                             layer=q, densities=densities)
+                             layer=sigma, densities=densities)
 
 
 # --- diagnostics ------------------------------------------------------------

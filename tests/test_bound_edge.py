@@ -368,7 +368,7 @@ def test_image_integral_at_tip_is_rapidity_over_k(exact):
     _, lam = be.kappa_lambda(ALPHA, K, 1)
     assert lam.imag == pytest.approx(-math.pi / 2, abs=1e-15)
     mesh = exact.mesh
-    c00 = mesh.potential(0.0, 0.0)[0] @ (2.0 * mesh.t * np.exp(-ALPHA * mesh.s))
+    c00 = mesh.potential(0.0, 0.0)[0] @ np.exp(-ALPHA * mesh.s)
     assert c00 == pytest.approx(lam.real / K, abs=1e-12)
 
 
@@ -378,7 +378,7 @@ def test_exact_field_is_the_barrier_single_layer(exact):
     mesh = exact.mesh
     for x, y in ((1.0, 1.5), (-0.7, -0.9)):
         direct = math.exp(-ALPHA * abs(x)) * cmath.exp(1j * K * y) + (
-            mesh.w * exact.layer) @ exact.green(x, y, mesh.s)
+            mesh.ws * exact.layer) @ exact.green(x, y, mesh.s)
         assert abs(complex(exact.values(x, y)) - direct) < 1e-12
 
 
