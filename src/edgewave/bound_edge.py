@@ -84,7 +84,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import k0
 
-from .sommerfeld import two_term
+from .sommerfeld import _TINY, two_term
 
 __all__ = [
     "WaveguideParams",
@@ -106,11 +106,23 @@ def _check_alpha_k(alpha: float, k: float) -> None:
             raise ValueError(f"{name} must be positive and finite, got {v!r}")
 
 
+def _kappa_abs(alpha: float, k: float) -> float:
+    """|kappa| = sqrt(|(k - alpha)(k + alpha)|), the product form, which
+    keeps its digits near the branch point k = alpha where k*k - alpha*alpha
+    cancels; ValueError unless the product is a finite normal double."""
+    p = (k - alpha) * (k + alpha)
+    if not _TINY <= abs(p) < math.inf:
+        raise ValueError(f"(k - alpha)(k + alpha) = {p!r} at alpha = {alpha!r}, "
+                         f"k = {k!r} is not a finite normal double")
+    return math.sqrt(abs(p))
+
+
 def kappa_lambda(alpha: float, k: float, eps: int) -> tuple[complex, complex]:
     """Solve the defining products for (kappa, lambda).
 
     kappa = sqrt(k^2 - alpha^2) for k > alpha (propagating regime) and
-    i*sqrt(alpha^2 - k^2) for k < alpha (trapped regime, upper branch).
+    i*sqrt(alpha^2 - k^2) for k < alpha (trapped regime, upper branch),
+    |kappa| from _kappa_abs in either regime.
     lambda is the principal log of (k + alpha)/kappa for eps = +1 and
     its exact negation for eps = -1; the branch keeps exp(-iky)F(xi)
     bounded on the physical sheet.
@@ -120,10 +132,8 @@ def kappa_lambda(alpha: float, k: float, eps: int) -> tuple[complex, complex]:
         raise ValueError("k = alpha is the branch point between the regimes")
     if eps not in (1, -1):
         raise ValueError("eps must be +1 or -1")
-    if k > alpha:
-        kappa = complex(math.sqrt(k * k - alpha * alpha))
-    else:
-        kappa = 1j * math.sqrt(alpha * alpha - k * k)
+    kap = _kappa_abs(alpha, k)
+    kappa = complex(kap) if k > alpha else 1j * kap
     # (k + alpha)/kappa and (k - alpha)/kappa are exact reciprocals, so
     # the eps = -1 rapidity is the negation of the eps = +1 one; taking
     # the log once keeps the antisymmetry (and both products) bit-exact
@@ -210,7 +220,7 @@ def _trapped_kappa(alpha: float, k: float) -> float:
     if k >= alpha:
         raise ValueError("only the trapped regime 0 < k < alpha (E < 0) "
                          "is supported")
-    return math.sqrt((alpha - k) * (alpha + k))
+    return _kappa_abs(alpha, k)
 
 
 class _BarrierPanels:

@@ -28,11 +28,15 @@ from .geometry import PlanePoint
 from .grid import FieldGrid, check_nodes, tabulate, write_csv
 
 _A_RANGE_STEPS = 1000   # steps one start:step:stop range of a_list may span
-# below this k*R (R the grid's largest distance from the tip) the free
-# edge's two terms of size sqrt(pi/2k) cancel to the O(sqrt R) field and
-# take its digits: against mpmath the Dirichlet field is within 5.1e-11
-# of max|psi| for k*R in [1e-11, 1e-10] on six boxes 2e-6 to 600 wide,
-# and 1.8e-10 off at k*R = 4.2e-13; k = 1e-300 gave zeros, 5e-324 nan
+# below this k*R (R the grid's largest distance from the tip, k the
+# form's wavenumber: k for the free edge, |kappa| for the bound form)
+# the two terms of size sqrt(pi/2k) cancel to the O(sqrt R) field and
+# take its digits: against mpmath the Dirichlet free edge is within
+# 5.1e-11 of max|psi| for k*R in [1e-11, 1e-10] on six boxes 2e-6 to 600
+# wide, and 1.8e-10 off at k*R = 4.2e-13; k = 1e-300 gave zeros, 5e-324
+# nan.  The bound form at |kappa|*R = 1e-11 on 20 points of [-3, 3]^2 is
+# 3.3e-10 (k = alpha/2) and 2.2e-10 (k = 2 alpha) of max|psi| off, and
+# 7.2e-10 and 4.6e-10 at 3e-12
 _KR_FLOOR = 1e-11
 
 
@@ -170,26 +174,35 @@ def _closed_form(cfg: dict):
     ``values(X, Y)`` samples the field; the one place that reads ``mode``.
     Each entry refuses a configuration outside its form's domain: the
     bound form needs a = 0, bc = dirichlet, alpha > 0 and k != alpha
-    (the branch point between its regimes), the free edge
-    k*R >= _KR_FLOOR on the grid."""
-    k = cfg["k"]
-    if cfg["mode"] == "bound":
-        if (cfg["a"] != 0.0 or cfg["bc"] != "dirichlet"
-                or not cfg["alpha"] > 0 or k == cfg["alpha"]):
-            raise SystemExit("usage error: the bound closed form requires "
-                             "a = 0, bc = dirichlet, alpha > 0 and k != alpha")
-        f = bound_edge.make_field(cfg["alpha"], k)
-        return f.params.E, cfg["alpha"], lambda X, Y: bound_edge.field_values(
-            f, X, Y)
+    (the branch point between its regimes), and both need their
+    wavenumber (k, or |kappa| for the bound form) times the grid's
+    reach R from the tip to be at least _KR_FLOOR."""
+    alpha, k = cfg["alpha"], cfg["k"]
+    bound = cfg["mode"] == "bound"
+    if bound and (cfg["a"] != 0.0 or cfg["bc"] != "dirichlet"
+                  or not alpha > 0 or k == alpha):
+        raise SystemExit("usage error: the bound closed form requires "
+                         "a = 0, bc = dirichlet, alpha > 0 and k != alpha")
     x1 = cfg["x0"] + (cfg["nx"] - 1) * cfg["dx"]
     y1 = cfg["y0"] + (cfg["ny"] - 1) * cfg["dy"]
     reach = max(math.hypot(x - cfg["a"], y)
                 for x in (cfg["x0"], x1) for y in (cfg["y0"], y1))
-    if not k * reach >= _KR_FLOOR:
+    try:
+        wave = abs(bound_edge.kappa_lambda(alpha, k, 1)[0]) if bound else k
+    except ValueError as exc:       # |kappa|^2 is not a normal double
+        raise SystemExit(f"usage error: {exc}") from exc
+    if not wave * reach >= _KR_FLOOR:
+        what, form, name = (
+            (f"alpha = {alpha!r}, k = {k!r}: |kappa| = {wave!r}", "bound", "|kappa|")
+            if bound else (f"k = {k!r}", "free-edge", "k"))
         raise SystemExit(
-            f"usage error: k = {k!r} times the grid's largest distance from "
-            f"the tip, {reach!r}, is below {_KR_FLOOR:g}: the free-edge "
-            f"field's two terms of size sqrt(pi/2k) cancel and lose its digits")
+            f"usage error: {what} times the grid's largest distance from "
+            f"the tip, {reach!r}, is below {_KR_FLOOR:g}: the {form} "
+            f"field's two terms of size sqrt(pi/2{name}) cancel and lose "
+            f"its digits")
+    if bound:
+        f = bound_edge.make_field(alpha, k)
+        return f.params.E, alpha, lambda X, Y: bound_edge.field_values(f, X, Y)
     geom = sommerfeld.EdgeGeometry(a=cfg["a"], bc=cfg["bc"])
     return k * k, 0.0, lambda X, Y: sommerfeld.field_values(k, geom, X, Y)
 

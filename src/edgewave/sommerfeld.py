@@ -77,8 +77,9 @@ def two_term(k: float, kappa: complex, lam: complex, alpha: float, a: float,
     built once per point by geometry.chart; F takes the stacked pair in
     one call per block.  At lambda = 0 the pair is real, so a real kappa
     with alpha = 0 takes specfun's Fresnel route; else L = -alpha|x|
-    enters erfc's exponent.  eps, +-1 per point, is broadcast with X
-    and Y and sliced per block only where lambda != 0.
+    enters erfc's exponent.  A scalar eps goes to the chart as it is;
+    an array of them, +-1 per point, is broadcast with X and Y (it may
+    set the output's shape) and sliced per block.
     k is real, so the second y-phase is the conjugate of the first.  On
     both faces of the ray xi_lam = eta_{-lam} for every lambda, so with
     sign = -1 the two terms cancel there.  The tip gives F(0) - F(0) = 0.
@@ -90,14 +91,18 @@ def two_term(k: float, kappa: complex, lam: complex, alpha: float, a: float,
     (129 on the whole array at once), of which the output is 16.
     0-d input gives a scalar.
     """
-    X, Y, eps = np.broadcast_arrays(np.asarray(X, dtype=float),
-                                    np.asarray(Y, dtype=float), eps)
+    eps = np.asarray(eps)
+    points = (np.asarray(X, dtype=float), np.asarray(Y, dtype=float))
+    if eps.ndim:
+        X, Y, eps = np.broadcast_arrays(*points, eps)
+    else:
+        X, Y = np.broadcast_arrays(*points)
     out = np.empty(X.shape, dtype=complex)
     flat = out.reshape(-1)
     for sl in _blocks(flat.size):
         x, y = X.flat[sl], Y.flat[sl]
         L = -alpha * np.abs(x) if alpha else 0.0
-        rot = eps.flat[sl] if lam else 1
+        rot = eps.flat[sl] if eps.ndim else eps
         F = _closed_form(kappa, chart(x, y, a, lam, rot), L)
         phase = np.exp(-1j * k * y)
         np.multiply(phase, F[0], out=flat[sl])

@@ -45,6 +45,31 @@ def test_lambda_antisymmetry_in_eps():
         assert lp == -lm
 
 
+@pytest.mark.parametrize("alpha,k", [(1.0, 1.0 + 1e-8), (0.7, 0.7 * (1.0 + 3e-10)),
+                                     (1.0, 0.999)])
+def test_kappa_keeps_its_digits_near_the_branch_point(alpha, k):
+    # k*k - alpha*alpha cancelled to 2.5e-9, 3.8e-8 and 7.2e-15 relative
+    # here; the product (k - alpha)(k + alpha) is within 1.3e-16
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    want = mp.sqrt(abs((mp.mpf(k) - alpha) * (mp.mpf(k) + alpha)))
+    kap, lam = be.kappa_lambda(alpha, k, 1)
+    assert abs(abs(kap) - want) <= 2e-16 * want
+    assert (kap.imag == 0.0) == (k > alpha)
+
+
+def test_kappa_refuses_a_product_below_the_normal_range():
+    # (1e-200, 2e-200) raised ZeroDivisionError; at (1e-160, 2e-160)
+    # kappa^2 = 3e-320 is subnormal and lambda was 5.6e-6 off, silently
+    for alpha, k in ((1e-200, 2e-200), (1e-160, 2e-160)):
+        with pytest.raises(ValueError, match=f"at alpha = {alpha!r}, k = {k!r}"):
+            be.kappa_lambda(alpha, k, 1)
+        with pytest.raises(ValueError, match="not a finite normal double"):
+            be.make_field(alpha, k)
+        with pytest.raises(ValueError, match="not a finite normal double"):
+            be.solve_scattering(k, alpha)
+
+
 def test_kappa_regimes():
     kap, _ = be.kappa_lambda(1.0, 2.0, 1)
     assert kap.imag == 0.0 and kap.real == pytest.approx(math.sqrt(3.0))
@@ -122,6 +147,14 @@ def test_two_branch_evaluator_consistency(field):
     for i in range(X.size):
         assert mixed[i] == be.branch_field_values(field, X[i], Y[i], int(eps[i]))
 
+
+@pytest.mark.parametrize("eps", [1, -1])
+def test_scalar_eps_is_the_full_array_bit_for_bit(field, eps):
+    # a scalar sign goes to the chart as it is, not broadcast per point
+    X, Y = np.random.default_rng(40).uniform(-4.0, 4.0, (2, 300))
+    full = be.branch_field_values(field, X, Y, np.full(X.shape, eps))
+    assert be.branch_field_values(field, X, Y, eps).tobytes() == full.tobytes()
+    assert be.branch_field_values(field, X, Y, np.int8(eps)).tobytes() == full.tobytes()
 
 def test_branch_blocks_keep_the_ray_zero(field):
     # the tip and the top face of the ray are exact zeros on both sides
@@ -380,6 +413,26 @@ def test_exact_field_is_the_barrier_single_layer(exact):
         direct = math.exp(-ALPHA * abs(x)) * cmath.exp(1j * K * y) + (
             mesh.ws * exact.layer) @ exact.green(x, y, mesh.s)
         assert abs(complex(exact.values(x, y)) - direct) < 1e-12
+
+
+def test_mesh_weights_integrate_densities_in_s(exact):
+    # ws @ rho = int rho ds, the tip's s^{-1/2} included
+    mesh = exact.mesh
+    decay = np.exp(-ALPHA * mesh.s)
+    assert abs(mesh.ws @ (decay / np.sqrt(mesh.s)) - math.sqrt(math.pi / ALPHA)) <= 1e-14
+    assert abs(mesh.ws @ decay - 1.0 / ALPHA) <= 1e-14
+
+
+def test_scattered_field_is_even_in_y(exact):
+    # the scattered field is a single layer on y = 0: psi minus the
+    # incident mode takes the same value at (x, y) and (x, -y)
+    X, Y = np.random.default_rng(41).uniform(-4.0, 4.0, (2, 200))
+
+    def scattered(y):
+        return exact.values(X, y) - np.exp(-ALPHA * np.abs(X) + 1j * K * y)
+
+    up, down = scattered(Y), scattered(-Y)
+    assert np.abs(up - down).max() <= 1e-14 * np.abs(exact.values(X, Y)).max()
 
 
 def test_exact_field_satisfies_delta_matching(exact):

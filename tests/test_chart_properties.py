@@ -54,13 +54,20 @@ def _bound_field(c):
     return lambda X, Y: be.field_values(f, X, Y)
 
 
+def _exact_field(c):
+    # the exact field's incident mode has amplitude 1 at every scale, so
+    # psi_{c, c/2}(x/c, y/c) = psi_{1, 0.5}(x, y): divided by sqrt(c) here
+    sol = be.solve_scattering(c * 1.0, c * 0.5)
+    return lambda X, Y: sol.values(X, Y) / math.sqrt(c)
+
+
 def _edge_field(c):
     geom = sommerfeld.EdgeGeometry(a=0.0)
     return lambda X, Y: sommerfeld.field_values(c * 2.0, geom, X, Y)
 
 
-@pytest.mark.parametrize("field", [_bound_field, _edge_field],
-                         ids=["two-branch", "sommerfeld"])
+@pytest.mark.parametrize("field", [_bound_field, _exact_field, _edge_field],
+                         ids=["two-branch", "exact", "sommerfeld"])
 @pytest.mark.parametrize("c", [0.5, 2.0, 3.7])
 def test_fields_scale_with_the_wavelength(field, c):
     # scaling alpha and k by c scales lengths by 1/c, and the amplitude

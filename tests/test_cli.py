@@ -149,6 +149,25 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         assert code == 2
         assert "unrecognized arguments" in err
     assert run_cli(capsys, "field", "--mode=bound", "--a=0.5")[0] == 2
+    # the bound form's |kappa|*R floor, and a (k - alpha)(k + alpha) below
+    # the normal range, are one-line usage errors naming alpha and k; the
+    # first grid wrote |psi| up to 3.7e64 with exit 0
+    for argv in (("--alpha=1e-160", "--k=2e-160", "--nx=21", "--ny=21",
+                  "--dx=0.3", "--dy=0.3"),
+                 ("--alpha=1e-200", "--k=2e-200"), ("--alpha=1e-13", "--k=2e-13")):
+        alpha, k = (arg.split("=")[1] for arg in argv[:2])
+        for command in ("field", "residual", "oracle"):
+            code, stdout, err = run_cli(capsys, command, "--mode=bound", *argv,
+                                        f"--out={tmp_path / 'never.csv'}")
+            assert code == 2 and stdout == "" and err.count("\n") == 1
+            assert err.startswith("usage error: ")
+            assert f"alpha = {alpha}, k = {k}" in err
+    # just above the floor: R = 3 sqrt 2 on a grid over [-3, 3]^2
+    alpha = 1.0001e-11 / (3.0 * math.sqrt(2.0) * math.sqrt(0.75))
+    code, _, _ = run_cli(capsys, "field", "--mode=bound", f"--alpha={alpha!r}",
+                         f"--k={0.5 * alpha!r}", "--nx=5", "--ny=5", "--dx=1.5",
+                         "--dy=1.5", f"--out={tmp_path / 'above.csv'}")
+    assert code == 0 and np.isfinite(read_csv(tmp_path / "above.csv").values).all()
     # the bound closed form is the Dirichlet field: no Neumann comparison
     bound = ("--mode=bound", "--alpha=1", "--k=0.5", "--nx=101", "--ny=101",
              "--dx=0.06", "--dy=0.06", f"--out={tmp_path / 'never.csv'}")
