@@ -100,63 +100,57 @@ __all__ = [
     "ray_defect",
 ]
 
-def _check_alpha_k(alpha: float, k: float) -> None:
-    for name, v in (("alpha", alpha), ("k", k)):
-        if not (math.isfinite(v) and v > 0):
-            raise ValueError(f"{name} must be positive and finite, got {v!r}")
-
-
-def _kappa_abs(alpha: float, k: float) -> float:
-    """|kappa| = sqrt(|(k - alpha)(k + alpha)|), the product form, which
-    keeps its digits near the branch point k = alpha where k*k - alpha*alpha
-    cancels; ValueError unless the product is a finite normal double."""
-    p = (k - alpha) * (k + alpha)
-    if not _TINY <= abs(p) < math.inf:
-        raise ValueError(f"(k - alpha)(k + alpha) = {p!r} at alpha = {alpha!r}, "
-                         f"k = {k!r} is not a finite normal double")
-    return math.sqrt(abs(p))
-
-
-def kappa_lambda(alpha: float, k: float, eps: int) -> tuple[complex, complex]:
-    """Solve the defining products for (kappa, lambda).
-
-    kappa = sqrt(k^2 - alpha^2) for k > alpha (propagating regime) and
-    i*sqrt(alpha^2 - k^2) for k < alpha (trapped regime, upper branch),
-    |kappa| from _kappa_abs in either regime.
-    lambda is the principal log of (k + alpha)/kappa for eps = +1 and
-    its exact negation for eps = -1; the branch keeps exp(-iky)F(xi)
-    bounded on the physical sheet.
-    """
-    _check_alpha_k(alpha, k)
-    if k == alpha:
-        raise ValueError("k = alpha is the branch point between the regimes")
-    if eps not in (1, -1):
-        raise ValueError("eps must be +1 or -1")
-    kap = _kappa_abs(alpha, k)
-    kappa = complex(kap) if k > alpha else 1j * kap
-    # (k + alpha)/kappa and (k - alpha)/kappa are exact reciprocals, so
-    # the eps = -1 rapidity is the negation of the eps = +1 one; taking
-    # the log once keeps the antisymmetry (and both products) bit-exact
-    lam = cmath.log((k + alpha) / kappa)
-    return kappa, lam if eps == 1 else -lam
-
-
 @dataclass(frozen=True)
 class WaveguideParams:
     """Well strength alpha and wavenumber k of the guided mode, checked
-    by kappa_lambda on every build; each branch evaluation takes its
-    (kappa, lambda) from kappa_lambda again, so neither is stored."""
+    once, with the rotated chart they fix.
+
+    E = (k - alpha)(k + alpha) is the total energy, a product that keeps
+    its digits near the branch point k = alpha, where the difference of
+    squares cancels; it must be a finite normal double.  kappa = sqrt(E)
+    in the propagating regime k > alpha and i*sqrt(-E) in the trapped
+    regime k < alpha (upper branch).  lam is the principal log of
+    (k + alpha)/kappa, so kappa e^{+-lam} = k +- alpha; the eps = -1
+    branch takes -lam (see kappa_lambda).
+    """
 
     alpha: float
     k: float
+    E: float = field(init=False)
+    kappa: complex = field(init=False)
+    lam: complex = field(init=False)
 
     def __post_init__(self):
-        kappa_lambda(self.alpha, self.k, 1)
+        alpha, k = self.alpha, self.k
+        for name, v in (("alpha", alpha), ("k", k)):
+            if not (math.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be positive and finite, got {v!r}")
+        if k == alpha:
+            raise ValueError(f"k != alpha is required: k = alpha = {k!r} is the "
+                             f"branch point between the regimes")
+        E = (k - alpha) * (k + alpha)
+        if not _TINY <= abs(E) < math.inf:
+            raise ValueError(f"(k - alpha)(k + alpha) = {E!r} at alpha = {alpha!r}, "
+                             f"k = {k!r} is not a finite normal double")
+        kappa = complex(math.sqrt(E)) if E > 0 else 1j * math.sqrt(-E)
+        object.__setattr__(self, "E", E)
+        object.__setattr__(self, "kappa", kappa)
+        object.__setattr__(self, "lam", cmath.log((k + alpha) / kappa))
 
-    @property
-    def E(self) -> float:
-        """Total energy k^2 - alpha^2 of the guided mode."""
-        return self.k * self.k - self.alpha * self.alpha
+
+def kappa_lambda(alpha: float, k: float, eps: int) -> tuple[complex, complex]:
+    """(kappa, lambda) of WaveguideParams(alpha, k) for the side eps.
+
+    lambda is the params' rapidity for eps = +1 and its exact negation
+    for eps = -1: (k + alpha)/kappa and (k - alpha)/kappa are exact
+    reciprocals, so taking the log once keeps the antisymmetry (and both
+    products) bit-exact.  The branch keeps exp(-iky)F(xi) bounded on the
+    physical sheet.
+    """
+    p = WaveguideParams(alpha, k)
+    if eps not in (1, -1):
+        raise ValueError("eps must be +1 or -1")
+    return p.kappa, p.lam if eps == 1 else -p.lam
 
 
 @dataclass(frozen=True)
@@ -192,9 +186,8 @@ def branch_field_values(f: BoundEdgeField, X, Y, eps) -> np.ndarray:
     """
     if not (np.abs(eps) == 1).all():
         raise ValueError("eps must be +1 or -1")
-    alpha, k = f.params.alpha, f.params.k
-    kap, lam = kappa_lambda(alpha, k, 1)
-    return two_term(k, kap, lam, alpha, 0.0, X, Y, -1, eps)
+    p = f.params
+    return two_term(p.k, p.kappa, p.lam, p.alpha, 0.0, X, Y, -1, eps)
 
 
 def field_values(f: BoundEdgeField, X, Y) -> np.ndarray:
@@ -212,15 +205,6 @@ _PIECE_ORDER = 12      # Gauss nodes per graded piece
 _MAX_LEVELS = 30       # grading stops at 2^-30 of a panel
 _CHUNK = 256           # rows per batch of near-field or evaluation work
 _TIP_PANELS = 12       # default uniform panels over the tip stretch
-
-
-def _trapped_kappa(alpha: float, k: float) -> float:
-    """kappa = sqrt(alpha^2 - k^2) > 0, after checking 0 < k < alpha."""
-    _check_alpha_k(alpha, k)
-    if k >= alpha:
-        raise ValueError("only the trapped regime 0 < k < alpha (E < 0) "
-                         "is supported")
-    return _kappa_abs(alpha, k)
 
 
 class _BarrierPanels:
@@ -395,7 +379,10 @@ def solve_scattering(alpha: float, k: float,
     golden mean for panels >= 4, so a target is never near a panel more
     than two places to its right.
     """
-    kappa = _trapped_kappa(alpha, k)
+    if k >= alpha:
+        raise ValueError("only the trapped regime 0 < k < alpha (E < 0) "
+                         "is supported")
+    kappa = WaveguideParams(alpha, k).kappa.imag
     if int(panels) != panels or panels < 4:
         raise ValueError("panels must be an integer >= 4")
     bp = _BarrierPanels(alpha, kappa, int(panels))

@@ -170,41 +170,43 @@ def _kv(record: dict) -> str:
 
 
 def _closed_form(cfg: dict):
-    """(E, alpha, values) of the closed form ``mode`` names, where
-    ``values(X, Y)`` samples the field; the one place that reads ``mode``.
-    Each entry refuses a configuration outside its form's domain: the
-    bound form needs a = 0, bc = dirichlet, alpha > 0 and k != alpha
-    (the branch point between its regimes), and both need their
-    wavenumber (k, or |kappa| for the bound form) times the grid's
-    reach R from the tip to be at least _KR_FLOOR."""
+    """(E, wave, alpha, values) of the closed form ``mode`` names, where
+    ``wave`` is the form's wavenumber (k for the free edge, kappa for the
+    bound form) and ``values(X, Y)`` samples the field; the one place
+    that reads ``mode``.  Each entry refuses a configuration outside its
+    form's domain: the bound form needs a = 0, bc = dirichlet and the
+    (alpha, k) that WaveguideParams admits, k != alpha among them, and
+    both need |wave| times the grid's reach R from the tip to be at
+    least _KR_FLOOR."""
     alpha, k = cfg["alpha"], cfg["k"]
-    bound = cfg["mode"] == "bound"
-    if bound and (cfg["a"] != 0.0 or cfg["bc"] != "dirichlet"
-                  or not alpha > 0 or k == alpha):
-        raise SystemExit("usage error: the bound closed form requires "
-                         "a = 0, bc = dirichlet, alpha > 0 and k != alpha")
+    if cfg["mode"] == "bound":
+        if cfg["a"] != 0.0 or cfg["bc"] != "dirichlet":
+            raise SystemExit("usage error: the bound closed form requires "
+                             "a = 0 and bc = dirichlet")
+        try:
+            f = bound_edge.make_field(alpha, k)
+        except ValueError as exc:
+            raise SystemExit(f"usage error: {exc}") from exc
+        E, wave = f.params.E, f.params.kappa
+        what, form, name = (f"alpha = {alpha!r}, k = {k!r}: |kappa| = {abs(wave)!r}",
+                            "bound", "|kappa|")
+        values = lambda X, Y: bound_edge.field_values(f, X, Y)
+    else:
+        geom = sommerfeld.EdgeGeometry(a=cfg["a"], bc=cfg["bc"])
+        E, wave, alpha = k * k, k, 0.0
+        what, form, name = f"k = {k!r}", "free-edge", "k"
+        values = lambda X, Y: sommerfeld.field_values(k, geom, X, Y)
     x1 = cfg["x0"] + (cfg["nx"] - 1) * cfg["dx"]
     y1 = cfg["y0"] + (cfg["ny"] - 1) * cfg["dy"]
     reach = max(math.hypot(x - cfg["a"], y)
                 for x in (cfg["x0"], x1) for y in (cfg["y0"], y1))
-    try:
-        wave = abs(bound_edge.kappa_lambda(alpha, k, 1)[0]) if bound else k
-    except ValueError as exc:       # |kappa|^2 is not a normal double
-        raise SystemExit(f"usage error: {exc}") from exc
-    if not wave * reach >= _KR_FLOOR:
-        what, form, name = (
-            (f"alpha = {alpha!r}, k = {k!r}: |kappa| = {wave!r}", "bound", "|kappa|")
-            if bound else (f"k = {k!r}", "free-edge", "k"))
+    if not abs(wave) * reach >= _KR_FLOOR:
         raise SystemExit(
             f"usage error: {what} times the grid's largest distance from "
             f"the tip, {reach!r}, is below {_KR_FLOOR:g}: the {form} "
             f"field's two terms of size sqrt(pi/2{name}) cancel and lose "
             f"its digits")
-    if bound:
-        f = bound_edge.make_field(alpha, k)
-        return f.params.E, alpha, lambda X, Y: bound_edge.field_values(f, X, Y)
-    geom = sommerfeld.EdgeGeometry(a=cfg["a"], bc=cfg["bc"])
-    return k * k, 0.0, lambda X, Y: sommerfeld.field_values(k, geom, X, Y)
+    return E, wave, alpha, values
 
 
 def _analytic_grid(cfg: dict, alpha: float, values) -> FieldGrid:
@@ -214,7 +216,7 @@ def _analytic_grid(cfg: dict, alpha: float, values) -> FieldGrid:
 
 def _cmd_field(cfg: dict) -> int:
     check_nodes(*(cfg[key] for key in _LATTICE))
-    grid = _analytic_grid(cfg, *_closed_form(cfg)[1:])
+    grid = _analytic_grid(cfg, *_closed_form(cfg)[2:])
     out = cfg["out"] or "field.csv"
     write_csv(grid, out)
     print(f"wrote {out}")
@@ -222,9 +224,8 @@ def _cmd_field(cfg: dict) -> int:
 
 
 def _cmd_residual(cfg: dict) -> int:
-    E, alpha, values = _closed_form(cfg)
-    k_eff = math.sqrt(E) if E >= 0 else 1j * math.sqrt(-E)
-    rep = sommerfeld.helmholtz_residual(_analytic_grid(cfg, alpha, values), k_eff)
+    _, wave, alpha, values = _closed_form(cfg)
+    rep = sommerfeld.helmholtz_residual(_analytic_grid(cfg, alpha, values), wave)
     line = _kv(dataclasses.asdict(rep))
     print(line)
     if cfg["out"]:
@@ -257,7 +258,7 @@ def _cmd_tail(cfg: dict) -> int:
 
 
 def _cmd_oracle(cfg: dict) -> int:
-    E, alpha, values = _closed_form(cfg)
+    E, _, alpha, values = _closed_form(cfg)
     ana = _analytic_grid(cfg, alpha, values)
     prob = oracle_fd.FdProblem(**{key: cfg[key] for key in _LATTICE}, E=E,
                                alpha=alpha, edge_a=cfg["a"], boundary=values)

@@ -208,7 +208,8 @@ def _incident_decay(alpha: float, k: float, lambda_imp: float, a: float,
                          f"got {lambda_imp!r}")
     if p.x == a and p.y == 0.0:
         raise ValueError("probe coincides with the impurity")
-    return make_green(alpha, k * k - alpha * alpha), math.exp(-alpha * a)
+    # E in product form, which keeps its digits near the branch point k = alpha
+    return make_green(alpha, (k - alpha) * (k + alpha)), math.exp(-alpha * a)
 
 
 def born_correction(alpha: float, k: float, lambda_imp: float, a: float,

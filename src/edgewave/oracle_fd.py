@@ -538,7 +538,7 @@ def reflected_amplitudes(alpha: float, k: float,
     xs, ys, phi, s = solve_guided_scatter(alpha, k, a)
     hx = xs[1] - xs[0]
     c = (s * phi[None, :]).sum(axis=1) * hx
-    kap = math.sqrt(alpha * alpha - k * k)
+    kap = math.sqrt((alpha - k) * (alpha + k))     # product form, exact near k = alpha
     sel = (ys >= -10.0 / alpha) & (ys <= -6.0 / alpha)
     yy = ys[sel]
     basis = np.vstack([np.exp(-1j * k * yy), np.exp(1j * k * yy),

@@ -19,6 +19,7 @@ import pytest
 from edgewave import bound_edge as be
 from edgewave import green_perturbation as gp
 from edgewave.geometry import PlanePoint, chart
+from edgewave.sommerfeld import two_term
 
 ALPHA, K = 1.0, 0.5
 
@@ -46,16 +47,21 @@ def test_lambda_antisymmetry_in_eps():
 
 
 @pytest.mark.parametrize("alpha,k", [(1.0, 1.0 + 1e-8), (0.7, 0.7 * (1.0 + 3e-10)),
-                                     (1.0, 0.999)])
+                                     (1.0, 0.999), (1.0, 0.99999)])
 def test_kappa_keeps_its_digits_near_the_branch_point(alpha, k):
-    # k*k - alpha*alpha cancelled to 2.5e-9, 3.8e-8 and 7.2e-15 relative
-    # here; the product (k - alpha)(k + alpha) is within 1.3e-16
+    # k*k - alpha*alpha is 5.0e-9, 7.5e-8, 1.4e-14 and 4.1e-13 (relative)
+    # off E here; the product (k - alpha)(k + alpha) is within 1.6e-16,
+    # and kappa within 1.3e-16 of its root
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 50
-    want = mp.sqrt(abs((mp.mpf(k) - alpha) * (mp.mpf(k) + alpha)))
+    exact = (mp.mpf(k) - alpha) * (mp.mpf(k) + alpha)
+    want = mp.sqrt(abs(exact))
     kap, lam = be.kappa_lambda(alpha, k, 1)
     assert abs(abs(kap) - want) <= 2e-16 * want
     assert (kap.imag == 0.0) == (k > alpha)
+    E = be.WaveguideParams(alpha, k).E
+    assert E == (k - alpha) * (k + alpha)
+    assert abs(E - exact) <= 2e-16 * abs(exact)
 
 
 def test_kappa_refuses_a_product_below_the_normal_range():
@@ -371,6 +377,33 @@ def test_bound_field_matches_mpmath_past_the_double_range():
     want = _mp_field(50.0, 40.0, -15.0, 0.0)
     assert abs(want) > 1e-198 and abs(got - want) <= 1e-13 * abs(want)
 
+
+@pytest.mark.parametrize("alpha,k", [(1.0, 0.5), (1.0, 0.2), (1.0, 0.9), (2.0, 1.0)])
+def test_far_barrier_moment_is_the_law(alpha, k):
+    # the eps = +1 branch with its tip at (a, 0), over its far-field size
+    # F(inf) = sqrt(pi/2|kappa|): its barrier density sigma0 = [psi_y]
+    # across y = 0 has the moment (alpha/2ik) int e^{-alpha s} sigma0 ds
+    # = (alpha + |kappa|) e^{-2 alpha a}/(2ik), R's far-barrier law;
+    # 3.4e-9 to 4.9e-9 relative measured, the O(h^2) of the one-sided
+    # differences of step h = 1e-4 (s - a) in sigma0
+    p = be.WaveguideParams(alpha, k)
+    kap = abs(p.kappa)
+    u, w = np.polynomial.legendre.leggauss(400)
+    t_end = math.sqrt(40.0 / alpha)     # t = sqrt(s - a)
+    t, wt = 0.5 * t_end * (u + 1.0), 0.5 * t_end * w
+    for a in (2.0, 6.0):
+        s = a + t * t
+        h = 1e-4 * (s - a)
+        ys = np.array([[0.0], [1.0], [2.0], [-0.0], [-1.0], [-2.0]]) * h
+        psi = two_term(k, p.kappa, p.lam, alpha, a, s, ys, -1, 1) \
+            / math.sqrt(math.pi / (2.0 * kap))
+        above = (-3.0 * psi[0] + 4.0 * psi[1] - psi[2]) / (2.0 * h)
+        below = (3.0 * psi[3] - 4.0 * psi[4] + psi[5]) / (2.0 * h)
+        moment = alpha / (2j * k) * np.sum(wt * 2.0 * t * np.exp(-alpha * s)
+                                           * (above - below))
+        law = (alpha + kap) * math.exp(-2.0 * alpha * a) / (2j * k)
+        assert abs(moment / law - 1.0) <= 2e-8
+
 # --- exact field from the barrier integral equation -------------------------
 
 @pytest.fixture(scope="module")
@@ -475,6 +508,32 @@ def test_exact_reflection_is_scale_free(exact, c):
     # k/alpha alone
     R = be.solve_scattering(c * ALPHA, c * K).reflection
     assert abs(R - exact.reflection) <= 1e-14
+
+
+def _phase(alpha, k):
+    # flux gives |R + 1/2| = 1/2 in the trapped regime, so one real phase
+    # phi = arg(-(R + 1/2)) fixes R and T
+    return cmath.phase(-(be.solve_scattering(alpha, k).reflection + 0.5))
+
+
+@pytest.mark.parametrize("ratio", [0.003, 0.01])
+def test_exact_phase_low_energy_law(ratio):
+    # phi = (2/pi)(k/alpha) + (2/9pi)(k/alpha)^3 + O((k/alpha)^5); the
+    # bound is the next term's size, (k/alpha)^5 = 2.4e-13 and 1e-10,
+    # against differences of 3.2e-14 and 2.4e-12 measured
+    law = 2.0 / math.pi * ratio + 2.0 / (9.0 * math.pi) * ratio ** 3
+    assert abs(_phase(ALPHA, ratio * ALPHA) - law) <= ratio ** 5
+
+
+@pytest.mark.parametrize("gap", [1e-4, 1e-5])
+def test_exact_phase_threshold_law(gap):
+    # with q = kappa/alpha, phi = pi/4 - q^2 (ln(2/q) + 1/2)/pi + o(q^2);
+    # the bound is the next term's size, q^4 ln(2/q) = 2.0e-7 and 2.4e-9,
+    # against differences of 3.2e-8 and 4.1e-10 measured
+    k = (1.0 - gap) * ALPHA
+    q = math.sqrt((ALPHA - k) * (ALPHA + k)) / ALPHA
+    law = math.pi / 4.0 - q * q * (math.log(2.0 / q) + 0.5) / math.pi
+    assert abs(_phase(ALPHA, k) - law) <= q ** 4 * math.log(2.0 / q)
 
 
 def test_exact_solver_rejects_bad_input(exact):

@@ -94,6 +94,10 @@ def test_tail_summary_record(tmp_path, capsys):
 _RECORD_CASES = pytest.mark.parametrize("mode_args,E", [
     pytest.param((), 4.0, id="sommerfeld"),
     pytest.param(("--mode=bound", "--alpha=1", "--k=0.5"), -0.75, id="bound"),
+    # near the branch point E is the product (k - alpha)(k + alpha), where
+    # k*k - alpha*alpha is 5.0e-9 (relative) off
+    pytest.param(("--mode=bound", "--alpha=1", "--k=1.00000001"),
+                 (1.00000001 - 1.0) * (1.00000001 + 1.0), id="bound-near-branch"),
 ])
 _RECORD_GRID = ("--nx=61", "--ny=61", "--dx=0.1", "--dy=0.1", "--x0=-3",
                 "--y0=-3", "--k=2")
@@ -245,8 +249,10 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     (("tail", "--alpha=1", "--probe_x=1", "--probe_y=0"), "on an impurity"),
     (("field", "--mode=bound", "--alpha=1", "--k=1"), "k != alpha"),
     (("oracle", "--mode=bound", "--alpha=1", "--k=1"), "k != alpha"),
+    (("residual", "--mode=bound", "--alpha=1", "--k=1"), "k != alpha"),
 ], ids=["three-offsets", "repeated-offset", "negative-offset", "short-span",
-        "probe-on-impurity", "field-k-equals-alpha", "oracle-k-equals-alpha"])
+        "probe-on-impurity", "field-k-equals-alpha", "oracle-k-equals-alpha",
+        "residual-k-equals-alpha"])
 def test_static_input_rules_exit_2(tmp_path, capsys, argv, message):
     # each rule reads the input alone, so breaking it is a usage error
     # before any quadrature or grid runs (each used to exit 1)
