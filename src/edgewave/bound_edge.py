@@ -70,6 +70,9 @@ density nu(v) = int_v^inf sigma(s) e^{-alpha(s - v)} ds seen from
 (-|x|, y).  The bound channel leaves R e^{-alpha|x| + ik|y|} with R =
 (alpha / 2ik) int e^{-alpha s} sigma ds: below the tip the reflected
 mode R e^{-alpha|x| - iky}, above it the transmitted one with T = 1 + R.
+One routine, _layer_field, gives int G sigma ds at any points, image fold
+included: the operator is that field on the barrier's own nodes for the
+identity's columns, values() the incident mode plus that field of sigma.
 Only the bound-channel part of the discrete operator is imaginary, and
 it is the same rank-one product that defines R, so |R|^2 + |T|^2 = 1
 holds to rounding for any panel count.
@@ -80,6 +83,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import k0
@@ -90,7 +94,6 @@ __all__ = [
     "WaveguideParams",
     "BoundEdgeField",
     "BarrierScattering",
-    "kappa_lambda",
     "make_field",
     "field_values",
     "branch_field_values",
@@ -111,7 +114,8 @@ class WaveguideParams:
     in the propagating regime k > alpha and i*sqrt(-E) in the trapped
     regime k < alpha (upper branch).  lam is the principal log of
     (k + alpha)/kappa, so kappa e^{+-lam} = k +- alpha; the eps = -1
-    branch takes -lam (see kappa_lambda).
+    branch takes -lam, the log of the reciprocal (k - alpha)/kappa, so
+    lambda is odd in eps bit for bit.
     """
 
     alpha: float
@@ -136,21 +140,6 @@ class WaveguideParams:
         object.__setattr__(self, "E", E)
         object.__setattr__(self, "kappa", kappa)
         object.__setattr__(self, "lam", cmath.log((k + alpha) / kappa))
-
-
-def kappa_lambda(alpha: float, k: float, eps: int) -> tuple[complex, complex]:
-    """(kappa, lambda) of WaveguideParams(alpha, k) for the side eps.
-
-    lambda is the params' rapidity for eps = +1 and its exact negation
-    for eps = -1: (k + alpha)/kappa and (k - alpha)/kappa are exact
-    reciprocals, so taking the log once keeps the antisymmetry (and both
-    products) bit-exact.  The branch keeps exp(-iky)F(xi) bounded on the
-    physical sheet.
-    """
-    p = WaveguideParams(alpha, k)
-    if eps not in (1, -1):
-        raise ValueError("eps must be +1 or -1")
-    return p.kappa, p.lam if eps == 1 else -p.lam
 
 
 @dataclass(frozen=True)
@@ -226,13 +215,14 @@ class _BarrierPanels:
         while edges[-1] < t_end:
             width *= 1.0 + 2.0 / panels
             edges.append(edges[-1] + width)
-        self.kappa = kappa
+        self.alpha, self.kappa = alpha, kappa
         self._edges = np.array(edges)
         self._half = 0.5 * np.diff(self._edges)
         self._u, w = np.polynomial.legendre.leggauss(_ORDER)
         t = (self._edges[:-1, None] + self._half[:, None] * (self._u + 1.0)).ravel()
         self._jac = 2.0 * t
         self.s = t ** 2
+        self.decay = np.exp(-alpha * self.s)
         self.ws = self._jac * (self._half[:, None] * w).ravel()
         self._interp = np.linalg.inv(np.polynomial.legendre.legvander(self._u, _ORDER - 1))
         self._piece = np.polynomial.legendre.leggauss(_PIECE_ORDER)
@@ -279,18 +269,14 @@ class _BarrierPanels:
         edges, half = self._edges, self._half
         root = np.sqrt(x + 1j * y)
         home = np.searchsorted(edges, root.real, side="right") - 1
-        rows, pans = [], []
-        for off in (-1, 0, 1, 2):       # widths never shrink to the right
-            j = home + off
-            ok = (j >= 0) & (j < half.size)
-            j = np.where(ok, j, 0)
-            gap = np.maximum(np.maximum(edges[j] - root.real,
-                                        root.real - edges[j + 1]), 0.0)
-            ok &= np.hypot(gap, root.imag) < 2.0 * half[j]
-            rows.append(np.nonzero(ok)[0])
-            pans.append(j[ok])
-        rows = np.concatenate(rows)
-        pans = np.concatenate(pans)
+        j = home[:, None] + np.arange(-1, 3)     # widths never shrink to the right
+        ok = (j >= 0) & (j < half.size)
+        j = np.where(ok, j, 0)
+        gap = np.maximum(np.maximum(edges[j] - root.real[:, None],
+                                    root.real[:, None] - edges[j + 1]), 0.0)
+        ok &= np.hypot(gap, root.imag[:, None]) < 2.0 * half[j]
+        rows = np.nonzero(ok)[0]
+        pans = j[ok]
         u0 = np.clip((root.real[rows] - edges[pans]) / half[pans] - 1.0, -1.0, 1.0)
         depth = np.maximum(root.imag[rows] / half[pans], 2.0 ** -_MAX_LEVELS)
         levels = np.maximum(np.ceil(np.log2(2.0 / depth)), 1).astype(int)
@@ -298,9 +284,10 @@ class _BarrierPanels:
                    lambda r, s: k0(self.kappa * np.hypot(x[r] - s, y[r])))
         return A
 
-    def tail(self, alpha: float) -> np.ndarray:
+    @cached_property
+    def tail(self) -> np.ndarray:
         """N with (N @ rho)_i = int_{s_i} rho(s) e^{-alpha (s - s_i)} ds."""
-        n = self.s.size
+        alpha, n = self.alpha, self.s.size
         pan = np.arange(n) // _ORDER
         later = pan[None, :] > pan[:, None]
         gap = np.where(later, self.s[None, :] - self.s[:, None], 0.0)
@@ -309,6 +296,34 @@ class _BarrierPanels:
                    np.full(n, _MAX_LEVELS), (1.0,),
                    lambda r, s: np.exp(-alpha * (s - self.s[r])))
         return N
+
+
+def _layer_field(mesh: _BarrierPanels, k: float, x, y, sigma) -> np.ndarray:
+    """int G((x_i, y_i), (s, 0)) sigma(s) ds at each point i for each column
+    of the nodal densities sigma (n x m), as a (points, m) array: the bound
+    channel through m0 = int e^{-alpha s} sigma ds, the direct K0 term seen
+    from (x, |y|) and the image halves m0 e^{-alpha x'} from (|x|, |y|) and
+    nu = N sigma from (-|x|, |y|).  Points share the potentials at (+-|x|, |y|).
+    """
+    alpha, decay = mesh.alpha, mesh.decay
+    x, ay = np.ravel(x), np.abs(np.ravel(y))
+    sigma = np.ascontiguousarray(sigma, dtype=complex)
+    m = sigma.shape[1]
+    m0 = (mesh.ws * decay) @ sigma
+    # the direct density, nu and the shape of the x' >= 0 half; a real matrix
+    # multiplies the interleaved parts of a complex one, never copied to complex
+    cols = np.concatenate([-sigma, alpha * (mesh.tail @ sigma.view(float)).view(complex),
+                           alpha * decay[:, None] + 0j], axis=1) / (2.0 * math.pi)
+    keys, where = np.unique(np.abs(x) + 1j * ay, return_inverse=True)
+    pot = np.empty((2, keys.size, 2 * m + 1), dtype=complex)    # from (+-|x|, |y|)
+    for c in range(0, keys.size, 4 * _CHUNK):
+        part = keys[c:c + 4 * _CHUNK]
+        A = mesh.potential(np.concatenate([part.real, -part.real]),
+                           np.concatenate([part.imag, part.imag]))
+        pot[:, c:c + part.size] = (A @ cols.view(float)).view(complex).reshape(2, -1, 2 * m + 1)
+    image = np.outer(pot[0, :, -1], m0) + pot[1, :, m:-1]
+    bound = alpha * np.exp(-alpha * np.abs(x) + 1j * k * ay) / (2j * k)
+    return pot[(x < 0.0).view(np.int8), where, :m] + image[where] + np.outer(bound, m0)
 
 
 @dataclass(frozen=True)
@@ -328,7 +343,6 @@ class BarrierScattering:
     transmission: complex
     mesh: _BarrierPanels = field(repr=False, compare=False)
     layer: np.ndarray = field(repr=False, compare=False)
-    densities: np.ndarray = field(repr=False, compare=False)
 
     def values(self, X, Y) -> np.ndarray:
         """Total field at (X, Y); raises at the tip."""
@@ -339,22 +353,9 @@ class BarrierScattering:
             raise ValueError("evaluation points must be finite")
         if np.any((x == 0.0) & (y == 0.0)):
             raise ValueError("the tip is excluded")
-        ay = np.abs(y)
-        # every point needs the barrier potentials at (x, |y|) and at its
-        # mirror (-x, |y|); a grid symmetric in x shares them
-        keys, where = np.unique(np.concatenate([x + 1j * ay, -x + 1j * ay]),
-                                return_inverse=True)
-        pot = np.empty((keys.size, 4), dtype=complex)
-        for c in range(0, keys.size, 8 * _CHUNK):
-            part = keys[c:c + 8 * _CHUNK]
-            pot[c:c + part.size] = self.mesh.potential(part.real, part.imag) @ self.densities
-        n = x.size
-        right = x >= 0.0
-        direct = np.where(right, pot[where[:n], 0], pot[where[:n], 1])
-        mirror = np.where(right, pot[where[n:], 2], pot[where[n:], 3])
-        guided = np.exp(-self.alpha * np.abs(x)) * (
-            np.exp(1j * self.k * y) + self.reflection * np.exp(1j * self.k * ay))
-        return (guided + direct + mirror).reshape(X.shape)
+        scattered = _layer_field(self.mesh, self.k, x, y, self.layer[:, None])[:, 0]
+        return (np.exp(-self.alpha * np.abs(x) + 1j * self.k * y)
+                + scattered).reshape(X.shape)
 
     def green(self, x: float, y: float, s):
         """G((x, y), (s, 0)) for sources s >= 0 (an array too), C on this solve's mesh."""
@@ -364,7 +365,7 @@ class BarrierScattering:
             raise ValueError("x, y and s must be finite, s >= 0 and the points "
                              "not coincident, where the kernel is log-singular")
         alpha, k, mesh, u = self.alpha, self.k, self.mesh, abs(x) + s
-        image = mesh.potential(u, np.full(u.shape, y)) @ np.exp(-alpha * mesh.s)
+        image = mesh.potential(u, np.full(u.shape, y)) @ mesh.decay
         return (alpha * np.exp(-alpha * u) * cmath.exp(1j * k * abs(y)) / (2j * k)
                 - k0(mesh.kappa * r) / (2.0 * math.pi)
                 + alpha / (2.0 * math.pi) * image.reshape(u.shape))[()]
@@ -385,33 +386,13 @@ def solve_scattering(alpha: float, k: float,
     kappa = WaveguideParams(alpha, k).kappa.imag
     if int(panels) != panels or panels < 4:
         raise ValueError("panels must be an integer >= 4")
-    bp = _BarrierPanels(alpha, kappa, int(panels))
-    s = bp.s
-    on_line = np.zeros_like(s)
-    mode = np.exp(-alpha * s)
-    moment = bp.ws * mode                       # sigma -> int sigma e^{-alpha s} ds
-    direct = bp.potential(s, on_line)
-    nu = bp.tail(alpha)                         # sigma -> image density nu
-    image = bp.potential(-s, on_line) @ nu
-    c_line = direct @ mode                      # C(x, 0) on the barrier
-    bound = alpha / (2j * k)
-    op = (alpha * image - direct) / (2.0 * math.pi) + np.outer(
-        bound * mode + alpha / (2.0 * math.pi) * c_line, moment)
-    sigma = np.linalg.solve(op, -mode)
-    m0 = moment @ sigma
-    reflection = complex(bound * m0)
-    # the image density mu splits into its x' >= 0 half, m0 e^{-alpha x'}
-    # seen from (|x|, y), and its x' < 0 half nu seen from (-|x|, y);
-    # columns: direct potential for x >= 0, for x < 0, mirror potential
-    # for x >= 0, for x < 0 (see BarrierScattering.values)
-    own = -sigma / (2.0 * math.pi)
-    image_pos = alpha / (2.0 * math.pi) * m0 * mode
-    image_neg = alpha / (2.0 * math.pi) * (nu @ sigma)
-    densities = np.stack([own + image_pos, own + image_neg,
-                          image_neg, image_pos], axis=1)
+    mesh = _BarrierPanels(alpha, kappa, int(panels))
+    op = _layer_field(mesh, k, mesh.s, np.zeros_like(mesh.s), np.eye(mesh.s.size))
+    sigma = np.linalg.solve(op, -mesh.decay)
+    reflection = complex(alpha / (2j * k) * ((mesh.ws * mesh.decay) @ sigma))
     return BarrierScattering(alpha=alpha, k=k, reflection=reflection,
-                             transmission=1.0 + reflection, mesh=bp,
-                             layer=sigma, densities=densities)
+                             transmission=1.0 + reflection, mesh=mesh,
+                             layer=sigma)
 
 
 # --- diagnostics ------------------------------------------------------------

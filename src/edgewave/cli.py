@@ -1,16 +1,18 @@
 """Command-line front end: field dumps, residual checks, verification suite,
 impurity tail scans and finite-difference oracle comparisons.
 
-All numeric output uses fixed 17-significant-digit scientific notation so
-identical configs produce byte-identical artifacts.  Flags use the
-``--key=value`` form with the key spelled out (no abbreviations); the
-same keys may be given in a plain ``key=value`` config file (one per
-line, ``#`` comments), with precedence flag > file > default.  Each
-command takes only the keys it reads, and each key admits the values its
-parser states.  Exit status: 0 all checks passed, 1 numerical failure,
-out of memory or a closed stdout, 2 usage error (an unknown command, a
-flag or key the command does not read, a value outside its key's values,
-or a rule joining keys that the input alone breaks).
+All numeric output uses fixed 17-significant-digit scientific notation, so
+a config repeats its artifacts byte for byte on one machine, build, BLAS
+thread count and SIMD level (across them the last digits may move).
+Flags use the ``--key=value`` form with the key spelled out (no
+abbreviations); the same keys may be given in a plain ``key=value``
+config file (one per line, ``#`` comments), with precedence flag > file
+> default.  Each command takes only the keys it reads, and each key
+admits the values its parser states.  Exit status: 0 all checks passed,
+1 numerical failure, out of memory or a closed stdout, 2 usage error (an
+unknown command, a flag or key the command does not read, a value
+outside its key's values, or a rule joining keys that the input alone
+breaks).
 """
 
 from __future__ import annotations
@@ -200,13 +202,19 @@ def _closed_form(cfg: dict):
     y1 = cfg["y0"] + (cfg["ny"] - 1) * cfg["dy"]
     reach = max(math.hypot(x - cfg["a"], y)
                 for x in (cfg["x0"], x1) for y in (cfg["y0"], y1))
+    _require_reach(what, wave, "the grid's", reach, form, name)
+    return E, wave, alpha, values
+
+
+def _require_reach(what: str, wave, whose: str, reach: float, form: str,
+                   name: str) -> None:
+    """A usage error unless |wave| times ``reach`` is at least _KR_FLOOR."""
     if not abs(wave) * reach >= _KR_FLOOR:
         raise SystemExit(
-            f"usage error: {what} times the grid's largest distance from "
+            f"usage error: {what} times {whose} largest distance from "
             f"the tip, {reach!r}, is below {_KR_FLOOR:g}: the {form} "
             f"field's two terms of size sqrt(pi/2{name}) cancel and lose "
             f"its digits")
-    return E, wave, alpha, values
 
 
 def _analytic_grid(cfg: dict, alpha: float, values) -> FieldGrid:
@@ -278,6 +286,9 @@ def _cmd_oracle(cfg: dict) -> int:
 
 def _cmd_verify(cfg: dict) -> int:
     alpha, k = cfg["alpha"], cfg["k"]
+    # edge_ray_zero's samples reach farthest; the stencil boxes 3 sqrt 2
+    _require_reach(f"k = {k!r}", k, "verify's free-edge samples'",
+                   criteria.RAY_REACH, "free-edge", "k")
     rng = np.random.default_rng(0)
     draws = [(k, complex(rng.uniform(-3, 3), rng.uniform(-1, 1)))
              for _ in range(8)]

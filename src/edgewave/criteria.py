@@ -16,6 +16,7 @@ import numpy as np
 from . import bound_edge, delta_1d, green_perturbation, sommerfeld, specfun
 from .geometry import PlanePoint, chart
 
+RAY_REACH = 30.0    # edge_ray_zero's farthest sample from the tip
 
 @dataclass(frozen=True)
 class Check:
@@ -64,9 +65,9 @@ def fresnel_cross_validation(draws, quad_tol: float, tol: float) -> Check:
 
 
 def edge_ray_zero(k: float, a: float, tol: float) -> Check:
-    """max |psi| on the barrier faces over max |psi| on the unit circle."""
+    """max |psi| on the barrier faces (to RAY_REACH) over max |psi| on the unit circle."""
     geom = sommerfeld.EdgeGeometry(a=a)
-    X = a + np.geomspace(1e-3, 30.0, 1000)
+    X = a + np.geomspace(1e-3, RAY_REACH, 1000)
     # both faces in one call: the row y = +0.0 and the row y = -0.0
     faces = sommerfeld.field_values(k, geom, X, np.array([[0.0], [-0.0]]))
     th = np.linspace(0.1, 2 * math.pi - 0.1, 200)
@@ -104,12 +105,12 @@ def coordinate_conjugation(seed: int, tol: float) -> Check:
 
 
 def guided_products(alphas, tol: float) -> Check:
-    """max defect of kappa e^{+-lambda} = k +- alpha*eps, both regimes and signs."""
+    """max defect of kappa e^{+-lambda} = k +- alpha, both regimes (eps = -1: -lambda)."""
     defects = []
-    for alpha, m, eps in itertools.product(alphas, (0.5, 2.0), (1, -1)):
-        kap, lam = bound_edge.kappa_lambda(alpha, m * alpha, eps)
-        defects += [abs(kap * np.exp(lam) - (m * alpha + alpha * eps)),
-                    abs(kap * np.exp(-lam) - (m * alpha - alpha * eps))]
+    for alpha, m in itertools.product(alphas, (0.5, 2.0)):
+        p = bound_edge.WaveguideParams(alpha, m * alpha)
+        defects += [abs(p.kappa * np.exp(p.lam) - (m * alpha + alpha)),
+                    abs(p.kappa * np.exp(-p.lam) - (m * alpha - alpha))]
     return _worst_within("guided-products", defects, tol, "max product defect")
 
 

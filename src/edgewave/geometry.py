@@ -9,7 +9,7 @@ functions, or much ado about nothing's sign bit", 1987).  :func:`chart`
 is the only place that makes that decision.  A complex rotation
 parameter lambda turns the angle phi about the tip into
 phi - i*lambda; the free edge uses lambda = 0, the guided mode the
-rapidity of bound_edge.kappa_lambda.
+rapidity lam of bound_edge.WaveguideParams.
 """
 
 from __future__ import annotations

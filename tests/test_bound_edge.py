@@ -32,18 +32,20 @@ def field():
 def test_defining_products_both_regimes():
     for alpha in (0.5, 1.0, 2.0):
         for k in (0.5 * alpha, 2.0 * alpha):
+            p = be.WaveguideParams(alpha, k)
             for eps in (1, -1):
-                kap, lam = be.kappa_lambda(alpha, k, eps)
+                kap, lam = p.kappa, eps * p.lam
                 assert abs(kap * cmath.exp(lam) - (k + alpha * eps)) <= 1e-12
                 assert abs(kap * cmath.exp(-lam) - (k - alpha * eps)) <= 1e-12
                 assert abs(kap ** 2 - (k * k - alpha * alpha)) <= 1e-12
 
 
 def test_lambda_antisymmetry_in_eps():
+    # the chart's eps = -1 branch is the rotation by -lambda, bit for bit
+    X, Y = np.meshgrid(np.linspace(-3.0, 3.0, 13), np.linspace(-2.0, 2.0, 9))
     for k in (0.3, 2.7):
-        _, lp = be.kappa_lambda(1.0, k, 1)
-        _, lm = be.kappa_lambda(1.0, k, -1)
-        assert lp == -lm
+        lam = be.WaveguideParams(1.0, k).lam
+        assert chart(X, Y, 0.0, lam, -1).tobytes() == chart(X, Y, 0.0, -lam).tobytes()
 
 
 @pytest.mark.parametrize("alpha,k", [(1.0, 1.0 + 1e-8), (0.7, 0.7 * (1.0 + 3e-10)),
@@ -56,7 +58,7 @@ def test_kappa_keeps_its_digits_near_the_branch_point(alpha, k):
     mp.mp.dps = 50
     exact = (mp.mpf(k) - alpha) * (mp.mpf(k) + alpha)
     want = mp.sqrt(abs(exact))
-    kap, lam = be.kappa_lambda(alpha, k, 1)
+    kap = be.WaveguideParams(alpha, k).kappa
     assert abs(abs(kap) - want) <= 2e-16 * want
     assert (kap.imag == 0.0) == (k > alpha)
     E = be.WaveguideParams(alpha, k).E
@@ -69,7 +71,7 @@ def test_kappa_refuses_a_product_below_the_normal_range():
     # kappa^2 = 3e-320 is subnormal and lambda was 5.6e-6 off, silently
     for alpha, k in ((1e-200, 2e-200), (1e-160, 2e-160)):
         with pytest.raises(ValueError, match=f"at alpha = {alpha!r}, k = {k!r}"):
-            be.kappa_lambda(alpha, k, 1)
+            be.WaveguideParams(alpha, k)
         with pytest.raises(ValueError, match="not a finite normal double"):
             be.make_field(alpha, k)
         with pytest.raises(ValueError, match="not a finite normal double"):
@@ -77,19 +79,13 @@ def test_kappa_refuses_a_product_below_the_normal_range():
 
 
 def test_kappa_regimes():
-    kap, _ = be.kappa_lambda(1.0, 2.0, 1)
+    kap = be.WaveguideParams(1.0, 2.0).kappa
     assert kap.imag == 0.0 and kap.real == pytest.approx(math.sqrt(3.0))
-    kap, _ = be.kappa_lambda(1.0, 0.5, 1)
+    kap = be.WaveguideParams(1.0, 0.5).kappa
     assert kap.real == 0.0 and kap.imag == pytest.approx(math.sqrt(0.75))
 
 
 def test_parameter_validation():
-    with pytest.raises(ValueError):
-        be.kappa_lambda(1.0, 1.0, 1)       # branch point
-    with pytest.raises(ValueError):
-        be.kappa_lambda(1.0, 0.5, 0)
-    with pytest.raises(ValueError):
-        be.kappa_lambda(-1.0, 0.5, 1)
     # the branch is data: a sign outside +-1, alone or among good ones
     f = be.make_field(1.0, 0.5)
     for eps in (0, 2, math.nan, [1, 0], np.array([1.0, -1.0, math.nan])):
@@ -109,7 +105,7 @@ def test_non_finite_parameters_are_rejected(alpha, k, name):
     # before evaluation, naming the parameter: erf_cx would otherwise
     # meet the non-finite value deep inside the field
     with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
-        be.kappa_lambda(alpha, k, 1)
+        be.WaveguideParams(alpha, k)
     with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
         be.make_field(alpha, k)
 
@@ -299,7 +295,7 @@ def test_jump_check_formula_on_pure_mode():
 def test_quadrant_saturation_shape(field):
     # deep in the x < 0, y > 0 quadrant the field approaches
     # e^{-alpha|x|} (e^{-iky} - e^{+iky}) F(full), up to the tip halo
-    kap, _ = be.kappa_lambda(ALPHA, K, -1)
+    kap = be.WaveguideParams(ALPHA, K).kappa
     s = cmath.sqrt(-2j * kap)
     if s.real < 0:
         s = -s
@@ -336,7 +332,8 @@ def _mp_field(alpha, k, x, y):
     chart: e^{-alpha|x|} [e^{-iky} F(xi) - e^{iky} F(eta)]."""
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 50
-    kap, lam = be.kappa_lambda(alpha, k, 1 if x >= 0 else -1)
+    p = be.WaveguideParams(alpha, k)
+    kap, lam = p.kappa, p.lam if x >= 0 else -p.lam
     xi, eta = chart(x, y, 0.0, lam)
     s = mp.sqrt(-2j * mp.mpc(kap.real, kap.imag))
     s = -s if s.real < 0 else s
@@ -429,9 +426,9 @@ def test_barrier_kernel_matches_channel_green(exact):
 
 def test_image_integral_at_tip_is_rapidity_over_k(exact):
     # C(0, 0) = arccosh(alpha/kappa)/k; in the trapped regime the rapidity
-    # of kappa_lambda is that arccosh on the branch kappa = i|kappa|,
+    # of WaveguideParams is that arccosh on the branch kappa = i|kappa|,
     # lambda = ln((k + alpha)/|kappa|) - i pi/2
-    _, lam = be.kappa_lambda(ALPHA, K, 1)
+    lam = be.WaveguideParams(ALPHA, K).lam
     assert lam.imag == pytest.approx(-math.pi / 2, abs=1e-15)
     mesh = exact.mesh
     c00 = mesh.potential(0.0, 0.0)[0] @ np.exp(-ALPHA * mesh.s)
@@ -500,6 +497,11 @@ def test_exact_flux_and_mesh_stability(exact, exact_fine):
     assert abs(exact_fine.reflection - R) < 1e-4
     assert abs(R) == pytest.approx(0.98658, abs=1e-5)
     assert abs(T) == pytest.approx(0.16330, abs=1e-5)
+    # R itself, at the default 12 tip panels and at 32, where the mesh
+    # has converged; the two differ by 3.1e-12
+    assert abs(R - (-0.973333380243339 - 0.16110714182622293j)) <= 1e-13
+    fine = be.solve_scattering(ALPHA, K, panels=32).reflection
+    assert abs(fine - (-0.97333338024234 - 0.16110714182915j)) <= 1e-13
 
 
 @pytest.mark.parametrize("c", [0.5, 3.7])

@@ -44,9 +44,13 @@ def test_bound_field_vanishes_on_the_ray(alpha, ratio):
 @PROPERTY
 @given(alpha=alphas, ratio=ratios)
 def test_rapidity_is_odd_in_eps_bit_for_bit(alpha, ratio):
-    _, lam_p = be.kappa_lambda(alpha, ratio * alpha, 1)
-    _, lam_m = be.kappa_lambda(alpha, ratio * alpha, -1)
-    assert np.complex128(lam_m).tobytes() == np.complex128(-lam_p).tobytes()
+    # the field's eps = -1 branch is the two-term field at -lambda
+    p = be.WaveguideParams(alpha, ratio * alpha)
+    X, Y = np.meshgrid(np.linspace(-3.0, 3.0, 13) / alpha,
+                       np.linspace(-2.0, 2.0, 9) / alpha)
+    got = be.branch_field_values(be.make_field(alpha, p.k), X, Y, -1)
+    want = sommerfeld.two_term(p.k, p.kappa, -p.lam, alpha, 0.0, X, Y, -1)
+    assert got.tobytes() == want.tobytes()
 
 
 def _bound_field(c):

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -398,15 +399,22 @@ def test_closed_stdout_exits_1_without_a_traceback(tmp_path):
 def test_free_edge_k_below_the_cancellation_floor_exits_2(tmp_path, capsys):
     # below k*R = 1e-11 the two terms of size sqrt(pi/2k) cancel: k =
     # 5e-324 wrote nan, k = 1e-300 exact zeros where psi is 2.69, and the
-    # oracle printed "l2_rel": nan, each with exit 0
+    # oracle printed "l2_rel": nan, each with exit 0; verify's samples
+    # reach R = 30, and at k = 1e-100 it warned of an invalid divide and
+    # exited 1 on a division by zero (k = 1e-14 passed)
     out = tmp_path / "never.csv"
-    for argv in (("field", "--k=5e-324"), ("field", "--k=1e-300"),
-                 ("oracle", "--k=1e-300"), ("residual", "--k=1e-300")):
-        code, stdout, err, wall = _timed(capsys, *argv, f"--out={out}")
-        assert code == 2 and stdout == "" and wall < 1.0
-        assert err.startswith("usage error: k = ")
-        assert "lose its digits" in err
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in (("field", "--k=5e-324"), ("field", "--k=1e-300"),
+                     ("oracle", "--k=1e-300"), ("residual", "--k=1e-300"),
+                     ("verify", "--k=1e-100"), ("verify", "--k=1e-300"),
+                     ("verify", "--k=1e-14")):
+            code, stdout, err, wall = _timed(capsys, *argv, f"--out={out}")
+            assert code == 2 and stdout == "" and wall < 1.0
+            assert err.startswith("usage error: k = ") and err.count("\n") == 1
+            assert "lose its digits" in err
     assert not out.exists()
+    assert run_cli(capsys, "verify", "--k=1e-12")[0] == 0
     # just above the floor: R = 3 sqrt 2 on a grid over [-3, 3]^2
     k = 1.0001e-11 / (3.0 * math.sqrt(2.0))
     code, _, _ = run_cli(capsys, "field", f"--k={k!r}", "--nx=5", "--ny=5",

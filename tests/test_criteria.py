@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -73,7 +74,8 @@ _NAN = complex(math.nan, 0.0)
      lambda: criteria.edge_ray_zero(2.0, 0.3, tol=1e-12)),
     (criteria, "chart", _nan_at_one,
      lambda: criteria.coordinate_conjugation(seed=1, tol=1e-12)),
-    (bound_edge, "kappa_lambda", lambda kl: (_NAN, kl[1]),
+    (bound_edge, "WaveguideParams",
+     lambda p: types.SimpleNamespace(kappa=_NAN, lam=p.lam),
      lambda: criteria.guided_products((0.5, 1.0), tol=1e-12)),
 ], ids=["flux", "pole", "fresnel", "ray-zero", "conjugation", "products"])
 def test_a_nan_sample_fails_its_check(monkeypatch, owner, name, spoil, check):
