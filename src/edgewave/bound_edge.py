@@ -30,6 +30,20 @@ would break the ray condition in the trapped regime.  The bracket is sommerfeld.
 the free-edge formula in the rotated chart, so the free edge (lambda =
 0, kappa = k, alpha = 0) and this field share one evaluator.
 
+One F per trapped point.  For k < alpha, (k + alpha)/kappa is negative
+imaginary, so lambda = mu - i pi/2 with mu real, exactly as doubles.
+Then the eps = +1 chart gives eta* = -conj xi and the eps = -1 chart
+eta* = conj xi, and F's integrand e^{-2|kappa| tau^2} is a real
+Gaussian: erfc's conjugation and reflection symmetries (A&S 7.1.9-10)
+make F(eta*) = F_inf - conj F(xi) on the first branch and conj F(xi) on
+the second, F_inf = sqrt(pi/2|kappa|).  With w = e^{-iky} F(xi),
+
+    psi = e^{-alpha|x|} [2 Re w - F_inf e^{iky}]   (eps = +1),
+    psi = e^{-alpha|x|} 2i Im w                     (eps = -1),
+
+so two_term evaluates F on xi alone (derivation there).  The faces keep
+their exact zeros; the propagating regime keeps both F terms.
+
 Known defects of this closed form (measured, not patched):
 
 * The two eps-branches do not agree on the waveguide axis x = 0: the
@@ -88,7 +102,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import k0
 
-from .sommerfeld import _TINY, two_term
+from .sommerfeld import _TINY, _own, two_term
 
 __all__ = [
     "WaveguideParams",
@@ -180,8 +194,10 @@ def branch_field_values(f: BoundEdgeField, X, Y, eps) -> np.ndarray:
 
 
 def field_values(f: BoundEdgeField, X, Y) -> np.ndarray:
-    """Two-branch field: eps = sgn(x), +1 on the axis itself (x = +-0.0)."""
-    eps = np.where(np.asarray(X) >= 0.0, np.int8(1), np.int8(-1))
+    """Two-branch field: eps = sgn(x), +1 on the axis itself (x = +-0.0),
+    formed on X's own values (a broadcast X's repeats cut), so the signs of
+    the grid's axes or meshes() views stay one row for two_term."""
+    eps = np.where(_own(np.asarray(X)) >= 0.0, np.int8(1), np.int8(-1))
     return branch_field_values(f, X, Y, eps)
 
 

@@ -55,13 +55,21 @@ def bound_pole_location(alphas, tol: float) -> Check:
 
 
 def fresnel_cross_validation(draws, quad_tol: float, tol: float) -> Check:
-    """max |closed - quadrature| / max(1, |quadrature|) of F over (k, xi)."""
-    pairs = [(specfun.fresnel_F(k, xi).value,
-              specfun.fresnel_F_quadrature(k, xi, tol=quad_tol).value)
-             for k, xi in draws]
-    return _worst_within("fresnel-cross-validation",
-                         [abs(a - b) / np.maximum(1.0, abs(b)) for a, b in pairs],
-                         tol, "max scaled |closed - quadrature|")
+    """max |closed - quadrature| / max(1, |quadrature|) of F over (k, xi).
+
+    A draw whose F leaves the double range (erf's OverflowError, as at
+    k = 200 with |Im xi| near 1) fails the check with a line naming it."""
+    defects = []
+    for k, xi in draws:
+        try:
+            closed = specfun.fresnel_F(k, xi).value
+        except OverflowError as exc:
+            return Check("fresnel-cross-validation", math.inf, tol, False,
+                         f"F at k = {k!r}, xi = {xi!r}: {exc}")
+        quad = specfun.fresnel_F_quadrature(k, xi, tol=quad_tol).value
+        defects.append(abs(closed - quad) / max(1.0, abs(quad)))
+    return _worst_within("fresnel-cross-validation", defects, tol,
+                         "max scaled |closed - quadrature|")
 
 
 def edge_ray_zero(k: float, a: float, tol: float) -> Check:

@@ -90,8 +90,12 @@ class FieldGrid:
         return self.y0 + self.dy * np.arange(self.ny)
 
     def meshes(self):
-        """Return (X, Y) coordinate arrays of shape (ny, nx)."""
-        return np.meshgrid(self.xs(), self.ys())
+        """Return (X, Y) of shape (ny, nx): read-only broadcast views of
+        the axes, no copies, so a closed form sees X constant down each
+        column and Y along each row."""
+        shape = (self.ny, self.nx)
+        return (np.broadcast_to(self.xs(), shape),
+                np.broadcast_to(self.ys()[:, None], shape))
 
 
 def aligned_index(value: float, origin: float, step: float) -> int:

@@ -120,10 +120,14 @@ def _faddeeva(t: np.ndarray, L) -> np.ndarray:
 
     w(it) is Weideman's expansion at z = it: d = L_W + t and
     Z = (L_W - t)/d, which Re t >= 0 keeps in the closed unit disk, and
-    p(Z) by Horner in place.  Relative to scipy.special's Faddeeva
-    function it is within 2.5e-14 (|t| up to 1e6, Re t = 0 included);
-    erfc(t) near t = 0 is within 5e-15 absolute.  A call makes about 80
-    ufunc calls whatever its size, so a one-point call is all overhead.
+    p(Z) by Horner.  Its complex products are out of place: numpy 2.4
+    rounds an in-place product on a one-element array by another loop
+    than the same product in a longer array, so a point's bits would
+    depend on the length of the array it sits in.  Relative to
+    scipy.special's Faddeeva function it is within 2.5e-14 (|t| up to
+    1e6, Re t = 0 included); erfc(t) near t = 0 is within 5e-15
+    absolute.  A call makes about 80 ufunc calls whatever its size, so a
+    one-point call is all overhead.
     """
     g = np.asarray(-t * t)
     g.real += L
@@ -134,13 +138,12 @@ def _faddeeva(t: np.ndarray, L) -> np.ndarray:
     p = z * _W_COEFFS[-1]
     for a in _W_COEFFS[-2:0:-1]:
         p += a
-        p *= z
+        p = p * z
     p += _W_COEFFS[0]
     p /= d
     p += _RSQRT_PI
     p /= d
-    p *= g
-    return p
+    return p * g
 
 
 def _erfc_neg(z: np.ndarray, L) -> np.ndarray:

@@ -57,6 +57,19 @@ def test_verify_reports_a_failed_check(capsys, monkeypatch):
     assert lines[-1] == "verify: CHECKS FAILED"
 
 
+@pytest.mark.parametrize("k", ["200", "1e6"])
+def test_verify_prints_its_table_when_F_overflows(capsys, k):
+    # at large k some Fresnel draws leave the double range: that check
+    # fails with a line naming the draw, and the other eight still print
+    code, out, err = run_cli(capsys, "verify", f"--k={k}")
+    assert code == 1
+    lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
+    assert len(lines) == 9
+    assert "FAIL fresnel-cross-validation: F at k = " in out
+    assert out.splitlines()[-1] == "verify: CHECKS FAILED"
+    assert "Traceback" not in err and "numerical failure" not in err
+
+
 def test_field_csv_round_trips_and_repeats(tmp_path, capsys):
     out1 = tmp_path / "f1.csv"
     out2 = tmp_path / "f2.csv"

@@ -29,6 +29,15 @@ def test_edge_ray_zero_matches_one_call_per_point(k, a):
     assert got.value == pytest.approx(ray / scale, rel=1e-15, abs=0)
 
 
+def test_fresnel_check_fails_on_an_overflowing_draw():
+    # erf's OverflowError at one draw is that check's FAIL, naming it
+    draws = [(2.0, 0.5 + 0.1j), (200.0, 1.9 - 1.0j), (2.0, -0.3j)]
+    got = criteria.fresnel_cross_validation(draws, quad_tol=1e-12, tol=1e-9)
+    assert not got.ok and got.value == math.inf
+    assert got.detail.startswith("F at k = 200.0, xi = (1.9-1j): erf overflows")
+    assert criteria.fresnel_cross_validation(draws[::2], 1e-12, 1e-9).ok
+
+
 def test_pole_check_sees_a_wrong_denominator(monkeypatch):
     alphas = (0.5, 0.7, 1.0, 2.0)
     assert criteria.bound_pole_location(alphas, tol=1e-12).ok

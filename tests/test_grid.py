@@ -67,6 +67,16 @@ def test_tabulate_samples_and_zeroes_dirichlet_barrier(dirichlet):
     assert np.array_equal(g.values[edge], np.broadcast_to(want, edge.sum()))
 
 
+def test_meshes_are_read_only_views_of_the_axes():
+    g = gr.FieldGrid(x0=-1.0, y0=2.0, dx=0.25, dy=0.5, nx=7, ny=4,
+                     values=np.zeros((4, 7), complex), mask=np.zeros((4, 7), np.uint8))
+    X, Y = g.meshes()
+    wx, wy = np.meshgrid(g.xs(), g.ys())
+    assert X.tobytes() == wx.tobytes() and Y.tobytes() == wy.tobytes()
+    assert X.strides[0] == 0 and Y.strides[1] == 0      # no copies
+    assert not X.flags.writeable and not Y.flags.writeable
+
+
 def test_misaligned_feature_raises():
     with pytest.raises(ValueError):
         gr.build_mask(-1.0, -1.0, 0.25, 0.25, 9, 9, edge_a=0.1)

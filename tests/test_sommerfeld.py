@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from edgewave import bound_edge, sommerfeld, specfun
+from edgewave.geometry import chart
 from edgewave.grid import EDGE
 
 B = specfun._BLOCK
@@ -172,10 +173,8 @@ def test_two_term_blocks_keep_the_ray_zero(n):
         assert np.abs(parts - vals).max() <= 4e-16 * np.abs(vals).max()
 
 
-@pytest.mark.parametrize("n", [1, B + 1])
-def test_two_term_makes_one_F_call_per_block(monkeypatch, n):
-    # xi and eta reach F as one stacked pair: one specfun call per block,
-    # on the Fresnel route and the erf route alike
+def _count_F_calls(monkeypatch):
+    """The shapes of the arrays two_term hands to specfun._closed_form."""
     shapes = []
 
     def counted(kappa, pair, L):
@@ -183,27 +182,132 @@ def test_two_term_makes_one_F_call_per_block(monkeypatch, n):
         return specfun._closed_form(kappa, pair, L)
 
     monkeypatch.setattr(sommerfeld, "_closed_form", counted)
+    return shapes
+
+
+@pytest.mark.parametrize("n", [1, B + 1])
+def test_two_term_makes_one_F_call_per_block(monkeypatch, n):
+    # xi and eta reach F as one stacked pair: one specfun call per tile,
+    # on the Fresnel route and the erf route alike; a trapped chart
+    # (kappa = i|kappa|, Im lam = -pi/2) takes one call on xi alone, and
+    # a complex lam off -+pi/2 keeps the pair
+    shapes = _count_F_calls(monkeypatch)
     X = np.linspace(-3.0, 3.0, n)
-    for kappa, lam, alpha in ((2.0, 0.0, 0.0), (1.5j, 0.4 - 0.2j, 1.0)):
+    chunks = [min(B, n - s) for s in range(0, n, B)]
+    trapped = bound_edge.WaveguideParams(1.0, 0.5)
+    for kappa, lam, alpha, lead in ((2.0, 0.0, 0.0, (2, 1)),
+                                    (1.5j, 0.4 - 0.2j, 1.0, (2, 1)),
+                                    (trapped.kappa, trapped.lam, 1.0, (1,))):
         shapes.clear()
         sommerfeld.two_term(2.0, kappa, lam, alpha, 0.0, X, 0.7, -1)
-        assert shapes == [(2, min(B, n - s)) for s in range(0, n, B)]
+        assert shapes == [lead + (c,) for c in chunks]
 
 
 @pytest.mark.parametrize("n", [2, B + 1])
 def test_two_branch_field_makes_one_F_call_per_block(monkeypatch, n):
     # the branch is data: points on both sides of the guide, interleaved,
-    # take one pass of blocks, not one pass per side
-    shapes = []
-
-    def counted(kappa, pair, L):
-        shapes.append(np.shape(pair))
-        return specfun._closed_form(kappa, pair, L)
-
-    monkeypatch.setattr(sommerfeld, "_closed_form", counted)
+    # take one pass of tiles, not one pass per side, and in the trapped
+    # regime F runs on xi alone
+    shapes = _count_F_calls(monkeypatch)
     X = np.where(np.arange(n) % 2, -1.0, 1.0) * np.linspace(0.1, 3.0, n)
     bound_edge.field_values(bound_edge.make_field(1.0, 0.5), X, 0.7)
-    assert shapes == [(2, min(B, n - s)) for s in range(0, n, B)]
+    assert shapes == [(1, min(B, n - s)) for s in range(0, n, B)]
+
+
+def test_two_term_tiles_whole_rows(monkeypatch):
+    # a grid's tiles are whole rows, at most B points each; a row wider
+    # than B is split into column chunks
+    shapes = _count_F_calls(monkeypatch)
+    f = bound_edge.make_field(1.0, 0.5)
+    for ny, nx in ((201, 201), (3, B + 7)):
+        shapes.clear()
+        xs, ys = np.linspace(-3.0, 3.0, nx), np.linspace(-3.0, 3.0, ny)
+        bound_edge.field_values(f, xs[None, :], ys[:, None])
+        if nx > B:
+            want = [(1, B), (1, 7)] * ny
+        else:
+            rows = B // nx
+            want = [(min(rows, ny - r), nx) for r in range(0, ny, rows)]
+        assert shapes == want
+
+
+@pytest.mark.parametrize("alpha,m", [(1.0, 0.5), (0.5, 0.3), (2.0, 0.7),
+                                     (1.0, 0.999), (1.0, 0.01), (300.0, 0.5)])
+def test_trapped_field_matches_the_two_F_bracket(alpha, m):
+    # the one-F route against the bracket with F on both chart
+    # coordinates: both branches and the two-branch field, on a grid in
+    # units of 1/alpha with the axis (x = +-0.0) and both faces of the
+    # ray (y = +-0.0); the faces stay exact zeros.  The scale is the
+    # larger of max|psi| and the terms' max|e^L F|, the size of the
+    # reference's own rounding: at (1, 0.01) the eps = -1 bracket cancels
+    # to 0.075 of its terms, and on the row y = 0 the reference is 1e-15
+    # off mpmath (see the next test), 1.3e-14 of max|psi|
+    p = bound_edge.WaveguideParams(alpha, m * alpha)
+    f = bound_edge.BoundEdgeField(p)
+    xs = np.append(np.linspace(-3.0, 3.0, 121), -0.0) / alpha
+    ys = np.append(np.linspace(-3.0, 3.0, 121), -0.0)[:, None] / alpha
+
+    def two_F(eps):
+        X, Y = np.broadcast_arrays(xs[None, :], ys)
+        pair = chart(X, Y, 0.0, p.lam, eps)
+        F = specfun._closed_form(p.kappa, pair, -alpha * np.abs(X))
+        phase = np.exp(-1j * p.k * Y)
+        return phase * F[0] - phase.conj() * F[1], np.abs(F).max()
+
+    faces = (ys == 0.0) & (xs >= 0.0)
+    (right, r_terms), (left, l_terms) = two_F(1), two_F(-1)
+    cases = ((bound_edge.branch_field_values(f, xs, ys, 1), right, r_terms),
+             (bound_edge.branch_field_values(f, xs, ys, -1), left, l_terms),
+             (bound_edge.field_values(f, xs, ys),
+              np.where(np.signbit(xs) & (xs != 0.0), left, right),
+              max(r_terms, l_terms)))
+    for got, want, terms in cases:
+        assert got.shape == want.shape
+        scale = max(np.abs(want).max(), terms)
+        assert np.abs(got - want).max() <= 1e-14 * scale
+        assert (got[faces] == 0.0).all() and (want[faces] == 0.0).all()
+
+
+def test_one_F_route_is_the_accurate_one_where_the_bracket_cancels():
+    # eps = -1 at alpha = 1, k = 0.01, on the row y = 0 left of the tip:
+    # |e^{-iky} F(xi)| is 0.556 and the bracket 0.0031; there the
+    # two-F bracket is 1.0e-15 off mpmath (1.3e-14 of the grid's 0.075),
+    # the one-F route within 1e-16
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    alpha, k, x = mp.mpf(1), mp.mpf("0.01"), mp.mpf(-0.12000000000000011)
+    kappa = 1j * mp.sqrt(alpha * alpha - k * k)
+    lam = -mp.log((k + alpha) / kappa)
+    w = mp.sqrt(-x) / mp.sqrt(2)                 # y = +0.0: rs = w, rc = 0
+    xi = (mp.cosh(lam / 2) + 1j * mp.sinh(lam / 2)) * w
+    s = mp.sqrt(-2j * kappa)
+    F = lambda z: mp.sqrt(mp.pi) / (2 * s) * mp.erfc(-s * z)
+    want = complex(mp.exp(alpha * x) * (F(xi) - F(-xi)))
+    f = bound_edge.make_field(1.0, 0.01)
+    got = bound_edge.branch_field_values(f, -0.12000000000000011, 0.0, -1)
+    assert abs(got - want) <= 1e-16
+
+
+def test_two_F_fields_on_views_are_the_meshgrid_bits():
+    # the free edge and the propagating bound field keep the two-F
+    # bracket: on the axes, on meshes() views and on np.meshgrid copies
+    # they are the same bytes, with the y-phase taken once per row
+    n = 141
+    h = 6.0 / (n - 1)
+    grid = sommerfeld.field_on_grid(2.0, sommerfeld.EdgeGeometry(), -3.0, -3.0,
+                                    h, h, n, n)
+    axes = (grid.xs()[None, :], grid.ys()[:, None])
+    fields = (
+        lambda X, Y: sommerfeld.field_values(2.0, sommerfeld.EdgeGeometry(), X, Y),
+        lambda X, Y: sommerfeld.field_values(
+            1.2, sommerfeld.EdgeGeometry(a=3 * h, bc="neumann"), X, Y),
+        lambda X, Y: bound_edge.field_values(bound_edge.make_field(1.0, 3.0), X, Y),
+        lambda X, Y: bound_edge.branch_field_values(
+            bound_edge.make_field(1.0, 3.0), X, Y, -1))
+    for values in fields:
+        want = values(*np.meshgrid(grid.xs(), grid.ys())).tobytes()
+        assert values(*axes).tobytes() == want
+        assert values(*grid.meshes()).tobytes() == want
 
 
 def test_two_term_shapes():
