@@ -30,19 +30,8 @@ would break the ray condition in the trapped regime.  The bracket is sommerfeld.
 the free-edge formula in the rotated chart, so the free edge (lambda =
 0, kappa = k, alpha = 0) and this field share one evaluator.
 
-One F per trapped point.  For k < alpha, (k + alpha)/kappa is negative
-imaginary, so lambda = mu - i pi/2 with mu real, exactly as doubles.
-Then the eps = +1 chart gives eta* = -conj xi and the eps = -1 chart
-eta* = conj xi, and F's integrand e^{-2|kappa| tau^2} is a real
-Gaussian: erfc's conjugation and reflection symmetries (A&S 7.1.9-10)
-make F(eta*) = F_inf - conj F(xi) on the first branch and conj F(xi) on
-the second, F_inf = sqrt(pi/2|kappa|).  With w = e^{-iky} F(xi),
-
-    psi = e^{-alpha|x|} [2 Re w - F_inf e^{iky}]   (eps = +1),
-    psi = e^{-alpha|x|} 2i Im w                     (eps = -1),
-
-so two_term evaluates F on xi alone (derivation there).  The faces keep
-their exact zeros; the propagating regime keeps both F terms.
+In the trapped regime two_term evaluates F on xi alone; the identity
+and its derivation are in its docstring.
 
 Known defects of this closed form (measured, not patched):
 
@@ -139,10 +128,14 @@ class WaveguideParams:
     lam: complex = field(init=False)
 
     def __post_init__(self):
-        alpha, k = self.alpha, self.k
-        for name, v in (("alpha", alpha), ("k", k)):
+        for name in ("alpha", "k"):
+            v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be positive and finite, got {v!r}")
+            # a numpy scalar's complex division rounds (k + alpha)/kappa
+            # otherwise than a float's: the record is the floats'
+            object.__setattr__(self, name, float(v))
+        alpha, k = self.alpha, self.k
         if k == alpha:
             raise ValueError(f"k != alpha is required: k = alpha = {k!r} is the "
                              f"branch point between the regimes")

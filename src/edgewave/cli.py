@@ -27,7 +27,7 @@ import numpy as np
 
 from . import bound_edge, criteria, green_perturbation, oracle_fd, sommerfeld
 from .geometry import PlanePoint
-from .grid import FieldGrid, check_nodes, tabulate, write_csv
+from .grid import FieldGrid, tabulate, write_csv
 
 _A_RANGE_STEPS = 1000   # steps one start:step:stop range of a_list may span
 # below this k*R (R the grid's largest distance from the tip, k the
@@ -223,7 +223,6 @@ def _analytic_grid(cfg: dict, alpha: float, values) -> FieldGrid:
 
 
 def _cmd_field(cfg: dict) -> int:
-    check_nodes(*(cfg[key] for key in _LATTICE))
     grid = _analytic_grid(cfg, *_closed_form(cfg)[2:])
     out = cfg["out"] or "field.csv"
     write_csv(grid, out)
@@ -289,6 +288,12 @@ def _cmd_verify(cfg: dict) -> int:
     # edge_ray_zero's samples reach farthest; the stencil boxes 3 sqrt 2
     _require_reach(f"k = {k!r}", k, "verify's free-edge samples'",
                    criteria.RAY_REACH, "free-edge", "k")
+    # the guided modes the checks build: k = 0.2, 0.5 and 2 alpha
+    for m in (0.2, 0.5, 2.0):
+        try:
+            bound_edge.make_field(alpha, m * alpha)
+        except ValueError as exc:
+            raise SystemExit(f"usage error: {exc}") from exc
     rng = np.random.default_rng(0)
     draws = [(k, complex(rng.uniform(-3, 3), rng.uniform(-1, 1)))
              for _ in range(8)]

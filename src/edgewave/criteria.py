@@ -113,13 +113,16 @@ def coordinate_conjugation(seed: int, tol: float) -> Check:
 
 
 def guided_products(alphas, tol: float) -> Check:
-    """max defect of kappa e^{+-lambda} = k +- alpha, both regimes (eps = -1: -lambda)."""
+    """max relative defect of kappa e^{+-lambda} = k +- alpha, both regimes
+    (eps = -1: -lambda), each over |k +- alpha| so that any alpha scale
+    is held to the same rounding."""
     defects = []
     for alpha, m in itertools.product(alphas, (0.5, 2.0)):
         p = bound_edge.WaveguideParams(alpha, m * alpha)
-        defects += [abs(p.kappa * np.exp(p.lam) - (m * alpha + alpha)),
-                    abs(p.kappa * np.exp(-p.lam) - (m * alpha - alpha))]
-    return _worst_within("guided-products", defects, tol, "max product defect")
+        for lam, want in ((p.lam, m * alpha + alpha), (-p.lam, m * alpha - alpha)):
+            defects.append(abs(p.kappa * np.exp(lam) - want) / abs(want))
+    return _worst_within("guided-products", defects, tol,
+                         "max relative product defect")
 
 
 def guided_tail_slope(alpha: float, tol: float) -> Check:

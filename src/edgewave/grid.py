@@ -146,7 +146,10 @@ def tabulate(values, x0, y0, dx, dy, nx, ny, edge_a, delta_line,
              dirichlet) -> FieldGrid:
     """Sample the field ``values(X, Y)`` on the lattice build_mask tags,
     given the axes X of shape (1, nx) and Y of shape (ny, 1) to broadcast;
-    with ``dirichlet`` the barrier nodes are exact zeros, the field there."""
+    with ``dirichlet`` the barrier nodes are exact zeros, the field there.
+    A lattice whose nodes coincide or overflow is refused first
+    (check_nodes), before any sample is taken."""
+    check_nodes(x0, y0, dx, dy, nx, ny)
     mask = build_mask(x0, y0, dx, dy, nx, ny, edge_a, delta_line)
     vals = values((x0 + dx * np.arange(nx))[None, :],
                   (y0 + dy * np.arange(ny))[:, None])

@@ -40,7 +40,7 @@ import numpy as np
 
 from .geometry import chart
 from .grid import EDGE, FieldGrid, check_nodes, excluded_band, tabulate
-from .specfun import _BLOCK, _closed_form
+from .specfun import _closed_form, _tiles
 
 __all__ = [
     "EdgeGeometry",
@@ -76,81 +76,72 @@ def two_term(k: float, kappa: complex, lam: complex, alpha: float, a: float,
     (xi_lam, eta_{-lam}) is the rotated chart about the tip (a, 0),
     built once per point by geometry.chart.  At lambda = 0 the pair is
     real, so a real kappa with alpha = 0 takes specfun's Fresnel route;
-    else L = -alpha|x| enters erfc's exponent.  A scalar eps goes to the
-    chart as it is; an array of them, +-1 per point, is broadcast with X
-    and Y (it may set the output's shape).  k is real, so the second
-    y-phase is the conjugate of the first.  On both faces of the ray
-    xi_lam = eta_{-lam} for every lambda, so with sign = -1 the two
-    terms cancel there.  The tip gives F(0) - F(0) = 0.
+    else L = -alpha|x| enters erfc's exponent.  eps, +-1 for all points
+    or per point, is broadcast with X and Y (it may set the output's
+    shape).  k is real, so the second y-phase is the conjugate of the
+    first.  On both faces of the ray xi_lam = eta_{-lam} for every
+    lambda, so with sign = -1 the two terms cancel there.  The tip gives
+    F(0) - F(0) = 0.
 
-    One F per trapped point.  For kappa = i|kappa| and Im lam = -+pi/2
-    (every trapped guided mode: (k + alpha)/kappa is negative imaginary)
-    put lam = mu - i pi/2 and C, S = cosh, sinh(mu/2).  Then the chart's
-    (cosh, i sinh)(lam/2) are ((C - iS), (C + iS))/sqrt 2, so on the
-    eps = +1 branch xi = sqrt 2 (C rs - i S rc) and eta = -conj xi, on
-    the eps = -1 branch xi = sqrt 2 (C rc - i S rs) and eta = conj xi.
-    The rotation root s = sqrt(2|kappa|) is real, so erfc's conjugation
-    symmetry and erfc(u) + erfc(-u) = 2 (A&S 7.1.9-10) give, with
-    F_inf = sqrt(pi)/s = sqrt(pi/2|kappa|) and w = e^{-iky} F(xi),
+    One F per trapped point.  Every trapped guided mode is Dirichlet
+    (sign = -1) with kappa = i|kappa| and lam = mu - i pi/2 ((k +
+    alpha)/kappa is negative imaginary).  With C, S = cosh, sinh(mu/2)
+    the chart's (cosh, i sinh)(lam/2) are ((C - iS), (C + iS))/sqrt 2, so
+    on the eps = +1 branch xi = sqrt 2 (C rs - i S rc) and eta = -conj
+    xi, on the eps = -1 branch xi = sqrt 2 (C rc - i S rs) and eta = conj
+    xi.  The rotation root s = sqrt(2|kappa|) is real, so erfc's
+    conjugation symmetry and erfc(u) + erfc(-u) = 2 (A&S 7.1.9-10) give,
+    with F_inf = sqrt(pi)/s = sqrt(pi/2|kappa|) and w = e^{-iky} F(xi),
     e^{iky} F(eta) = F_inf e^L e^{iky} - conj w on the first branch and
-    conj w on the second (F here carries its e^L).  With sign = -1 the
-    bracket is 2 Re w - F_inf e^L e^{iky} on the first and 2i Im w on the
-    second; for either sign it is (1 + c) Re w + i (1 - c) Im w
-    + g e^{iky}, with sigma = +1 where eta = -conj xi (eps = +1 when
-    Im lam < 0) and -1 where eta = conj xi, c = -sign sigma and
-    g = sign F_inf e^L [sigma = 1].  So F runs on xi alone.  This is
-    decided once per call from (kappa, lam); any other pair, the free
-    edge and the propagating regime included, keeps the two-F bracket.
-    Where xi == eta bit for bit (the faces, the tip) the bracket is the
-    two-F one, F(eta) being F(xi): an exact 0 there.
+    conj w on the second (F here carries its e^L).  The bracket is then
+    (1 + eps) Re w + i (1 - eps) Im w - F_inf e^L e^{iky} [eps = +1],
+    with F on xi alone.  This is decided once per call from (kappa, lam,
+    sign); any other triple, the free edge and the propagating regime
+    included, keeps the two-F bracket.  Where xi == eta bit for bit (the
+    faces, the tip) the bracket is the two-F one, F(eta) being F(xi): an
+    exact 0 there.
 
     X, Y and eps are broadcast together and viewed as rows of the
     broadcast shape's last axis, without copies up to two dimensions.
-    The work runs in tiles of whole rows of a fixed number of points (a
-    row wider than that in column chunks) written into one complex
-    output.  An input constant along an axis (a stride-0 axis of its
-    broadcast) is taken once per tile along it: the y-phase on Y's own
-    rows, L, e^L and eps on X's own columns, so the grid's axes or
-    meshes() views pay the phase once per row.  field_on_grid, which passes the grid's axes, thus peaks near
-    21 bytes per point at 401^2 (129 on the whole array at once), of
-    which the output is 16.  0-d input gives a scalar.
+    The work runs in specfun's tiles of whole rows of a fixed number of
+    points (a row wider than that in column chunks) written into one
+    complex output.  An input constant along an axis (a stride-0 axis of
+    its broadcast) is taken once per tile along it: the y-phase on Y's
+    own rows, L, e^L and eps on X's own columns, so the grid's axes or
+    meshes() views pay the phase once per row.  field_on_grid, which
+    passes the grid's axes, thus peaks near 21 bytes per point at 401^2
+    (129 on the whole array at once), of which the output is 16.  0-d
+    input gives a scalar.
     """
     kappa, lam = complex(kappa), complex(lam)
-    eps = np.asarray(eps)
-    # a 0-d eps stays out of the broadcast, which costs it about 4 us
-    X, Y, *E = np.broadcast_arrays(np.asarray(X, dtype=float),
-                                   np.asarray(Y, dtype=float),
-                                   *([eps] if eps.ndim else []))
+    X, Y, E = np.broadcast_arrays(np.asarray(X, dtype=float),
+                                  np.asarray(Y, dtype=float), np.asarray(eps))
     out = np.empty(X.shape, dtype=complex)
     cols = X.shape[-1] if X.ndim else 1
     rows = out.size // cols if cols else 0
-    X, Y, view, *E = (v.reshape(rows, cols) for v in (X, Y, out, *E))
-    one_f = kappa.real == 0.0 and abs(lam.imag) == 0.5 * math.pi
+    X, Y, E, view = (v.reshape(rows, cols) for v in (X, Y, E, out))
+    one_f = sign == -1 and kappa.real == 0.0 and lam.imag == -0.5 * math.pi
     if one_f:
         f_inf = math.sqrt(math.pi / (2.0 * kappa.imag))
-        flip = 1 if lam.imag < 0.0 else -1      # sigma = flip * eps
 
     for rs, cs in _tiles(rows, cols):
-        x, y = _own(X[rs, cs]), _own(Y[rs, cs])
-        rot = _own(E[0][rs, cs]) if E else eps.item()
+        x, y, eps = _own(X[rs, cs]), _own(Y[rs, cs]), _own(E[rs, cs])
         L = -alpha * np.abs(x) if alpha else 0.0
         phase = np.exp(-1j * k * y)
-        pair = chart(x, y, a, lam, rot)
+        pair = chart(x, y, a, lam, eps)
         o = view[rs, cs]
         if not one_f:
             F = _closed_form(kappa, pair, L)
             np.multiply(phase, F[0], out=o)
             o += sign * phase.conj() * F[1]
             continue
-        # one F: (1 + c) Re w + i (1 - c) Im w + g e^{iky}, and the two-F
-        # bracket where xi == eta bit for bit (its exact zeros)
+        # one F: (1 + eps) Re w + i (1 - eps) Im w - F_inf e^L e^{iky}
+        # [eps = +1], and the two-F bracket where xi == eta bit for bit
         F = _closed_form(kappa, pair[0], L)
         w = phase * F
-        sigma = flip * rot
-        c = -sign * sigma
-        g = (sign * f_inf) * (sigma > 0) * np.exp(L)
-        np.multiply(w.real, 1 + c, out=o.real)
-        np.multiply(w.imag, 1 - c, out=o.imag)
+        g = -f_inf * (eps > 0) * np.exp(L)
+        np.multiply(w.real, 1 + eps, out=o.real)
+        np.multiply(w.imag, 1 - eps, out=o.imag)
         o.real += g * phase.real
         o.imag -= g * phase.imag
         same = pair[0] == pair[1]
@@ -162,16 +153,6 @@ def two_term(k: float, kappa: complex, lam: complex, alpha: float, a: float,
 def _own(A: np.ndarray) -> np.ndarray:
     """A's own values: each stride-0 axis of a broadcast view cut to length 1."""
     return A[tuple([slice(None) if s else slice(1) for s in A.strides])]
-
-
-def _tiles(rows: int, cols: int):
-    """(row slice, column slice) tiles of whole rows covering a rows x cols
-    array, at most _BLOCK points each; a wider row in column chunks."""
-    if cols > _BLOCK:
-        return ((slice(r, r + 1), slice(c, c + _BLOCK))
-                for r in range(rows) for c in range(0, cols, _BLOCK))
-    step = _BLOCK // max(cols, 1)
-    return ((slice(r, r + step), slice(None)) for r in range(0, rows, step))
 
 
 def field_values(k: float, geom: EdgeGeometry, X, Y) -> np.ndarray:

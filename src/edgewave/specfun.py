@@ -63,6 +63,16 @@ _EXP_RANGE = 708.0
 _BLOCK = 4096
 
 
+def _tiles(rows: int, cols: int):
+    """(row slice, column slice) tiles of whole rows covering a rows x cols
+    array, at most _BLOCK points each; a wider row in column chunks."""
+    if cols > _BLOCK:
+        return ((slice(r, r + 1), slice(c, c + _BLOCK))
+                for r in range(rows) for c in range(0, cols, _BLOCK))
+    step = _BLOCK // max(cols, 1)
+    return ((slice(r, r + step), slice(None)) for r in range(0, rows, step))
+
+
 # Weideman's expansion of w in the closed upper half-plane, with N terms:
 # w(z) = 2 p(Z)/(L_W - iz)^2 + 1/(sqrt(pi) (L_W - iz)), Z = (L_W + iz)/(L_W - iz),
 # p(Z) = sum_n a_n Z^(n-1); a_n is his DFT of f(t) = e^{-t^2}(L_W^2 + t^2)
@@ -84,11 +94,6 @@ def _weideman_coefficients() -> list[float]:
 
 
 _W_COEFFS = _weideman_coefficients()
-
-
-def _blocks(n: int):
-    """Consecutive slices of at most _BLOCK covering range(n)."""
-    return (slice(s, s + _BLOCK) for s in range(0, n, _BLOCK))
 
 
 @dataclass(frozen=True)
@@ -200,8 +205,8 @@ def erf_cx(z):
 
     out = np.empty(z.shape, dtype=complex)
     flat = out.reshape(-1)
-    for sl in _blocks(flat.size):
-        flat[sl] = _erf_block(z.flat[sl])
+    for _, cs in _tiles(1, flat.size):
+        flat[cs] = _erf_block(z.flat[cs])
     if out.ndim == 0:
         return complex(out)
     return out

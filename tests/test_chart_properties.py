@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from edgewave import bound_edge as be
 from edgewave import sommerfeld
+from edgewave.geometry import chart
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
                     max_examples=25)
@@ -44,13 +45,12 @@ def test_bound_field_vanishes_on_the_ray(alpha, ratio):
 @PROPERTY
 @given(alpha=alphas, ratio=ratios)
 def test_rapidity_is_odd_in_eps_bit_for_bit(alpha, ratio):
-    # the field's eps = -1 branch is the two-term field at -lambda
+    # the eps = -1 branch's chart is the chart at -lambda
     p = be.WaveguideParams(alpha, ratio * alpha)
     X, Y = np.meshgrid(np.linspace(-3.0, 3.0, 13) / alpha,
                        np.linspace(-2.0, 2.0, 9) / alpha)
-    got = be.branch_field_values(be.make_field(alpha, p.k), X, Y, -1)
-    want = sommerfeld.two_term(p.k, p.kappa, -p.lam, alpha, 0.0, X, Y, -1)
-    assert got.tobytes() == want.tobytes()
+    got = chart(X, Y, 0.0, p.lam, -1)
+    assert got.tobytes() == chart(X, Y, 0.0, -p.lam).tobytes()
 
 
 def _bound_field(c):

@@ -57,6 +57,30 @@ def test_verify_reports_a_failed_check(capsys, monkeypatch):
     assert lines[-1] == "verify: CHECKS FAILED"
 
 
+@pytest.mark.parametrize("alpha", ["1e5", "1e10"])
+def test_verify_passes_at_large_alpha(capsys, alpha):
+    # guided-products compared kappa e^{+-lambda} with k +- alpha as an
+    # absolute difference: 1.5e-11 at alpha = 1e5 and 1.9e-6 at 1e10
+    # failed its 1e-12 for a correct closed form; relative, 1.6e-16 and
+    # 2.0e-16
+    code, out, _ = run_cli(capsys, "verify", f"--alpha={alpha}")
+    assert code == 0
+    assert "PASS guided-products: max relative product defect " in out
+    assert out.splitlines()[-1] == "verify: all checks passed"
+
+
+@pytest.mark.parametrize("alpha", ["1e200", "1e-200"])
+def test_verify_refuses_an_alpha_its_guided_modes_refuse(capsys, alpha):
+    # (k - alpha)(k + alpha) leaves the normal doubles at the checks' k =
+    # 0.2, 0.5 and 2 alpha: a usage error naming alpha before any check
+    # runs (it was a numerical failure, exit 1, out of guided-products)
+    code, out, err = run_cli(capsys, "verify", f"--alpha={alpha}")
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: (k - alpha)(k + alpha) = ")
+    assert f"at alpha = {float(alpha)!r}, k = " in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("k", ["200", "1e6"])
 def test_verify_prints_its_table_when_F_overflows(capsys, k):
     # at large k some Fresnel draws leave the double range: that check
@@ -345,15 +369,21 @@ def _timed(capsys, *argv):
 
 def test_residual_refuses_a_spacing_whose_square_is_not_normal(tmp_path, capsys):
     # dx^2 or dy^2 below the least normal double made the stencil print
-    # "max_res": nan with exit 0
-    for flags, name in ((("--dx=1e-300", "--nx=41", "--ny=5"), "dx"),
-                        (("--dy=5e-324",), "dy")):
+    # "max_res": nan with exit 0; the nodes start at 0 so that they stay
+    # distinct doubles (from -3 they coincide, which tabulate refuses
+    # first, naming the axis)
+    for flags, name in ((("--x0=0", "--dx=1e-300", "--nx=41", "--ny=5"), "dx"),
+                        (("--y0=0", "--dy=5e-324"), "dy")):
         code, stdout, err, wall = _timed(capsys, "residual", *flags,
                                          f"--out={tmp_path / 'never'}")
         assert code == 1 and stdout == "" and wall < 1.0
         assert err.startswith(f"numerical failure: {name} = ")
         assert "not a normal double" in err
     assert not (tmp_path / "never").exists()
+    _refuses_coincident_nodes(capsys, tmp_path / "never", "residual",
+                              "--dx=1e-300", "--nx=41", "--ny=5", axis="x")
+    _refuses_coincident_nodes(capsys, tmp_path / "never", "residual",
+                              "--dy=5e-324")
 
 
 # a spacing below the ulp of the origin makes -3 + j*1e-30 round to -3 for
@@ -380,14 +410,26 @@ def test_field_refuses_coincident_nodes(tmp_path, capsys):
                               axis="x")
 
 
+def _refuses_overflowing_nodes(capsys, out, command):
+    # nodes past the largest double: residual and oracle printed four
+    # numpy RuntimeWarnings and blamed F (or erf in bound mode); tabulate
+    # refuses the lattice before it samples, naming the x axis
+    for mode in ("sommerfeld", "bound"):
+        _refuses_coincident_nodes(capsys, out, command, f"--mode={mode}",
+                                  "--x0=1e308", "--dx=1e308", "--nx=5",
+                                  "--ny=5", axis="x")
+
+
 def test_residual_refuses_coincident_nodes(tmp_path, capsys):
     _refuses_coincident_nodes(capsys, tmp_path / "r.txt", "residual",
                               "--dy=1e-30", "--nx=41", "--ny=41")
+    _refuses_overflowing_nodes(capsys, tmp_path / "r.txt", "residual")
 
 
 def test_oracle_refuses_coincident_nodes(tmp_path, capsys):
     _refuses_coincident_nodes(capsys, tmp_path / "o.csv", "oracle",
                               "--dy=1e-30", "--nx=41", "--ny=41")
+    _refuses_overflowing_nodes(capsys, tmp_path / "o.csv", "oracle")
 
 
 def test_closed_stdout_exits_1_without_a_traceback(tmp_path):

@@ -188,18 +188,21 @@ def _count_F_calls(monkeypatch):
 @pytest.mark.parametrize("n", [1, B + 1])
 def test_two_term_makes_one_F_call_per_block(monkeypatch, n):
     # xi and eta reach F as one stacked pair: one specfun call per tile,
-    # on the Fresnel route and the erf route alike; a trapped chart
-    # (kappa = i|kappa|, Im lam = -pi/2) takes one call on xi alone, and
-    # a complex lam off -+pi/2 keeps the pair
+    # on the Fresnel route and the erf route alike; the trapped Dirichlet
+    # chart (kappa = i|kappa|, Im lam = -pi/2, sign = -1) takes one call
+    # on xi alone, and a complex lam off -pi/2, Im lam = +pi/2 or sign =
+    # +1 keeps the pair
     shapes = _count_F_calls(monkeypatch)
     X = np.linspace(-3.0, 3.0, n)
     chunks = [min(B, n - s) for s in range(0, n, B)]
-    trapped = bound_edge.WaveguideParams(1.0, 0.5)
-    for kappa, lam, alpha, lead in ((2.0, 0.0, 0.0, (2, 1)),
-                                    (1.5j, 0.4 - 0.2j, 1.0, (2, 1)),
-                                    (trapped.kappa, trapped.lam, 1.0, (1,))):
+    p = bound_edge.WaveguideParams(1.0, 0.5)
+    for kappa, lam, alpha, sign, lead in ((2.0, 0.0, 0.0, -1, (2, 1)),
+                                          (1.5j, 0.4 - 0.2j, 1.0, -1, (2, 1)),
+                                          (p.kappa, -p.lam, 1.0, -1, (2, 1)),
+                                          (p.kappa, p.lam, 1.0, 1, (2, 1)),
+                                          (p.kappa, p.lam, 1.0, -1, (1,))):
         shapes.clear()
-        sommerfeld.two_term(2.0, kappa, lam, alpha, 0.0, X, 0.7, -1)
+        sommerfeld.two_term(2.0, kappa, lam, alpha, 0.0, X, 0.7, sign)
         assert shapes == [lead + (c,) for c in chunks]
 
 
