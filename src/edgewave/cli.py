@@ -22,6 +22,7 @@ import dataclasses
 import math
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -244,18 +245,13 @@ def _cmd_residual(cfg: dict) -> int:
 def _cmd_tail(cfg: dict) -> int:
     alpha = cfg["alpha"]
     k = cfg["k"] if cfg["k"] is not None else 0.5 * alpha
-    if not 0 < k < alpha:
-        raise SystemExit("usage error: tail scan needs 0 < k < alpha")
-    a_list = cfg["a_list"]
-    if not green_perturbation.offsets_span_ok(alpha, a_list):
-        raise SystemExit("usage error: tail scan offsets must span at "
-                         "least 2/alpha")
     probe_y = cfg["probe_y"] if cfg["probe_y"] is not None else -12.0 / alpha
-    if probe_y == 0.0 and cfg["probe_x"] in a_list:
-        raise SystemExit("usage error: the tail scan probe lies on an "
-                         "impurity")
-    probe = PlanePoint(cfg["probe_x"], probe_y)
-    res = green_perturbation.tail_scan(alpha, k, cfg["lam"], a_list, probe)
+    try:
+        scan = (alpha, k, cfg["lam"], cfg["a_list"], PlanePoint(cfg["probe_x"], probe_y))
+        green_perturbation.tail_scan_inputs(*scan)
+    except ValueError as exc:
+        raise SystemExit(f"usage error: {exc}") from exc
+    res = green_perturbation.tail_scan(*scan)
     out = cfg["out"] or "tail.csv"
     with open(out, "w") as fh:
         fh.write(green_perturbation.tail_scan_csv(res))
@@ -283,11 +279,24 @@ def _cmd_oracle(cfg: dict) -> int:
     return 0
 
 
+def _run_check(run: partial) -> criteria.Check:
+    """run(), or a FAIL naming the check if its numerics raise."""
+    try:
+        return run()
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
+        return criteria.Check(run.func.__name__.replace("_", "-"), math.nan,
+                              math.nan, False, f"numerical failure: {exc}")
+
+
 def _cmd_verify(cfg: dict) -> int:
-    alpha, k = cfg["alpha"], cfg["k"]
+    alpha, k, a = cfg["alpha"], cfg["k"], cfg["a"]
     # edge_ray_zero's samples reach farthest; the stencil boxes 3 sqrt 2
     _require_reach(f"k = {k!r}", k, "verify's free-edge samples'",
                    criteria.RAY_REACH, "free-edge", "k")
+    if a + criteria.RAY_NEAR == a:
+        raise SystemExit(
+            f"usage error: a = {a!r}: the face samples a + r from "
+            f"r = {criteria.RAY_NEAR:g} round to the tip a")
     # the guided modes the checks build: k = 0.2, 0.5 and 2 alpha
     for m in (0.2, 0.5, 2.0):
         try:
@@ -297,17 +306,17 @@ def _cmd_verify(cfg: dict) -> int:
     rng = np.random.default_rng(0)
     draws = [(k, complex(rng.uniform(-3, 3), rng.uniform(-1, 1)))
              for _ in range(8)]
-    checks = [
-        criteria.flux_conservation([alpha], tol=1e-13),
-        criteria.bound_pole_location((0.5, 1.0, 2.0), tol=1e-12),
-        criteria.fresnel_cross_validation(draws, quad_tol=1e-12, tol=1e-9),
-        criteria.edge_ray_zero(k, cfg["a"], tol=1e-12),
-        criteria.stencil_residual_order(k, (101, 201, 401), tol=1.8),
-        criteria.coordinate_conjugation(seed=1, tol=1e-12),
-        criteria.guided_products([alpha], tol=1e-12),
-        criteria.guided_tail_slope(alpha, tol=0.01),
-        criteria.impurity_tail_slope(alpha, tol=0.05),
-    ]
+    checks = [_run_check(run) for run in (
+        partial(criteria.flux_conservation, [alpha], tol=1e-13),
+        partial(criteria.bound_pole_location, (0.5, 1.0, 2.0), tol=1e-12),
+        partial(criteria.fresnel_cross_validation, draws, quad_tol=1e-12, tol=1e-9),
+        partial(criteria.edge_ray_zero, k, a, tol=1e-12),
+        partial(criteria.stencil_residual_order, k, (101, 201, 401), tol=1.8),
+        partial(criteria.coordinate_conjugation, seed=1, tol=1e-12),
+        partial(criteria.guided_products, [alpha], tol=1e-12),
+        partial(criteria.guided_tail_slope, alpha, tol=0.01),
+        partial(criteria.impurity_tail_slope, alpha, tol=0.05),
+    )]
     text = "".join(f"{'PASS' if c.ok else 'FAIL'} {c.name}: {c.detail}\n"
                    for c in checks)
     all_ok = all(c.ok for c in checks)

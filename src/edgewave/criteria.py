@@ -1,8 +1,8 @@
 """The checks behind ``edgewave verify`` and the acceptance gate.
 
 Each function measures one claim on samples and a tolerance chosen by
-the caller, and returns a :class:`Check`; verify and the gate differ
-only in those arguments.
+the caller, and returns a :class:`Check` named after it (underscores as
+hyphens); verify and the gate differ only in those arguments.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ import numpy as np
 from . import bound_edge, delta_1d, green_perturbation, sommerfeld, specfun
 from .geometry import PlanePoint, chart
 
-RAY_REACH = 30.0    # edge_ray_zero's farthest sample from the tip
+RAY_NEAR = 1e-3     # edge_ray_zero's nearest face sample from the tip
+RAY_REACH = 30.0    # and its farthest
 
 @dataclass(frozen=True)
 class Check:
@@ -35,6 +36,13 @@ def _worst_within(name: str, defects, tol: float, label: str) -> Check:
     worst = float(np.max(defects))
     return Check(name, worst, tol, worst <= tol,
                  f"{label} {worst:.16e} (tol {tol:.1e})")
+
+
+def _slope_within(name: str, slope, want, tol: float, label: str) -> Check:
+    """|slope - want| / |want| <= tol: a NaN slope fails it."""
+    rel = abs(slope - want) / abs(want)
+    return Check(name, slope, tol, rel <= tol,
+                 f"{label} {slope:.16e} vs {want:.16e} (rel {rel:.16e}, tol {tol:.0%})")
 
 
 def flux_conservation(alphas, tol: float) -> Check:
@@ -57,13 +65,14 @@ def bound_pole_location(alphas, tol: float) -> Check:
 def fresnel_cross_validation(draws, quad_tol: float, tol: float) -> Check:
     """max |closed - quadrature| / max(1, |quadrature|) of F over (k, xi).
 
-    A draw whose F leaves the double range (erf's OverflowError, as at
-    k = 200 with |Im xi| near 1) fails the check with a line naming it."""
+    A draw whose F leaves the double range or erf's domain (an
+    OverflowError, as at k = 200 with |Im xi| near 1, or a ValueError, as
+    at k = 1e300) fails the check with a line naming it."""
     defects = []
     for k, xi in draws:
         try:
             closed = specfun.fresnel_F(k, xi).value
-        except OverflowError as exc:
+        except (OverflowError, ValueError) as exc:
             return Check("fresnel-cross-validation", math.inf, tol, False,
                          f"F at k = {k!r}, xi = {xi!r}: {exc}")
         quad = specfun.fresnel_F_quadrature(k, xi, tol=quad_tol).value
@@ -75,7 +84,7 @@ def fresnel_cross_validation(draws, quad_tol: float, tol: float) -> Check:
 def edge_ray_zero(k: float, a: float, tol: float) -> Check:
     """max |psi| on the barrier faces (to RAY_REACH) over max |psi| on the unit circle."""
     geom = sommerfeld.EdgeGeometry(a=a)
-    X = a + np.geomspace(1e-3, RAY_REACH, 1000)
+    X = a + np.geomspace(RAY_NEAR, RAY_REACH, 1000)
     # both faces in one call: the row y = +0.0 and the row y = -0.0
     faces = sommerfeld.field_values(k, geom, X, np.array([[0.0], [-0.0]]))
     th = np.linspace(0.1, 2 * math.pi - 0.1, 200)
@@ -131,10 +140,7 @@ def guided_tail_slope(alpha: float, tol: float) -> Check:
     xs = np.linspace(-20.0 / alpha, -10.0 / alpha, 41)
     vals = bound_edge.field_values(f, xs, np.full_like(xs, 12.0 / alpha))
     slope, _ = green_perturbation.fit_log_slope(np.abs(xs), vals)
-    rel = abs(slope + alpha) / alpha
-    return Check("guided-tail-slope", slope, tol, rel <= tol,
-                 f"tail slope {slope:.16e} vs {-alpha:.16e} "
-                 f"(rel {rel:.16e}, tol {tol:.0%})")
+    return _slope_within("guided-tail-slope", slope, -alpha, tol, "tail slope")
 
 
 def impurity_tail_slope(alpha: float, tol: float) -> Check:
@@ -143,7 +149,4 @@ def impurity_tail_slope(alpha: float, tol: float) -> Check:
         alpha, 0.5 * alpha, 1.0,
         [a / alpha for a in (1.0, 1.5, 2.0, 2.5, 3.0)],
         PlanePoint(0.0, -12.0 / alpha))
-    rel = abs(res.slope + 2.0 * alpha) / (2.0 * alpha)
-    return Check("impurity-tail-slope", res.slope, tol, rel <= tol,
-                 f"slope {res.slope:.16e} vs {-2.0 * alpha:.16e} "
-                 f"(rel {rel:.16e}, tol {tol:.0%})")
+    return _slope_within("impurity-tail-slope", res.slope, -2.0 * alpha, tol, "slope")

@@ -65,8 +65,8 @@ __all__ = [
     "line_kernel",
     "green_eval",
     "born_correction",
-    "offsets_span_ok",
     "tail_scan",
+    "tail_scan_inputs",
     "tail_scan_csv",
     "operator_mass",
 ]
@@ -207,9 +207,13 @@ def _incident_decay(alpha: float, k: float, lambda_imp: float, a: float,
         raise ValueError(f"the impurity strength lambda_imp must be finite, "
                          f"got {lambda_imp!r}")
     if p.x == a and p.y == 0.0:
-        raise ValueError("probe coincides with the impurity")
-    # E in product form, which keeps its digits near the branch point k = alpha
-    return make_green(alpha, (k - alpha) * (k + alpha)), math.exp(-alpha * a)
+        raise ValueError(f"the probe lies on an impurity, at a = {a!r}")
+    try:
+        # E in product form, which keeps its digits near the branch point k = alpha
+        g = make_green(alpha, (k - alpha) * (k + alpha))
+    except ValueError as exc:
+        raise ValueError(f"{exc} at alpha = {alpha!r}, k = {k!r}") from None
+    return g, math.exp(-alpha * a)
 
 
 def born_correction(alpha: float, k: float, lambda_imp: float, a: float,
@@ -239,13 +243,6 @@ class TailScanResult:
     alpha: float
     k: float
 
-    def __post_init__(self):
-        a = np.asarray(self.a_values, dtype=float)
-        if len(a) < 2 or np.any(np.diff(a) <= 0):
-            raise ValueError("impurity offsets must be strictly increasing")
-        if np.any(np.asarray(self.amplitudes) <= 0):
-            raise ValueError("amplitudes must be positive")
-
     def summary(self) -> dict:
         return {"slope": self.slope, "residual": self.residual,
                 "alpha": self.alpha, "k": self.k}
@@ -253,25 +250,41 @@ class TailScanResult:
 
 def fit_log_slope(xs, values) -> tuple[float, float]:
     """Least-squares slope of log|values| vs xs; returns (slope, rms residual).
-    Raises ``RuntimeError`` if the rms residual exceeds 0.02."""
+    The line is fitted in closed form on u = (x - mean x)/ptp(x): no rank
+    cut, no unit of length.  Raises ``ValueError`` unless the xs have a
+    finite spread, ``RuntimeError`` if the rms residual exceeds 0.02."""
     xs = np.asarray(xs, dtype=float)
     logs = np.log(np.abs(np.asarray(values)))
-    design = np.vstack([xs, np.ones_like(xs)]).T
-    sol, *_ = np.linalg.lstsq(design, logs, rcond=None)
-    rms = float(np.sqrt(np.mean((logs - design @ sol) ** 2)))
+    span = np.ptp(xs)
+    if not 0 < span < math.inf:
+        raise ValueError(f"a log-slope fit needs xs with a finite spread, got {span!r}")
+    u, dev = (xs - xs.mean()) / span, logs - logs.mean()
+    b = u @ dev / (u @ u)
+    slope, rms = float(b / span), float(np.sqrt(np.mean((dev - b * u) ** 2)))
     if not rms <= _TAIL_RMS_MAX:
         raise RuntimeError(
             f"tail fit rms residual {rms:.3e} exceeds {_TAIL_RMS_MAX}: "
-            f"the values do not follow one exponential (slope {sol[0]:.3e})")
-    return float(sol[0]), rms
+            f"the values do not follow one exponential (slope {slope:.3e})")
+    return slope, rms
 
 
-def offsets_span_ok(alpha: float, a_values) -> bool:
-    """Whether impurity offsets span the 2/alpha a tail fit needs, with a
-    few ulps of slack: offsets t/alpha for t = 1..3 span 2/alpha only up
-    to rounding."""
-    return (max(a_values) - min(a_values)
-            >= 2.0 / alpha * (1.0 - 4.0 * np.finfo(float).eps))
+def tail_scan_inputs(alpha: float, k: float, lambda_imp: float, a_list,
+                     probe: PlanePoint) -> tuple[np.ndarray, np.ndarray]:
+    """tail_scan's input rules, each a ValueError: 0 < k < alpha, each
+    offset's own checks (born_correction's), at least four offsets with no
+    repeat, a span of 2/alpha with a few ulps of slack (t/alpha, t = 1..3,
+    spans it only up to rounding).  Returns (sorted offsets, e^{-alpha a})."""
+    if not 0 < k < alpha:
+        raise ValueError(f"the tail scan needs 0 < k < alpha, got "
+                         f"alpha = {alpha!r}, k = {k!r}")
+    a_arr = np.array(sorted(a_list), dtype=float)
+    if len(a_arr) < 4 or not np.all(np.diff(a_arr)):
+        raise ValueError("the tail scan needs at least four offsets with no repeat")
+    decays = np.array([_incident_decay(alpha, k, lambda_imp, a, probe)[1]
+                       for a in a_arr.tolist()])
+    if not np.ptp(a_arr) >= 2.0 / alpha * (1.0 - 4.0 * np.finfo(float).eps):
+        raise ValueError("the tail scan offsets must span at least 2/alpha")
+    return a_arr, decays
 
 
 def _refuse_underflow(a_arr: np.ndarray, amps: np.ndarray,
@@ -288,16 +301,10 @@ def _refuse_underflow(a_arr: np.ndarray, amps: np.ndarray,
 def tail_scan(alpha: float, k: float, lambda_imp: float, a_list,
               probe: PlanePoint) -> TailScanResult:
     """Born amplitude |psi1(probe)| against impurity offset, with log fit."""
-    a_arr = np.asarray(sorted(a_list), dtype=float)
-    if len(a_arr) < 4:
-        raise ValueError("need at least 4 impurity offsets for the fit")
-    if not offsets_span_ok(alpha, a_arr):
-        raise ValueError("offsets must span at least 2/alpha")
-    # every offset's checks, and its incident mode's underflow, before
-    # the first quadrature; products that underflow where the factor does
-    # not are refused after it
-    _refuse_underflow(a_arr, np.array(
-        [_incident_decay(alpha, k, lambda_imp, a, probe)[1] for a in a_arr]))
+    # the inputs and an underflowing e^{-alpha a} are refused before the
+    # first quadrature, a product that underflows alone after it
+    a_arr, decays = tail_scan_inputs(alpha, k, lambda_imp, a_list, probe)
+    _refuse_underflow(a_arr, decays)
     amps = np.array([abs(born_correction(alpha, k, lambda_imp, a, probe))
                      for a in a_arr])
     _refuse_underflow(a_arr, amps, floor=1e-300)

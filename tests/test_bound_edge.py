@@ -393,6 +393,14 @@ def test_bound_field_matches_mpmath_past_the_double_range():
     assert abs(want) > 1e-198 and abs(got - want) <= 1e-13 * abs(want)
 
 
+def _far_barrier_rule(alpha):
+    """400 Gauss-Legendre nodes t = sqrt(s - a) over [0, sqrt(40/alpha)]
+    and their weights."""
+    u, w = np.polynomial.legendre.leggauss(400)
+    t_end = math.sqrt(40.0 / alpha)
+    return 0.5 * t_end * (u + 1.0), 0.5 * t_end * w
+
+
 @pytest.mark.parametrize("alpha,k", [(1.0, 0.5), (1.0, 0.2), (1.0, 0.9), (2.0, 1.0)])
 def test_far_barrier_moment_is_the_law(alpha, k):
     # the eps = +1 branch with its tip at (a, 0), over its far-field size
@@ -403,9 +411,7 @@ def test_far_barrier_moment_is_the_law(alpha, k):
     # differences of step h = 1e-4 (s - a) in sigma0
     p = be.WaveguideParams(alpha, k)
     kap = abs(p.kappa)
-    u, w = np.polynomial.legendre.leggauss(400)
-    t_end = math.sqrt(40.0 / alpha)     # t = sqrt(s - a)
-    t, wt = 0.5 * t_end * (u + 1.0), 0.5 * t_end * w
+    t, wt = _far_barrier_rule(alpha)
     for a in (2.0, 6.0):
         s = a + t * t
         h = 1e-4 * (s - a)
@@ -418,6 +424,26 @@ def test_far_barrier_moment_is_the_law(alpha, k):
                                            * (above - below))
         law = (alpha + kap) * math.exp(-2.0 * alpha * a) / (2j * k)
         assert abs(moment / law - 1.0) <= 2e-8
+
+
+@pytest.mark.parametrize("alpha,k", [(1.0, 0.5), (1.0, 0.2), (1.0, 0.9), (2.0, 1.0)])
+def test_far_barrier_neumann_moment_is_the_law(alpha, k):
+    # the paper's other polarisation: the Neumann branch (sign = +1) with
+    # its tip at (a, 0), over F(inf), has the double-layer moment
+    # (alpha/2) int e^{-alpha s} [psi] ds, [psi] = psi(s, +0) - psi(s, -0),
+    # = (alpha - |kappa|) e^{-2 alpha a}/(2ik) on the same rule; face
+    # values need no differences: 2.1e-14 to 2.5e-14 relative measured
+    p = be.WaveguideParams(alpha, k)
+    kap = abs(p.kappa)
+    t, wt = _far_barrier_rule(alpha)
+    for a in (2.0, 6.0):
+        s = a + t * t
+        psi = two_term(k, p.kappa, p.lam, alpha, a, s, np.array([[0.0], [-0.0]]),
+                       1, 1) / math.sqrt(math.pi / (2.0 * kap))
+        moment = alpha / 2.0 * np.sum(wt * 2.0 * t * np.exp(-alpha * s)
+                                      * (psi[0] - psi[1]))
+        law = (alpha - kap) * math.exp(-2.0 * alpha * a) / (2j * k)
+        assert abs(moment / law - 1.0) <= 1e-12
 
 # --- exact field from the barrier integral equation -------------------------
 

@@ -81,17 +81,40 @@ def test_verify_refuses_an_alpha_its_guided_modes_refuse(capsys, alpha):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("k", ["200", "1e6"])
+@pytest.mark.parametrize("k", ["200", "1e6", "1e300"])
 def test_verify_prints_its_table_when_F_overflows(capsys, k):
-    # at large k some Fresnel draws leave the double range: that check
-    # fails with a line naming the draw, and the other eight still print
+    # at large k some Fresnel draws leave the double range (at 1e300 erf's
+    # domain): that check fails with a line naming the draw, and the other
+    # eight still print (at 1e300 the ray zero and the stencil order raised
+    # past verify, which printed one line and no table)
     code, out, err = run_cli(capsys, "verify", f"--k={k}")
     assert code == 1
     lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
     assert len(lines) == 9
     assert "FAIL fresnel-cross-validation: F at k = " in out
+    if k == "1e300":
+        # a check whose numerics raise is one FAIL line naming it
+        for name in ("edge-ray-zero", "stencil-residual-order"):
+            assert f"FAIL {name}: numerical failure: fresnel_F requires " in out
     assert out.splitlines()[-1] == "verify: CHECKS FAILED"
     assert "Traceback" not in err and "numerical failure" not in err
+
+
+def test_verdicts_do_not_depend_on_the_unit_of_length(tmp_path, capsys):
+    # lstsq's rank cut dropped a column of the log-slope fit once its
+    # abscissae were far from 1: verify exited 1 with no table at these
+    # alpha, and this scan with rms 1.414
+    for alpha in ("1e-13", "1e15"):
+        code, out, _ = run_cli(capsys, "verify", f"--alpha={alpha}")
+        assert code == 0 and out.splitlines()[-1] == "verify: all checks passed"
+    code, out, _ = run_cli(capsys, "tail", "--alpha=1e15",
+                           "--a_list=1e-15,1.5e-15,2e-15,2.5e-15,3e-15",
+                           f"--out={tmp_path / 't.csv'}")
+    assert code == 0
+    assert json.loads(out.splitlines()[0])["slope"] == pytest.approx(
+        -2.0000006e15, rel=1e-7)
+    # a tip far out still leaves its nearest face samples off the tip
+    assert run_cli(capsys, "verify", "--a=1.7e13")[0] == 0
 
 
 def test_field_csv_round_trips_and_repeats(tmp_path, capsys):
@@ -285,18 +308,25 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     (("tail", "--a_list=-1,0.5,1,2,3"), "a_list must be at least four"),
     (("tail", "--a_list=1,1.5,2,2.5"), "span at least 2/alpha"),
     (("tail", "--alpha=1", "--probe_x=1", "--probe_y=0"), "on an impurity"),
+    (("tail", "--a_list=1,1,2,3,4"), "with no repeat"),
+    (("tail", "--alpha=1e200"), "at alpha = 1e+200, k = 5e+199"),
+    (("verify", "--a=1e16"), "a = 1e+16: the face samples"),
+    (("verify", "--a=1e20"), "a = 1e+20: the face samples"),
     (("field", "--mode=bound", "--alpha=1", "--k=1"), "k != alpha"),
     (("oracle", "--mode=bound", "--alpha=1", "--k=1"), "k != alpha"),
     (("residual", "--mode=bound", "--alpha=1", "--k=1"), "k != alpha"),
 ], ids=["three-offsets", "repeated-offset", "negative-offset", "short-span",
-        "probe-on-impurity", "field-k-equals-alpha", "oracle-k-equals-alpha",
-        "residual-k-equals-alpha"])
-def test_static_input_rules_exit_2(tmp_path, capsys, argv, message):
+        "probe-on-impurity", "repeat-among-five", "scan-E-overflows",
+        "verify-tip-at-1e16", "verify-tip-at-1e20", "field-k-equals-alpha",
+        "oracle-k-equals-alpha", "residual-k-equals-alpha"])
+def test_static_input_rules_exit_2(tmp_path, capsys, monkeypatch, argv, message):
     # each rule reads the input alone, so breaking it is a usage error
-    # before any quadrature or grid runs (each used to exit 1)
+    # before any quadrature or grid runs (each used to exit 1; a repeat
+    # among five offsets only after every offset's quadrature)
+    monkeypatch.setattr(green_perturbation, "_continuum_integral", None)
     out = tmp_path / "never.csv"
     code, stdout, err = run_cli(capsys, *argv, f"--out={out}")
-    assert code == 2 and stdout == ""
+    assert code == 2 and stdout == "" and err.count("\n") == 1
     assert err.startswith("usage error: ") and message in err
     assert not out.exists()
 

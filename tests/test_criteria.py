@@ -120,3 +120,19 @@ def test_a_nan_order_fails_the_stencil_check(monkeypatch):
     assert not got.ok
     assert math.isnan(got.value)
     assert math.isnan(got.parts[-1]) and not math.isnan(got.parts[0])
+
+
+def test_tail_slopes_follow_the_scale_law():
+    # the closed form and the Born tail only scale with alpha, so each
+    # slope over its expected slope is alpha = 1's at every unit of
+    # length; lstsq's rank cut broke both checks at alpha <= 1e-13 and
+    # >= 1e15 (the Born gap left is the continuum cutoff 20 max(alpha, 1))
+    def ratios(alpha):
+        guided = criteria.guided_tail_slope(alpha, tol=0.01)
+        born = criteria.impurity_tail_slope(alpha, tol=0.05)
+        assert guided.ok and born.ok
+        return np.array([guided.value / -alpha, born.value / (-2.0 * alpha)])
+
+    at_one = ratios(1.0)
+    for j in (-150, 150, *np.random.default_rng(31).integers(-150, 151, 22)):
+        assert np.all(np.abs(ratios(10.0 ** int(j)) - at_one) <= (1e-14, 1e-9))

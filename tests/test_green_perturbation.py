@@ -198,12 +198,25 @@ def test_tail_scan_lambda_rescaling_shifts_only_the_offset():
     assert np.allclose(r2.amplitudes, 10.0 * r1.amplitudes, rtol=1e-12)
 
 
-def test_tail_scan_preconditions():
-    probe = PlanePoint(0.0, -12.0)
-    with pytest.raises(ValueError):
-        gp.tail_scan(1.0, 0.5, 1.0, [1.0, 1.5, 2.0], probe)
-    with pytest.raises(ValueError):
-        gp.tail_scan(1.0, 0.5, 1.0, [1.0, 1.4, 1.8, 2.2], probe)
+def test_tail_scan_preconditions(monkeypatch):
+    # every rule reads the input alone and is refused before the first
+    # quadrature; a repeated offset among five was refused only after
+    # every offset's quadrature, and alpha = 1e200 by ChannelGreen's E
+    # without naming alpha or k
+    monkeypatch.setattr(gp, "_continuum_integral", None)
+    probe, offsets = PlanePoint(0.0, -12.0), [1.0, 1.5, 2.0, 3.0]
+    for args, message in (
+            ((1.0, 0.5, 1.0, [1.0, 1.5, 2.0], probe), "at least four"),
+            ((1.0, 0.5, 1.0, [1.0, 1.0, 2.0, 3.0, 4.0], probe), "no repeat"),
+            ((1.0, 0.5, 1.0, [1.0, 1.4, 1.8, 2.2], probe), "span at least 2/alpha"),
+            ((1.0, 1.5, 1.0, offsets, probe), "0 < k < alpha"),
+            ((1e200, 5e199, 1.0, offsets, probe),
+             r"got -inf at alpha = 1e\+200, k = 5e\+199$"),
+            ((1.0, 0.5, 1.0, offsets, PlanePoint(2.0, 0.0)),
+             "on an impurity, at a = 2.0$")):
+        for call in (gp.tail_scan_inputs, gp.tail_scan):
+            with pytest.raises(ValueError, match=message):
+                call(*args)
 
 
 def test_tail_scan_span_guard_tolerates_rounding(monkeypatch):
@@ -241,6 +254,12 @@ def test_log_slope_fit_refuses_two_exponentials():
     with pytest.raises(RuntimeError,
                        match=r"^tail fit rms residual 8\.312e-02 exceeds 0\.02"):
         gp.fit_log_slope(xs, np.exp(-4.0 * xs) + 0.1 * np.exp(-xs))
+    # abscissae with no spread have no slope: lstsq returned -1.6 at rms
+    # 7.1e-4 for the first, which passed the gate, and -0.0 for the second
+    for flat, values in (([2.0] * 4, math.exp(-4.0) * np.array([1.0, 1.001, 0.999, 1.0])),
+                         ([2.0], [1.0])):
+        with pytest.raises(ValueError, match="finite spread"):
+            gp.fit_log_slope(flat, values)
 
 
 def test_tail_scan_csv_and_summary():
