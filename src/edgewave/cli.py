@@ -68,10 +68,9 @@ _POSITIVE = ("a positive finite number", float, lambda v: 0 < v < math.inf)
 _NON_NEGATIVE = ("a finite number >= 0", float, lambda v: 0 <= v < math.inf)
 _COUNT = ("an integer >= 2", int, lambda n: n >= 2)
 _PATH = ("a file name", str, lambda s: True)
-_OFFSETS = (f"at least four distinct positive finite numbers, as "
-            f"start:step:stop (step > 0, stop >= start, at most "
-            f"{_A_RANGE_STEPS} steps) or a comma list",
-            _parse_a_list, lambda v: len(set(v)) >= 4 and min(v) > 0)
+_OFFSETS = (f"finite numbers, as start:step:stop (step > 0, stop >= "
+            f"start, at most {_A_RANGE_STEPS} steps) or a comma list",
+            _parse_a_list, lambda v: True)
 
 
 def _one_of(*names: str):
@@ -99,11 +98,11 @@ _ORACLE_KEYS = {**_GRID_KEYS, "bc": ("dirichlet", _one_of("dirichlet"))}
 _LATTICE = ("x0", "y0", "dx", "dy", "nx", "ny")     # the keys that place the nodes
 _TAIL_KEYS = {
     "alpha": ("1", _POSITIVE),
-    "k": (None, _POSITIVE),         # alpha/2: the scan lives in the trapped regime
-    "lam": ("1", _NONZERO),         # a zero impurity has no Born field
-    "a_list": ("1:0.5:3", _OFFSETS),
-    "probe_x": ("0", _FINITE),
-    "probe_y": (None, _FINITE),     # -12/alpha
+    "k": (None, _POSITIVE),         # None: from verify's scan, tail_scan_defaults
+    "lam": (None, _NONZERO),        # a zero impurity has no Born field
+    "a_list": (None, _OFFSETS),
+    "probe_x": (None, _FINITE),
+    "probe_y": (None, _FINITE),
     "out": (None, _PATH),
 }
 _VERIFY_KEYS = {"alpha": ("1", _POSITIVE), "k": ("2", _POSITIVE),
@@ -244,10 +243,11 @@ def _cmd_residual(cfg: dict) -> int:
 
 def _cmd_tail(cfg: dict) -> int:
     alpha = cfg["alpha"]
-    k = cfg["k"] if cfg["k"] is not None else 0.5 * alpha
-    probe_y = cfg["probe_y"] if cfg["probe_y"] is not None else -12.0 / alpha
     try:
-        scan = (alpha, k, cfg["lam"], cfg["a_list"], PlanePoint(cfg["probe_x"], probe_y))
+        k, lam, a_list, probe = green_perturbation.tail_scan_defaults(alpha)
+        given = lambda key, default: default if cfg[key] is None else cfg[key]
+        scan = (alpha, given("k", k), given("lam", lam), given("a_list", a_list),
+                PlanePoint(given("probe_x", probe.x), given("probe_y", probe.y)))
         green_perturbation.tail_scan_inputs(*scan)
     except ValueError as exc:
         raise SystemExit(f"usage error: {exc}") from exc
@@ -255,7 +255,7 @@ def _cmd_tail(cfg: dict) -> int:
     out = cfg["out"] or "tail.csv"
     with open(out, "w") as fh:
         fh.write(green_perturbation.tail_scan_csv(res))
-    print(_kv(res.summary()))
+    print(_kv({"slope": res.slope, "residual": res.residual, "alpha": alpha, "k": scan[1]}))
     print(f"wrote {out}")
     return 0
 

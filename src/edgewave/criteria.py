@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bound_edge, delta_1d, green_perturbation, sommerfeld, specfun
-from .geometry import PlanePoint, chart
+from .geometry import chart
 
 RAY_NEAR = 1e-3     # edge_ray_zero's nearest face sample from the tip
 RAY_REACH = 30.0    # and its farthest
@@ -146,7 +146,5 @@ def guided_tail_slope(alpha: float, tol: float) -> Check:
 def impurity_tail_slope(alpha: float, tol: float) -> Check:
     """Slope of the Born tail log|psi1| against the offset; must be -2 alpha."""
     res = green_perturbation.tail_scan(
-        alpha, 0.5 * alpha, 1.0,
-        [a / alpha for a in (1.0, 1.5, 2.0, 2.5, 3.0)],
-        PlanePoint(0.0, -12.0 / alpha))
+        alpha, *green_perturbation.tail_scan_defaults(alpha))
     return _slope_within("impurity-tail-slope", res.slope, -2.0 * alpha, tol, "slope")

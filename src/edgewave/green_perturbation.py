@@ -52,6 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import PlanePoint
+from .grid import pow2_scale
 
 __all__ = [
     "ChannelGreen",
@@ -66,6 +67,7 @@ __all__ = [
     "green_eval",
     "born_correction",
     "tail_scan",
+    "tail_scan_defaults",
     "tail_scan_inputs",
     "tail_scan_csv",
     "operator_mass",
@@ -77,6 +79,7 @@ _N_START = 64
 _N_MAX = 2048
 _QUAD_TOL = 1e-8         # absolute move of the last node doubling
 _TAIL_RMS_MAX = 0.02     # largest rms residual of a usable log-slope fit
+_TINY = float(np.finfo(float).tiny)     # the least normal double
 
 
 @dataclass(frozen=True)
@@ -91,9 +94,11 @@ class ChannelGreen:
         # quadrature would double its nodes toward the cap
         if not 0 <= self.alpha < math.inf:
             raise ValueError(f"alpha must be finite and >= 0, got {self.alpha!r}")
-        if not -math.inf < self.E < 0:
-            raise ValueError("E must be finite and below the continuum "
-                             f"threshold (E < 0), got {self.E!r}")
+        # a subnormal E has lost digits: at alpha = 3e-162 the Born slope
+        # is 3.8e-6 off the scale law
+        if not -math.inf < self.E <= -_TINY:
+            raise ValueError("E must be finite, a normal double and below the "
+                             f"continuum threshold (E < 0), got {self.E!r}")
 
 
 def make_green(alpha: float, E: float) -> ChannelGreen:
@@ -106,8 +111,12 @@ def phi_bound(alpha: float, x) -> np.ndarray:
 
 def phi_even(alpha: float, p, x) -> np.ndarray:
     p = np.asarray(p, dtype=float)
-    return (p * np.cos(p * x) - alpha * np.sin(p * np.abs(x))) \
-        / np.sqrt(math.pi * (p * p + alpha * alpha))
+    # p and alpha at one exact power-of-two scale: p reaches 20 alpha, so
+    # p^2 + alpha^2 itself leaves the double range above alpha = 6.7e152
+    s = pow2_scale(max(alpha, float(np.abs(p).max(initial=0.0))))
+    ps, als = s * p, s * alpha
+    return (ps * np.cos(p * x) - als * np.sin(p * np.abs(x))) \
+        / np.sqrt(math.pi * (ps * ps + als * als))
 
 
 def phi_odd(p, x) -> np.ndarray:
@@ -187,7 +196,10 @@ def green_eval(g: ChannelGreen, frm: PlanePoint, to: PlanePoint) -> GreenValue:
     dy = to.y - frm.y
     cont, est = _continuum_integral(g, to.x, frm.x, dy)
     if g.alpha > 0:
-        mu0 = g.E + g.alpha ** 2
+        # E + alpha^2 at one exact power-of-two scale: alpha^2 leaves the
+        # double range above alpha = 1.34e154, where E and mu0 stay in it
+        s = pow2_scale(max(g.alpha, math.sqrt(-g.E)))
+        mu0 = (g.E * s * s + (g.alpha * s) ** 2) / s / s
         bound = (phi_bound(g.alpha, to.x) * phi_bound(g.alpha, frm.x)
                  * line_kernel(dy, mu0))
     else:
@@ -240,12 +252,6 @@ class TailScanResult:
     amplitudes: np.ndarray
     slope: float
     residual: float
-    alpha: float
-    k: float
-
-    def summary(self) -> dict:
-        return {"slope": self.slope, "residual": self.residual,
-                "alpha": self.alpha, "k": self.k}
 
 
 def fit_log_slope(xs, values) -> tuple[float, float]:
@@ -266,6 +272,12 @@ def fit_log_slope(xs, values) -> tuple[float, float]:
             f"tail fit rms residual {rms:.3e} exceeds {_TAIL_RMS_MAX}: "
             f"the values do not follow one exponential (slope {slope:.3e})")
     return slope, rms
+
+
+def tail_scan_defaults(alpha: float) -> tuple[float, float, list, PlanePoint]:
+    """(k, lambda_imp, offsets, probe): verify's Born scan and ``edgewave tail``'s defaults."""
+    return (0.5 * alpha, 1.0, [t / alpha for t in (1.0, 1.5, 2.0, 2.5, 3.0)],
+            PlanePoint(0.0, -12.0 / alpha))
 
 
 def tail_scan_inputs(alpha: float, k: float, lambda_imp: float, a_list,
@@ -310,7 +322,7 @@ def tail_scan(alpha: float, k: float, lambda_imp: float, a_list,
     _refuse_underflow(a_arr, amps, floor=1e-300)
     slope, resid = fit_log_slope(a_arr, amps)
     return TailScanResult(a_values=a_arr, amplitudes=amps, slope=slope,
-                          residual=resid, alpha=alpha, k=k)
+                          residual=resid)
 
 
 def tail_scan_csv(res: TailScanResult) -> str:

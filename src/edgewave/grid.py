@@ -199,6 +199,13 @@ def check_nodes(x0, y0, dx, dy, nx, ny) -> None:
                                  f"i < {n}, are not strictly increasing as doubles")
 
 
+def pow2_scale(m: float) -> float:
+    """The power of two s, held to the normal doubles, with m*s in [0.5, 1)
+    (1 for 0, inf or nan): scaling by s is exact, so a sum of squares
+    scaled back keeps its bits wherever the unscaled one stayed in range."""
+    return math.ldexp(1.0, min(1022, max(-1022, -math.frexp(m)[1])))
+
+
 # --- exact powers of ten, for both directions ------------------------------
 #
 # 10^q = (hi + lo) 2^b, b = floor(q log2 10): hi in [1, 2) and lo make a

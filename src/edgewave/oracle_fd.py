@@ -47,7 +47,7 @@ from typing import Callable
 import numpy as np
 
 from .grid import (DELTA_LINE, EDGE, EXCLUDE_CELLS, INTERIOR, OUTER, FieldGrid,
-                   build_mask, check_nodes, excluded_band)
+                   build_mask, check_nodes, excluded_band, pow2_scale)
 from .green_perturbation import TailScanResult, fit_log_slope
 
 __all__ = [
@@ -401,12 +401,15 @@ def compare(analytic: FieldGrid, fd: FieldGrid, E: float | None = None) -> dict:
         raise ValueError("the analytic field is 0 on every compared node")
 
     diff = fd.values - analytic.values
+    # both norms at one exact power-of-two scale, so the squares of a
+    # field below about 1e-154 do not underflow to a 0 / 0
+    s = pow2_scale(amax)
 
     def _rel(sel):            # nan for an empty or all-zero selection
-        ref = np.linalg.norm(analytic.values[sel])
+        ref = np.linalg.norm(analytic.values[sel] * s)
         if ref == 0.0:
             return float("nan")
-        return float(np.linalg.norm(diff[sel]) / ref)
+        return float(np.linalg.norm(diff[sel] * s) / ref)
 
     # the 1-D axes broadcast in the masks: no full coordinate meshes
     X, Y = fd.xs()[None, :], fd.ys()[:, None]
@@ -553,4 +556,4 @@ def reflection_scan(alpha: float, k: float, a_list) -> TailScanResult:
     amps = np.array([reflected_amplitudes(alpha, k, a)[0] for a in a_arr])
     slope, resid = fit_log_slope(a_arr, amps)
     return TailScanResult(a_values=a_arr, amplitudes=amps, slope=slope,
-                          residual=resid, alpha=alpha, k=k)
+                          residual=resid)

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import chart
-from .grid import EDGE, FieldGrid, check_nodes, excluded_band, tabulate
+from .grid import EDGE, FieldGrid, check_nodes, excluded_band, pow2_scale, tabulate
 from .specfun import _closed_form, _tiles
 
 __all__ = [
@@ -127,17 +127,17 @@ def two_term(k: float, kappa: complex, lam: complex, alpha: float, a: float,
     for rs, cs in _tiles(rows, cols):
         x, y, eps = _own(X[rs, cs]), _own(Y[rs, cs]), _own(E[rs, cs])
         L = -alpha * np.abs(x) if alpha else 0.0
-        phase = np.exp(-1j * k * y)
         pair = chart(x, y, a, lam, eps)
+        F = _closed_form(kappa, pair[0] if one_f else pair, L)
+        # after F, whose domain check refuses a tile where k*y overflows
+        phase = np.exp(-1j * k * y)
         o = view[rs, cs]
         if not one_f:
-            F = _closed_form(kappa, pair, L)
             np.multiply(phase, F[0], out=o)
             o += sign * phase.conj() * F[1]
             continue
         # one F: (1 + eps) Re w + i (1 - eps) Im w - F_inf e^L e^{iky}
         # [eps = +1], and the two-F bracket where xi == eta bit for bit
-        F = _closed_form(kappa, pair[0], L)
         w = phase * F
         g = -f_inf * (eps > 0) * np.exp(L)
         np.multiply(w.real, 1 + eps, out=o.real)
@@ -245,9 +245,13 @@ def helmholtz_residual(grid: FieldGrid, k,
     included = res[keep]
     if included.size == 0:
         raise ValueError("all nodes excluded from the residual")
+    max_res = float(included.max())
+    # squared at one exact power-of-two scale, so the squares of residuals
+    # below about 1e-154 do not underflow to 0
+    s = pow2_scale(max_res)
     return ResidualReport(
-        max_res=float(included.max()),
-        l2_res=float(np.sqrt(np.mean(included ** 2))),
+        max_res=max_res,
+        l2_res=float(np.sqrt(np.mean((included * s) ** 2)) / s),
         n_nodes=int(included.size),
         dx=grid.dx,
         dy=grid.dy,

@@ -23,15 +23,17 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_verify_passes_and_is_deterministic(capsys):
+def test_verify_passes_and_is_deterministic(tmp_path, capsys):
     code1, out1, _ = run_cli(capsys, "verify")
-    code2, out2, _ = run_cli(capsys, "verify")
+    code2, out2, _ = run_cli(capsys, "verify", f"--out={tmp_path / 'v.txt'}")
     assert code1 == 0 and code2 == 0
     assert out1 == out2
     lines = [l for l in out1.splitlines() if l.startswith(("PASS", "FAIL"))]
     assert len(lines) == 9
     assert all(l.startswith("PASS") for l in lines)
     assert "all checks passed" in out1
+    # --out holds the nine check lines, without the verdict
+    assert (tmp_path / "v.txt").read_text() == "".join(l + "\n" for l in lines)
 
 
 def test_verify_passes_at_alpha_0_7(capsys):
@@ -165,9 +167,12 @@ _RECORD_GRID = ("--nx=61", "--ny=61", "--dx=0.1", "--dy=0.1", "--x0=-3",
 
 
 @_RECORD_CASES
-def test_residual_record(capsys, mode_args, E):
-    code, stdout, _ = run_cli(capsys, "residual", *_RECORD_GRID, *mode_args)
+def test_residual_record(tmp_path, capsys, mode_args, E):
+    out = tmp_path / "r.txt"
+    code, stdout, _ = run_cli(capsys, "residual", *_RECORD_GRID, *mode_args,
+                              f"--out={out}")
     assert code == 0
+    assert out.read_text() == stdout        # --out holds the printed line
     rec = json.loads(stdout.splitlines()[0])
     assert {"max_res", "l2_res", "n_nodes", "dx", "dy"} <= set(rec)
     assert list(rec) == ["max_res", "l2_res", "n_nodes", "dx", "dy",
@@ -303,9 +308,9 @@ def test_usage_errors_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (("tail", "--a_list=1,2,3"), "a_list must be at least four distinct"),
-    (("tail", "--a_list=1,1,2,3"), "a_list must be at least four distinct"),
-    (("tail", "--a_list=-1,0.5,1,2,3"), "a_list must be at least four"),
+    (("tail", "--a_list=1,2,3"), "needs at least four offsets with no repeat"),
+    (("tail", "--a_list=1,1,2,3"), "needs at least four offsets with no repeat"),
+    (("tail", "--a_list=-1,0.5,1,2,3"), "offset a must be positive and finite, got -1.0"),
     (("tail", "--a_list=1,1.5,2,2.5"), "span at least 2/alpha"),
     (("tail", "--alpha=1", "--probe_x=1", "--probe_y=0"), "on an impurity"),
     (("tail", "--a_list=1,1,2,3,4"), "with no repeat"),
@@ -344,6 +349,36 @@ def test_numerical_failure_exits_1(capsys):
         assert code == 1 and out == ""
         assert err.startswith("numerical failure: " + message)
         assert err.count("\n") == 1
+
+
+def test_y_phase_overflow_is_refused_in_one_line(tmp_path, capsys):
+    # k*y overflows in two_term's y-phase; F's domain check refuses the
+    # tile first, so the refusal comes with no numpy RuntimeWarning (two
+    # were printed before it)
+    for argv in (("field", "--k=1e300", "--dy=1e300", "--nx=11", "--ny=11"),
+                 ("residual", "--k=1e300", "--dy=1e300", "--nx=11", "--ny=11"),
+                 ("oracle", "--k=1e300", "--y0=1", "--dy=1e15", "--nx=7")):
+        code, stdout, err = run_cli(capsys, *argv, f"--out={tmp_path / 'never'}")
+        assert code == 1 and stdout == "" and err.count("\n") == 1
+        assert err.startswith("numerical failure: fresnel_F requires finite xi")
+    assert not (tmp_path / "never").exists()
+
+
+def test_l2_norms_of_a_field_below_1e_154(capsys):
+    # the bound field vanishes like k (max|psi| 3.1e-302 at k = 1e-300):
+    # its squares underflowed, so oracle printed l2_rel nan beside max_rel
+    # 3.6e-3 with exit 0, and residual an l2_res of 0
+    code, stdout, _ = run_cli(capsys, "oracle", "--mode=bound", "--k=1e-300",
+                              "--nx=11", "--ny=11")
+    assert code == 0 and "nan" not in stdout
+    rec = json.loads(stdout.splitlines()[0])
+    assert rec["l2_rel"] == pytest.approx(2.5898e-3, rel=1e-4)
+    assert rec["max_rel"] == pytest.approx(3.6231e-3, rel=1e-4)
+    code, stdout, _ = run_cli(capsys, "residual", "--mode=bound", "--k=1e-300",
+                              "--nx=41", "--ny=41")
+    rec = json.loads(stdout)
+    assert code == 0 and rec["max_res"] == pytest.approx(8.6351e-302, rel=1e-4)
+    assert rec["l2_res"] == pytest.approx(3.8442e-302, rel=1e-4)
 
 
 def test_oracle_delta_line_resolution_exits_1(capsys):
@@ -523,7 +558,7 @@ def test_tail_refuses_an_underflowed_mode_quickly(tmp_path, capsys):
     # before any quadrature; the refusal took about 50 s
     out = tmp_path / "t.csv"
     code, stdout, err, wall = _timed(capsys, "tail", "--alpha=1e6",
-                                     f"--out={out}")
+                                     "--a_list=1:0.5:3", f"--out={out}")
     assert code == 1 and stdout == "" and wall < 1.0
     assert err.startswith("numerical failure: all amplitudes underflowed")
     assert not out.exists()
@@ -539,12 +574,30 @@ def test_tail_refuses_a_partly_underflowed_mode(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(green_perturbation, "_continuum_integral",
                         lambda *args: quadratures.append(args) or integral(*args))
     out = tmp_path / "t.csv"
-    code, stdout, err = run_cli(capsys, "tail", "--alpha=300", f"--out={out}")
+    code, stdout, err = run_cli(capsys, "tail", "--alpha=300",
+                                "--a_list=1:0.5:3", f"--out={out}")
     assert code == 1 and stdout == ""
     assert err == ("numerical failure: the amplitude underflowed to 0 from "
                    "offset a = 2.5; fit is degenerate\n")
     assert not out.exists()
     assert quadratures == []
+
+
+@pytest.mark.parametrize("alpha", ["0.5", "0.9", "40", "300", "1e6", "1e-13", "1e15"])
+def test_tail_defaults_are_verifys_scan_at_any_alpha(tmp_path, capsys, alpha):
+    # the offsets, k and probe scale with 1/alpha as verify's do; with the
+    # absolute offsets 1:0.5:3 every alpha < 1 exited 2 (span below
+    # 2/alpha), alpha = 40 exited 1 on a degraded fit and alpha = 300 on
+    # an underflow
+    out = tmp_path / "t.csv"
+    code, stdout, err = run_cli(capsys, "tail", f"--alpha={alpha}", f"--out={out}")
+    assert code == 0 and err == ""
+    rec, a = json.loads(stdout.splitlines()[0]), float(alpha)
+    assert rec["alpha"] == a and rec["k"] == 0.5 * a
+    # slope over -2 alpha is alpha = 1's, 1.0000003012474905
+    assert abs(rec["slope"] / (-2.0 * a) - 1.0000003012474905) <= 1e-9
+    res = green_perturbation.tail_scan(a, *green_perturbation.tail_scan_defaults(a))
+    assert out.read_text() == green_perturbation.tail_scan_csv(res)
 
 
 def test_tail_far_probe_at_alpha_3_exits_1_quickly(tmp_path, capsys):

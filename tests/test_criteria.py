@@ -136,3 +136,10 @@ def test_tail_slopes_follow_the_scale_law():
     at_one = ratios(1.0)
     for j in (-150, 150, *np.random.default_rng(31).integers(-150, 151, 22)):
         assert np.all(np.abs(ratios(10.0 ** int(j)) - at_one) <= (1e-14, 1e-9))
+    # the Born scan at both ends of the double range, where the guided
+    # modes' E leaves it: phi_e's p^2 + alpha^2 overflowed above about
+    # 6.7e152 and the bound channel's alpha^2 above 1.34e154; 2e-154 keeps
+    # the scan's E a normal double
+    for alpha in (7e153, 1.5e154, 1.54e154, 2e-154):
+        born = criteria.impurity_tail_slope(alpha, tol=0.05)
+        assert born.ok and abs(born.value / (-2.0 * alpha) - at_one[1]) <= 1e-9

@@ -1,5 +1,6 @@
 """Channel-resolved resolvent and the first-order impurity response."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -41,7 +42,10 @@ def test_validation():
         gp.make_green(-1.0, -0.5)
     # non-finite alpha or E built, and green_eval then never returned
     for alpha, E, name in ((math.nan, -0.75, "alpha"), (math.inf, -0.75, "alpha"),
-                           (1.0, math.nan, "E"), (1.0, -math.inf, "E")):
+                           (1.0, math.nan, "E"), (1.0, -math.inf, "E"),
+                           # a subnormal E has lost digits: at alpha =
+                           # 3e-162 the Born slope was 3.8e-6 off the scale law
+                           (1.0, -5e-324, "E"), (1e-160, -0.75e-320, "E")):
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             gp.make_green(alpha, E)
     g = gp.make_green(1.0, -0.75)
@@ -136,7 +140,7 @@ def test_operator_mass_near_unity():
     assert got == pytest.approx(abs(ref), rel=1e-13)
 
 
-def test_born_linearity_and_prefactor():
+def test_born_linearity_and_prefactor(monkeypatch):
     alpha, k, a = 1.0, 0.5, 1.2
     probe = PlanePoint(0.0, -9.0)
     one = gp.born_correction(alpha, k, 1.0, a, probe)
@@ -149,6 +153,9 @@ def test_born_linearity_and_prefactor():
         gp.born_correction(alpha, k, 1.0, -1.0, probe)
     with pytest.raises(ValueError):
         gp.born_correction(alpha, k, 1.0, 1.2, PlanePoint(1.2, 0.0))
+    # e^{-alpha a} underflows at a = 800: the product is 0, no quadrature
+    monkeypatch.setattr(gp, "_continuum_integral", None)
+    assert gp.born_correction(alpha, k, 1.0, 800.0, probe) == 0j
 
 
 def test_non_finite_offset_is_rejected_before_the_quadrature():
@@ -262,13 +269,14 @@ def test_log_slope_fit_refuses_two_exponentials():
             gp.fit_log_slope(flat, values)
 
 
-def test_tail_scan_csv_and_summary():
-    res = gp.tail_scan(1.0, 0.5, 1.0, [1.0, 1.5, 2.0, 2.5, 3.0],
-                       PlanePoint(0.0, -12.0))
+def test_tail_scan_csv_and_fields():
+    res = gp.tail_scan(1.0, *gp.tail_scan_defaults(1.0))
     csv = gp.tail_scan_csv(res)
     lines = csv.strip().split("\n")
     assert lines[0] == "a,amplitude"
     assert len(lines) == 6
     a0, amp0 = lines[1].split(",")
     assert float(a0) == 1.0 and float(amp0) == res.amplitudes[0]
-    assert list(res.summary().keys()) == ["slope", "residual", "alpha", "k"]
+    # the result holds what the scan found, not its inputs
+    assert [f.name for f in dataclasses.fields(res)] == [
+        "a_values", "amplitudes", "slope", "residual"]

@@ -509,3 +509,7 @@ def test_grid_validation():
         gr.FieldGrid(x0=0, y0=0, dx=0.1, dy=0.1, nx=3, ny=3,
                      values=np.zeros((4, 3), complex),
                      mask=np.zeros((3, 3), np.uint8))
+    with pytest.raises(ValueError, match="mask must have shape"):
+        gr.FieldGrid(x0=0, y0=0, dx=0.1, dy=0.1, nx=3, ny=3,
+                     values=np.zeros((3, 3), complex),
+                     mask=np.zeros((3, 4), np.uint8))

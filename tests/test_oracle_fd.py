@@ -44,6 +44,8 @@ def test_problem_validation():
         ofd.FdProblem(x0=0, y0=0, dx=0.5, dy=0.5, nx=9, ny=9, E=9.0)  # coarse
     with pytest.raises(ValueError):
         ofd.FdProblem(x0=0, y0=0, dx=0.1, dy=0.1, nx=2, ny=9, E=1.0)
+    with pytest.raises(ValueError, match="alpha must be >= 0"):
+        ofd.FdProblem(x0=0, y0=0, dx=0.1, dy=0.1, nx=9, ny=9, E=1.0, alpha=-1.0)
     with pytest.raises(ValueError, match="alpha"):
         # sqrt(|E|)*dx = 0.02 passes; alpha*dx = 0.6 does not
         ofd.FdProblem(x0=0, y0=0, dx=0.03, dy=0.03, nx=9, ny=9,
@@ -519,8 +521,13 @@ def test_compare_trivia():
                         values=grid.values, mask=grid.mask)
     # a field that is 0 on every compared node gave nan with a warning
     zero = dataclasses.replace(grid, values=np.zeros_like(grid.values))
+    # on a 5 x 5 grid the band around the axis x = 0 covers every node
+    mask = build_mask(-1.0, -1.0, 0.5, 0.5, 5, 5, delta_line=True)
+    banded = FieldGrid(x0=-1.0, y0=-1.0, dx=0.5, dy=0.5, nx=5, ny=5,
+                       values=np.ones((5, 5), complex), mask=mask)
     for analytic, fd, match in ((grid, shifted, "grids differ"),
-                                (zero, grid, "0 on every compared node")):
+                                (zero, grid, "0 on every compared node"),
+                                (banded, banded, "no nodes left")):
         with pytest.raises(ValueError, match=match):
             ofd.compare(analytic, fd)
 
@@ -712,6 +719,9 @@ def test_reflection_scan_frozen():
 def test_reflection_needs_trapped_regime():
     with pytest.raises(ValueError):
         ofd.reflected_amplitudes(1.0, 2.0, 1.0)
+    for k in (0.0, -0.5):
+        with pytest.raises(ValueError, match="alpha and k must be positive"):
+            ofd.solve_guided_scatter(1.0, k, 1.0)
 
 
 def test_reflection_rejects_tip_on_or_past_the_axis():

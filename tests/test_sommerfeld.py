@@ -135,6 +135,10 @@ def test_residual_flags_and_errors():
     small = sommerfeld.field_on_grid(0.4, g, -3.0, -3.0, 1.5, 1.5, 5, 5)
     with pytest.raises(ValueError, match="all nodes excluded"):
         sommerfeld.helmholtz_residual(small, 0.4)
+    # a grid under 3 nodes across has no five-point stencil
+    thin = sommerfeld.field_on_grid(0.4, g, -3.0, -3.0, 1.5, 1.5, 5, 2)
+    with pytest.raises(ValueError, match="too small for the five-point"):
+        sommerfeld.helmholtz_residual(thin, 0.4)
     # the tip disk is placed from the mask, so it needs the ray on the grid
     above = sommerfeld.field_on_grid(0.4, g, -3.0, 0.75, 0.75, 0.75, 9, 9)
     with pytest.raises(ValueError, match="barrier tip"):

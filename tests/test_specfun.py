@@ -130,6 +130,10 @@ def test_fresnel_matches_quadrature():
         q = specfun.fresnel_F_quadrature(k, xi, tol=1e-12)
         assert abs(a - q.value) <= 1e-10 * max(1.0, abs(q.value))
         assert q.est_abs_error >= 0.0
+    # at xi = 0 the quadrature is the Gaussian tail alone, F(0)
+    for k in (0.3, 2.0):
+        q = specfun.fresnel_F_quadrature(k, 0.0, tol=1e-12)
+        assert abs(specfun.fresnel_F(k, 0.0).value - q.value) <= 1e-10
 
 
 def test_fresnel_array_matches_scalar():
