@@ -91,7 +91,8 @@ from functools import cached_property
 import numpy as np
 from scipy.special import k0
 
-from .sommerfeld import _TINY, _own, two_term
+from .grid import _TINY
+from .sommerfeld import _own, two_term
 
 __all__ = [
     "WaveguideParams",
@@ -200,7 +201,6 @@ _ORDER = 16            # Gauss nodes per barrier panel
 _TIP_DECAY = 30.0      # uniform tip panels cover alpha*s <= 30
 _HALO_DECAY = 36.0     # the barrier is cut at kappa*s = 36
 _PIECE_ORDER = 12      # Gauss nodes per graded piece
-_MAX_LEVELS = 30       # grading stops at 2^-30 of a panel
 _CHUNK = 256           # rows per batch of near-field or evaluation work
 _TIP_PANELS = 12       # default uniform panels over the tip stretch
 
@@ -236,36 +236,35 @@ class _BarrierPanels:
         self._interp = np.linalg.inv(np.polynomial.legendre.legvander(self._u, _ORDER - 1))
         self._piece = np.polynomial.legendre.leggauss(_PIECE_ORDER)
 
-    def _near(self, M, rows, pans, u0, levels, sides, kernel) -> None:
+    def _near(self, M, rows, pans, u0, depth, kernel) -> None:
         """Write product weights over M's blocks (r, panel j) for the pairs
-        in (rows, pans): int_panel kernel(r, s) rho(s) ds on Gauss pieces
-        halving toward u0 on each of ``sides``, down to 2^-levels."""
+        in (rows, pans): int_panel kernel(r, s) rho(s) ds on Gauss pieces.
+        Each side of u0, of length L = 1 -+ u0 in panel units, is halved
+        toward u0 ceil(log2(L/depth)) times, at least once, so its last piece
+        is at most depth long (depth floored at 2^-30); a side of length 0 is skipped."""
         g, gw = self._piece
-        cols = np.arange(_ORDER)
-        for lev in np.unique(levels):
-            frac = np.append(2.0 ** -np.arange(lev + 1), 0.0)
-            batch = np.nonzero(levels == lev)[0]
-            for c in range(0, batch.size, _CHUNK):
-                sel = batch[c:c + _CHUNK]
-                r, j, u = rows[sel], pans[sel], u0[sel]
-                uq, wq = [], []
-                for side in sides:
-                    cuts = u[:, None] + side * (1.0 - side * u)[:, None] * frac
+        depth = np.maximum(depth, 2.0 ** -30)
+        W = np.zeros((rows.size, _ORDER))
+        for side in (1.0, -1.0):
+            length = 1.0 - side * u0
+            live = np.nonzero(length > 0.0)[0]
+            levels = np.maximum(np.ceil(np.log2(length[live] / depth[live])), 1.0)
+            for lev in np.unique(levels):
+                frac = np.append(2.0 ** -np.arange(lev + 1), 0.0)
+                batch = live[levels == lev]
+                for c in range(0, batch.size, _CHUNK):
+                    sel = batch[c:c + _CHUNK]
+                    j, u = pans[sel], u0[sel]
+                    cuts = u[:, None] + side * length[sel, None] * frac
                     mid = 0.5 * (cuts[:, :-1] + cuts[:, 1:])
                     half = 0.5 * np.abs(cuts[:, :-1] - cuts[:, 1:])
-                    uq.append((mid[..., None] + half[..., None] * g).reshape(u.size, -1))
-                    wq.append((half[..., None] * gw).reshape(u.size, -1))
-                uq = np.concatenate(uq, axis=1)
-                wq = np.concatenate(wq, axis=1) * self._half[j, None]
-                tq = self._edges[j, None] + self._half[j, None] * (uq + 1.0)
-                live = wq > 0.0     # pieces of zero length sit on the root
-                fq = np.zeros(uq.shape)
-                fq[live] = wq[live] * kernel(np.broadcast_to(r[:, None], uq.shape)[live],
-                                             tq[live] ** 2)
-                vander = np.polynomial.legendre.legvander(uq, _ORDER - 1)
-                m = j[:, None] * _ORDER + cols
-                M[r[:, None], m] = (np.einsum("nq,nqm->nm", fq, vander)
-                                    @ self._interp) * self._jac[m]
+                    uq = (mid[..., None] + half[..., None] * g).reshape(u.size, -1)
+                    wq = (half[..., None] * gw).reshape(u.size, -1) * self._half[j, None]
+                    tq = self._edges[j, None] + self._half[j, None] * (uq + 1.0)
+                    W[sel] += np.einsum("nq,nqm->nm", wq * kernel(rows[sel, None], tq ** 2),
+                                        np.polynomial.legendre.legvander(uq, _ORDER - 1))
+        m = pans[:, None] * _ORDER + np.arange(_ORDER)
+        M[rows[:, None], m] = (W @ self._interp) * self._jac[m]
 
     def potential(self, x, y) -> np.ndarray:
         """A with (A @ rho)_i = int K0(kappa |(x_i, y_i) - (s, 0)|) rho(s) ds."""
@@ -274,7 +273,7 @@ class _BarrierPanels:
         A = k0(self.kappa * np.hypot(x[:, None] - self.s, y[:, None])) * self.ws
         # the kernel is singular where t^2 = x + i|y|; panels closer to
         # that root than their own length get product weights on pieces
-        # graded toward it, down to the root's distance from the real axis
+        # graded toward it, down to the root's distance from the panel
         edges, half = self._edges, self._half
         root = np.sqrt(x + 1j * y)
         home = np.searchsorted(edges, root.real, side="right") - 1
@@ -283,27 +282,29 @@ class _BarrierPanels:
         j = np.where(ok, j, 0)
         gap = np.maximum(np.maximum(edges[j] - root.real[:, None],
                                     root.real[:, None] - edges[j + 1]), 0.0)
-        ok &= np.hypot(gap, root.imag[:, None]) < 2.0 * half[j]
+        dist = np.hypot(gap, root.imag[:, None])
+        ok &= dist < 2.0 * half[j]
         rows = np.nonzero(ok)[0]
         pans = j[ok]
         u0 = np.clip((root.real[rows] - edges[pans]) / half[pans] - 1.0, -1.0, 1.0)
-        depth = np.maximum(root.imag[rows] / half[pans], 2.0 ** -_MAX_LEVELS)
-        levels = np.maximum(np.ceil(np.log2(2.0 / depth)), 1).astype(int)
-        self._near(A, rows, pans, u0, levels, (1.0, -1.0),
+        self._near(A, rows, pans, u0, dist[ok] / half[pans],
                    lambda r, s: k0(self.kappa * np.hypot(x[r] - s, y[r])))
         return A
 
     @cached_property
     def tail(self) -> np.ndarray:
         """N with (N @ rho)_i = int_{s_i} rho(s) e^{-alpha (s - s_i)} ds."""
-        alpha, n = self.alpha, self.s.size
-        pan = np.arange(n) // _ORDER
-        later = pan[None, :] > pan[:, None]
-        gap = np.where(later, self.s[None, :] - self.s[:, None], 0.0)
-        N = np.where(later, self.ws * np.exp(-alpha * gap), 0.0)
-        self._near(N, np.arange(n), pan, np.tile(self._u, n // _ORDER),
-                   np.full(n, _MAX_LEVELS), (1.0,),
-                   lambda r, s: np.exp(-alpha * (s - self.s[r])))
+        alpha, s = self.alpha, self.s
+
+        def kernel(r, q):        # H(q - s_r) e^{-alpha max(q - s_r, 0)}
+            return np.exp(-alpha * np.maximum(q - s[r], 0.0)) * (q >= s[r])
+
+        rows = np.arange(s.size)
+        pans = rows // _ORDER
+        N = kernel(rows[:, None], s) * self.ws
+        # the kernel jumps at u0 and decays over 1/alpha in s
+        self._near(N, rows, pans, np.tile(self._u, pans[-1] + 1),
+                   1.0 / (alpha * self._jac * self._half[pans]), kernel)
         return N
 
 

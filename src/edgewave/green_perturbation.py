@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import PlanePoint
-from .grid import pow2_scale
+from .grid import _TINY, pow2_scale
 
 __all__ = [
     "ChannelGreen",
@@ -79,7 +79,6 @@ _N_START = 64
 _N_MAX = 2048
 _QUAD_TOL = 1e-8         # absolute move of the last node doubling
 _TAIL_RMS_MAX = 0.02     # largest rms residual of a usable log-slope fit
-_TINY = float(np.finfo(float).tiny)     # the least normal double
 
 
 @dataclass(frozen=True)
@@ -172,21 +171,27 @@ def _continuum_integral(g: ChannelGreen, x: float, xp: float,
         dens = (phi_even(g.alpha, p, x) * phi_even(g.alpha, p, xp)
                 + phi_odd(p, x) * phi_odd(p, xp))
         rad = np.exp(-s * np.cosh(u) * abs(dy))
-        return float(np.sum(w * dens * rad) * (-0.5))
+        value = float(np.sum(w * dens * rad) * (-0.5))
+        if not math.isfinite(value):
+            raise RuntimeError(f"continuum quadrature is not finite: {value} at {n} nodes")
+        return value
 
-    n = _N_START
-    prev = total(n)
-    while True:
-        n *= 2
-        cur = total(n)
-        delta = abs(cur - prev)
-        if delta < _QUAD_TOL:
-            return complex(cur), delta
-        if n >= _N_MAX:
-            raise RuntimeError(
-                f"continuum quadrature did not converge: last move {delta:.3e} "
-                f"at {n} nodes (tol {_QUAD_TOL:.1e})")
-        prev = cur
+    # a probe past about 1e300 overflows p x, so cos is nan and the sum is
+    # refused, or the decay exponent, so rad is 0, its value as a double
+    with np.errstate(over="ignore", invalid="ignore"):
+        n = _N_START
+        prev = total(n)
+        while True:
+            n *= 2
+            cur = total(n)
+            delta = abs(cur - prev)
+            if delta < _QUAD_TOL:
+                return complex(cur), delta
+            if n >= _N_MAX:
+                raise RuntimeError(
+                    f"continuum quadrature did not converge: last move {delta:.3e} "
+                    f"at {n} nodes (tol {_QUAD_TOL:.1e})")
+            prev = cur
 
 
 def green_eval(g: ChannelGreen, frm: PlanePoint, to: PlanePoint) -> GreenValue:

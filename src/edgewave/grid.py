@@ -199,6 +199,9 @@ def check_nodes(x0, y0, dx, dy, nx, ny) -> None:
                                  f"i < {n}, are not strictly increasing as doubles")
 
 
+_TINY = float(np.finfo(float).tiny)     # the least normal double
+
+
 def pow2_scale(m: float) -> float:
     """The power of two s, held to the normal doubles, with m*s in [0.5, 1)
     (1 for 0, inf or nan): scaling by s is exact, so a sum of squares

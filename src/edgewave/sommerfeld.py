@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import chart
-from .grid import EDGE, FieldGrid, check_nodes, excluded_band, pow2_scale, tabulate
+from .grid import _TINY, EDGE, FieldGrid, check_nodes, excluded_band, pow2_scale, tabulate
 from .specfun import _closed_form, _tiles
 
 __all__ = [
@@ -53,7 +53,6 @@ __all__ = [
 
 _DIRICHLET = "dirichlet"
 _NEUMANN = "neumann"
-_TINY = float(np.finfo(float).tiny)     # the least normal double
 
 
 @dataclass(frozen=True)

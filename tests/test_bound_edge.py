@@ -534,6 +534,79 @@ def test_exact_field_vanishes_on_barrier_under_refinement(exact, exact_fine):
     assert worst[2] < 1e-9
 
 
+
+def test_exact_field_is_finite_at_the_reproducer_on_the_line(exact):
+    # both points were nan + nan*i: grading each side of the root by the
+    # whole panel's level count left pieces below an ulp of t beside a
+    # panel end, so a node's t^2 rounded onto x and k0(0) = inf entered.
+    # Off the barrier the field is 8.5e-5 and a 1e-9 step moves it by
+    # 7.6e-14; on it the field is 0 to 3.3e-19.  The bound is 1e-12.
+    x0 = 10.208459972709127
+    for x in (x0, -x0):
+        row = exact.values(np.array([x - 1e-9, x, x + 1e-9]), 0.0)
+        assert np.isfinite(row).all()
+        assert np.abs(row - row[1]).max() <= 1e-12
+
+
+def _dense_row(alpha):
+    """100,001 points with |x| <= 20/alpha, mirror-symmetric, none at the tip."""
+    return (np.arange(100_001) - 50_000.5) * (20.0 / alpha / 50_000.5)
+
+
+@pytest.mark.parametrize("alpha, k", [(ALPHA, K), (2.0, 1.0)])
+def test_exact_field_is_finite_on_dense_rows_of_the_line(alpha, k):
+    # 20-72 points of each such row were nan (Tier-1's filters raise on
+    # the first); both faces share their potentials at (|x|, 0)
+    faces = be.solve_scattering(alpha, k).values(_dense_row(alpha),
+                                                 np.array([[0.0], [-0.0]]))
+    assert np.isfinite(faces).all()
+
+
+def test_green_is_finite_on_a_dense_row_of_the_line(exact):
+    # 100,001 sources s in [0, 20/alpha] seen from (-1/alpha, 0): the image
+    # term is the potential at (|x| + s, 0), on the barrier, and 7 of these
+    # 10 parts held a nan
+    for part in np.array_split(np.linspace(0.0, 20.0 / ALPHA, 100_001), 10):
+        assert np.isfinite(exact.green(-1.0 / ALPHA, 0.0, part)).all()
+
+
+def test_tail_operator_integrates_exponentials(exact, exact_fine):
+    # (N e^{-beta s})_i = e^{-beta s_i}/(alpha + beta) at every node; with
+    # beta >= kappa the mesh's cut at kappa s = 36 stays below rounding.
+    # max |error| (alpha + beta) measured 6.7e-16 under the one-sided
+    # 2^-30 grading and 4.4e-16 under grading to the decay length
+    for mesh in (exact.mesh, exact_fine.mesh):
+        for beta in (mesh.kappa, ALPHA, 4.0 * ALPHA):
+            want = np.exp(-beta * mesh.s) / (ALPHA + beta)
+            got = mesh.tail @ np.exp(-beta * mesh.s)
+            assert np.abs(got - want).max() <= 2e-15 / (ALPHA + beta)
+
+
+def test_potential_on_the_line_matches_quad(exact, exact_fine):
+    # int_0^{s_end} K0(kappa |x - s|) e^{-beta s} ds by adaptive quadrature
+    # split at the log singularity x, against A @ e^{-beta s}, at points
+    # between nodes, 1e-12 beside each panel end, and one panel beyond
+    # each end of the barrier.  The error, in units of int K0 = pi/kappa,
+    # measured at most 2.7e-13 before (where finite: 1-10 of the points
+    # beside panel ends were nan) and 4.6e-13 now (mpmath agrees with
+    # quad); the bound is 1e-12
+    from scipy.integrate import quad
+    from scipy.special import k0
+
+    for mesh in (exact.mesh, exact_fine.mesh):
+        kap, ends = mesh.kappa, mesh._edges ** 2
+        x = np.concatenate([0.5 * (mesh.s[5:-16:37] + mesh.s[6:-15:37]),
+                            ends[1:-1] * (1.0 + 1e-12), ends[1:-1] * (1.0 - 1e-12),
+                            [-ends[1], 2.0 * ends[-1] - ends[-2]]])
+        for beta in (0.5 * ALPHA, ALPHA):
+            got = mesh.potential(x, np.zeros_like(x)) @ np.exp(-beta * mesh.s)
+            for xi, g in zip(x, got):
+                cuts = [0.0, *([xi] if 0.0 < xi < ends[-1] else []), ends[-1]]
+                want = sum(quad(lambda s: k0(kap * abs(xi - s)) * math.exp(-beta * s),
+                                lo, hi, limit=500, epsabs=1e-16, epsrel=1e-13)[0]
+                           for lo, hi in zip(cuts[:-1], cuts[1:]))
+                assert abs(g - want) <= 1e-12 * math.pi / kap
+
 def test_exact_flux_and_mesh_stability(exact, exact_fine):
     R, T = exact.reflection, exact.transmission
     assert T == 1.0 + R

@@ -152,6 +152,12 @@ def test_tail_summary_record(tmp_path, capsys):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "a,amplitude"
     assert len(lines) == 6
+    # a probe at y = 1e308: the continuum's decay exponent overflows and
+    # its factor is 0, so the guided channel's slope -2 is left, with no
+    # numpy warning (an overflow in multiply was printed)
+    code, stdout, err = run_cli(capsys, "tail", "--probe_y=1e308", f"--out={out}")
+    assert code == 0 and err == ""
+    assert json.loads(stdout.splitlines()[0])["slope"] == pytest.approx(-2.0, rel=1e-12)
 
 
 _RECORD_CASES = pytest.mark.parametrize("mode_args,E", [
@@ -337,15 +343,20 @@ def test_static_input_rules_exit_2(tmp_path, capsys, monkeypatch, argv, message)
 
 
 def test_numerical_failure_exits_1(capsys):
-    # resolution guard trips inside the oracle: not a usage problem; and
-    # a bound field that is e^-5000 on every compared node, 0 as a double,
-    # has no scale to compare against (it printed nan and exited 0)
+    # resolution guard trips inside the oracle: not a usage problem; a
+    # bound field that is e^-5000 on every compared node, 0 as a double,
+    # has no scale to compare against (it printed nan and exited 0); and a
+    # Born probe at x = 1e308 overflows p x in the continuum quadrature,
+    # refused at its first sum (five numpy RuntimeWarnings came first, and
+    # the rule doubled on to 2048 nodes)
     for argv, message in (
-            (("--k=20", "--dx=0.1", "--dy=0.1", "--nx=31", "--ny=31"), ""),
-            (("--mode=bound", "--alpha=50", "--k=40", "--x0=100", "--y0=100",
-              "--dx=0.005", "--dy=0.005", "--nx=41", "--ny=41"),
-             "the analytic field is 0 on every compared node")):
-        code, out, err = run_cli(capsys, "oracle", *argv)
+            (("oracle", "--k=20", "--dx=0.1", "--dy=0.1", "--nx=31", "--ny=31"), ""),
+            (("oracle", "--mode=bound", "--alpha=50", "--k=40", "--x0=100",
+              "--y0=100", "--dx=0.005", "--dy=0.005", "--nx=41", "--ny=41"),
+             "the analytic field is 0 on every compared node"),
+            (("tail", "--probe_x=1e308"),
+             "continuum quadrature is not finite: nan at 64 nodes")):
+        code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == ""
         assert err.startswith("numerical failure: " + message)
         assert err.count("\n") == 1
